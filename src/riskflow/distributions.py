@@ -44,6 +44,8 @@ __all__ = [
     "model_mean",
     "expected_positive_part",
     "sample",
+    "STANDARD_MODELS",
+    "scale_standard_draws",
     "shift_model",
     "model_from_params",
     "model_params_dict",
@@ -274,14 +276,31 @@ def sample(model: ReturnModel, n: int, seed: int | np.random.Generator) -> np.nd
         raise DomainError(f"sample size must be positive, got {n!r}")
     rng = np.random.default_rng(seed)
     if isinstance(model, GaussianParams):
-        return model.mu + model.sigma * rng.standard_normal(n)
+        return scale_standard_draws(model, rng.standard_normal(n))
     if isinstance(model, WeibullParams):
-        u = rng.random(n)
-        return model.theta + model.lam * (-np.log1p(-u)) ** (1.0 / model.alpha)
+        return scale_standard_draws(model, -np.log1p(-rng.random(n)))
     if isinstance(model, EmpiricalSample):
         vals = np.asarray(model.values)
         return vals[rng.integers(0, len(vals), size=n)]
     raise DomainError(f"unsupported model type: {type(model).__name__}")
+
+
+#: The standard model of each parametric family: ``sample`` of any model of
+#: the family is :func:`scale_standard_draws` applied to ``sample`` of this
+#: model from the same stream.  The Weibull one is the unit exponential.
+STANDARD_MODELS: Mapping[ModelFamily, ReturnModel] = {
+    ModelFamily.GAUSSIAN: GaussianParams(0.0, 1.0),
+    ModelFamily.WEIBULL: WeibullParams(1.0, 1.0, 0.0),
+}
+
+
+def scale_standard_draws(model: ReturnModel, draws: np.ndarray) -> np.ndarray:
+    """Map draws of the family's standard model (:data:`STANDARD_MODELS`) to draws of ``model``."""
+    if isinstance(model, GaussianParams):
+        return model.mu + model.sigma * draws
+    if isinstance(model, WeibullParams):
+        return model.theta + model.lam * draws ** (1.0 / model.alpha)
+    raise DomainError(f"{type(model).__name__} has no standard model")
 
 
 def shift_model(model: ReturnModel, c: float) -> ReturnModel:

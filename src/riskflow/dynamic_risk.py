@@ -29,6 +29,14 @@ Gaussian branches carry no dependence on the previous step (they are
 memoryless), while Weibull branches keep the previous value with alternating
 sign.  That asymmetry is surfaced as output metadata rather than papered
 over.
+
+Every trajectory function takes one path or a stack of paths: parameter
+sequences and realized returns of shape ``(T + 1,)`` or ``(n_paths, T + 1)``,
+and one :class:`ChainPath` or an ``(n_paths, T + 2)`` array of chain states.
+One path gives a ``list[float]``; a stack gives an ``(n_paths, T + 1)``
+array.  The recursions step through time for all paths at once, and the
+static values, means and one-step predictions they need are evaluated once
+per chain state (or per listed model), not once per step.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from .distributions import (
     ReturnModel,
     WeibullParams,
     _require_probability,
-    gaussian_pdf,
     gaussian_quantile,
     model_mean,
     shift_model,
@@ -69,7 +76,6 @@ from .static_risk import (
 
 __all__ = [
     "CvarMode",
-    "RecursiveState",
     "VectorialMeasure",
     "RiskTrajectory",
     "GAUSSIAN_MODULATED_CVAR_NOTE",
@@ -79,7 +85,6 @@ __all__ = [
     "recursive_cvar",
     "modulated_scalar",
     "modulated_vector",
-    "modulated_recursive_vector",
     "vector_recursive_trajectories",
     "modulated_var_trajectory",
     "modulated_cvar_trajectory",
@@ -100,20 +105,6 @@ class CvarMode(str, Enum):
 
     EXACT = "exact"
     PIECEWISE = "piecewise"
-
-
-@dataclass(frozen=True)
-class RecursiveState:
-    """Carried state of the recursion: the step index and ``R_{t-1}``."""
-
-    t: int
-    prev_risk: float
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise DomainError(f"time index must be non-negative, got {self.t!r}")
-        if not math.isfinite(self.prev_risk):
-            raise DomainError(f"carried risk must be finite, got {self.prev_risk!r}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ class RiskTrajectory:
                 raise DomainError(
                     f"{name} column has {len(vals)} entries for {len(self.times)} times"
                 )
-            if any(not math.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise DomainError(f"{name} column contains non-finite values")
 
     @property
@@ -203,8 +194,7 @@ def recursive_risk_generic(
     used) or a plain ``model -> value`` callable, in which case
     ``orientation`` must state the translation convention the callable obeys.
     """
-    if T < 0:
-        raise DomainError(f"horizon must be non-negative, got {T!r}")
+    _require_horizon(T)
     if len(models) != T + 1:
         raise DomainError(f"need {T + 1} period models, got {len(models)}")
     if isinstance(measure, RiskMeasureSpec):
@@ -215,67 +205,86 @@ def recursive_risk_generic(
     sign = _shift_sign(orientation)
     out = [fn(models[0])]
     for t in range(1, T + 1):
-        state = RecursiveState(t=t, prev_risk=out[-1])
-        out.append(fn(shift_model(models[t], sign * state.prev_risk)))
+        out.append(fn(shift_model(models[t], sign * out[-1])))
     return out
 
 
-def _alternating_sum(values: np.ndarray) -> list[float]:
-    # R_t = sum_{k<=t} (-1)**(t-k) v_k, evaluated for all t in one pass:
-    # with s_k = (-1)**k, R = s * cumsum(s * v).
-    signs = np.where(np.arange(len(values)) % 2 == 0, 1.0, -1.0)
-    return [float(x) for x in signs * np.cumsum(signs * values)]
+def _require_horizon(T: int) -> None:
+    if T < 0:
+        raise DomainError(f"horizon must be non-negative, got {T!r}")
 
 
-def _as_positive_array(name: str, values: Sequence[float], n: int) -> np.ndarray:
+def _as_given(out: np.ndarray, batched: bool) -> list[float] | np.ndarray:
+    """A stack of paths as the array, one path as its list of floats."""
+    return out if batched else out[0].tolist()
+
+
+def _alternating_sum(values: np.ndarray) -> np.ndarray:
+    # R_t = sum_{k<=t} (-1)**(t-k) v_k along each path, for all t in one
+    # pass: with s_k = (-1)**k, R = s * cumsum(s * v).
+    signs = np.where(np.arange(values.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return signs * np.cumsum(signs * values, axis=-1)
+
+
+def _path_array(
+    name: str,
+    values: Sequence[float] | np.ndarray,
+    T: int,
+    *,
+    positive: bool = False,
+    n_paths: int | None = None,
+) -> np.ndarray:
+    """Per-period values of one path ``(T + 1,)`` or of several ``(n, T + 1)``, as 2-D."""
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise DomainError(f"{name} must have length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"{name} entries must be positive and finite")
-    return arr
+    if arr.ndim not in (1, 2) or arr.shape[-1] != T + 1:
+        raise DomainError(f"{name} must have length {T + 1} per path, got shape {arr.shape}")
+    if n_paths is not None and len(np.atleast_2d(arr)) != n_paths:
+        raise DomainError(f"{name} must have one row per path ({n_paths}), got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):
+        kind = "positive and finite" if positive else "finite"
+        raise DomainError(f"{name} entries must be {kind}")
+    return np.atleast_2d(arr)
 
 
 def recursive_var_gaussian_closed(
-    mus: Sequence[float], sigmas: Sequence[float], p: float, T: int
-) -> list[float]:
+    mus: Sequence[float] | np.ndarray, sigmas: Sequence[float] | np.ndarray, p: float, T: int
+) -> list[float] | np.ndarray:
     """Closed-form recursive value-at-risk for Gaussian period returns.
 
     Evaluates ``R_t = sum_k (-1)**(t-k) (mu_k + sigma_k * q_p)`` directly
-    from the parameter sequences (lists of length ``T + 1``).
+    from the parameter sequences (length ``T + 1``, or ``(n_paths, T + 1)``).
     """
     p = _require_probability(p)
-    if T < 0:
-        raise DomainError(f"horizon must be non-negative, got {T!r}")
-    mu = np.asarray(mus, dtype=float)
-    if mu.shape != (T + 1,) or not np.all(np.isfinite(mu)):
-        raise DomainError(f"mus must be {T + 1} finite values")
-    sigma = _as_positive_array("sigmas", sigmas, T + 1)
+    _require_horizon(T)
+    mu = _path_array("mus", mus, T)
+    sigma = _path_array("sigmas", sigmas, T, positive=True)
+    if mu.shape != sigma.shape:
+        raise DomainError(f"mus {mu.shape} and sigmas {sigma.shape} differ in shape")
     q = gaussian_quantile(p)
-    return _alternating_sum(mu + sigma * q)
+    return _as_given(_alternating_sum(mu + sigma * q), np.ndim(mus) == 2)
 
 
 def recursive_var_weibull_closed(
-    lambdas: Sequence[float],
-    alphas: Sequence[float],
-    thetas: Sequence[float],
+    lambdas: Sequence[float] | np.ndarray,
+    alphas: Sequence[float] | np.ndarray,
+    thetas: Sequence[float] | np.ndarray,
     p: float,
     T: int,
-) -> list[float]:
+) -> list[float] | np.ndarray:
     """Closed-form recursive value-at-risk for Weibull period returns.
 
-    Evaluates ``R_t = sum_k (-1)**(t-k) (theta_k + lam_k * (-ln(1-p))**(1/alpha_k))``.
+    Evaluates ``R_t = sum_k (-1)**(t-k) (theta_k + lam_k * (-ln(1-p))**(1/alpha_k))``
+    from sequences of length ``T + 1`` or arrays of shape ``(n_paths, T + 1)``.
     """
     p = _require_probability(p)
-    if T < 0:
-        raise DomainError(f"horizon must be non-negative, got {T!r}")
-    lam = _as_positive_array("lambdas", lambdas, T + 1)
-    alpha = _as_positive_array("alphas", alphas, T + 1)
-    theta = np.asarray(thetas, dtype=float)
-    if theta.shape != (T + 1,) or not np.all(np.isfinite(theta)):
-        raise DomainError(f"thetas must be {T + 1} finite values")
+    _require_horizon(T)
+    lam = _path_array("lambdas", lambdas, T, positive=True)
+    alpha = _path_array("alphas", alphas, T, positive=True)
+    theta = _path_array("thetas", thetas, T)
+    if not lam.shape == alpha.shape == theta.shape:
+        raise DomainError("lambdas, alphas and thetas differ in shape")
     c = (-math.log1p(-p)) ** (1.0 / alpha)
-    return _alternating_sum(theta + lam * c)
+    return _as_given(_alternating_sum(theta + lam * c), np.ndim(lambdas) == 2)
 
 
 def recursive_cvar(
@@ -283,8 +292,10 @@ def recursive_cvar(
     p: float,
     T: int,
     mode: CvarMode = CvarMode.EXACT,
-    realized_path: Sequence[float] | None = None,
-) -> list[float]:
+    realized_path: Sequence[float] | np.ndarray | None = None,
+    *,
+    states: np.ndarray | None = None,
+) -> list[float] | np.ndarray:
     """Recursive conditional value-at-risk ``C_0 .. C_T`` (upper tail).
 
     ``exact`` mode evaluates ``C_t = cvar(X_t shifted by -C_{t-1})`` — the
@@ -296,34 +307,54 @@ def recursive_cvar(
     is ``var_t - C_{t-1} + (mean_t - var_t + 2*C_{t-1})/(1-p)`` (the
     tail-average expression, equivalent to the per-family spelled-out
     forms).
+
+    ``models`` are the period models ``X_0 .. X_T`` of one path.  For
+    several paths, pass ``states``, an ``(n_paths, T + 1)`` array of 0-based
+    indices into ``models``: path ``i`` prices period ``t`` with
+    ``models[states[i, t]]``, ``realized_path`` has shape ``(n_paths, T + 1)``
+    and the result is an ``(n_paths, T + 1)`` array.  The static values and
+    means are evaluated once per entry of ``models``.
     """
     p = _require_probability(p)
     mode = CvarMode(mode)
-    if T < 0:
-        raise DomainError(f"horizon must be non-negative, got {T!r}")
-    if len(models) != T + 1:
-        raise DomainError(f"need {T + 1} period models, got {len(models)}")
-    if realized_path is not None and len(realized_path) != T + 1:
-        raise DomainError(
-            f"realized path must have length {T + 1}, got {len(realized_path)}"
-        )
+    _require_horizon(T)
+    batched = states is not None
+    if batched:
+        states = np.asarray(states)
+        if states.ndim != 2 or states.shape[1] != T + 1 or states.size == 0:
+            raise DomainError(f"states must have shape (n_paths, {T + 1}), got {states.shape}")
+        if not 0 <= states.min() <= states.max() < len(models):
+            raise DomainError(f"states must index the {len(models)} models")
+    else:
+        if len(models) != T + 1:
+            raise DomainError(f"need {T + 1} period models, got {len(models)}")
+        states = np.arange(T + 1)[np.newaxis, :]
     if mode is CvarMode.PIECEWISE and realized_path is None:
         raise DomainError("piecewise mode needs a realized return path")
+    if realized_path is not None:
+        realized = _path_array("realized path", realized_path, T, n_paths=len(states))
 
-    out = [cvar_tail(models[0], p)]
+    out = np.empty(states.shape)
+    out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 0]]
+    if mode is CvarMode.PIECEWISE:
+        var_table = np.array([var(m, p) for m in models])
+        mean_table = np.array([model_mean(m) for m in models])
     for t in range(1, T + 1):
-        prev = RecursiveState(t=t, prev_risk=out[-1]).prev_risk
+        prev = out[:, t - 1]
         if mode is CvarMode.EXACT:
-            out.append(cvar_tail(shift_model(models[t], -prev), p))
+            out[:, t] = [
+                cvar_tail(shift_model(models[k], -c), p)
+                for k, c in zip(states[:, t].tolist(), prev.tolist())
+            ]
             continue
-        v_t = var(models[t], p)
-        x_t = float(realized_path[t])  # type: ignore[index]
-        if x_t <= v_t - 2.0 * prev:
-            out.append(v_t - prev)
-        else:
-            mean_t = model_mean(models[t])
-            out.append(v_t - prev + (mean_t - v_t + 2.0 * prev) / (1.0 - p))
-    return out
+        v_t = var_table[states[:, t]]
+        mean_t = mean_table[states[:, t]]
+        out[:, t] = np.where(
+            realized[:, t] <= v_t - 2.0 * prev,
+            v_t - prev,
+            v_t - prev + (mean_t - v_t + 2.0 * prev) / (1.0 - p),
+        )
+    return _as_given(out, batched)
 
 
 # --------------------------------------------------------------------------
@@ -359,17 +390,6 @@ def modulated_vector(
     )
 
 
-def modulated_recursive_vector(
-    component_risks: Sequence[float], matrix: TransitionMatrix, state: int
-) -> float:
-    """Blend the time-t values of per-state recursions over the next state.
-
-    ``component_risks`` holds, for each chain state, the value at time t of
-    that state's own recursion (see :func:`vector_recursive_trajectories`).
-    """
-    return modulated_vector(component_risks, matrix, state)
-
-
 def vector_recursive_trajectories(
     models: Sequence[ReturnModel], measure: VectorialMeasure, T: int
 ) -> list[list[float]]:
@@ -380,18 +400,21 @@ def vector_recursive_trajectories(
     return [recursive_risk_generic(models, spec, T) for spec in measure.specs]
 
 
-def _validated_path(
-    chain_path: ChainPath, matrix: TransitionMatrix, T: int
-) -> tuple[int, ...]:
-    if T < 0:
-        raise DomainError(f"horizon must be non-negative, got {T!r}")
-    if chain_path.horizon != T:
-        raise DomainError(
-            f"chain path covers horizon {chain_path.horizon}, expected {T}"
-        )
-    for s in chain_path.states:
-        matrix.require_state(s)
-    return chain_path.states
+def _path_states(
+    chain_path: ChainPath | np.ndarray, matrix: TransitionMatrix, T: int
+) -> np.ndarray:
+    """One chain path, or an ``(n_paths, T + 2)`` stack of them, as a 2-D array."""
+    _require_horizon(T)
+    states = np.atleast_2d(
+        chain_path.states if isinstance(chain_path, ChainPath) else chain_path
+    )
+    if states.ndim != 2 or states.shape[1] != T + 2 or states.shape[0] == 0:
+        raise DomainError(f"chain paths must have shape (n_paths, {T + 2}), got {states.shape}")
+    if not np.array_equal(states[:, -1], states[:, -2]):
+        raise DomainError("the last two states of each chain path must be equal")
+    if not 1 <= states.min() <= states.max() <= matrix.n_states:
+        raise DomainError(f"state indices must lie in [1, {matrix.n_states}]")
+    return states
 
 
 def _state_vector(
@@ -434,20 +457,45 @@ def _weibull_state_vectors(
     return lam, alpha, theta
 
 
-def _predict(matrix: TransitionMatrix, values: np.ndarray, state: int) -> float:
-    return one_step_linked_expectation(
-        matrix, StateLinkedParams(tuple(values)), state
-    )
+def _state_models(
+    family: ModelFamily, params: Mapping[str, StateLinkedParams], n_states: int
+) -> list[ReturnModel]:
+    """The return model realized in each chain state."""
+    if family is ModelFamily.GAUSSIAN:
+        mu, sigma = _gaussian_state_vectors(params, n_states)
+        return [GaussianParams(m, s) for m, s in zip(mu.tolist(), sigma.tolist())]
+    lam, alpha, theta = _weibull_state_vectors(params, n_states)
+    return [
+        WeibullParams(*values) for values in zip(lam.tolist(), alpha.tolist(), theta.tolist())
+    ]
+
+
+def _predicted(matrix: TransitionMatrix, values: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """One-step predictions of per-state ``values`` from each entry of ``states``."""
+    return one_step_linked_expectation(matrix, StateLinkedParams(tuple(values)), states)
+
+
+def _weibull_quantiles(
+    params: Mapping[str, StateLinkedParams], matrix: TransitionMatrix, priced: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state quantiles ``theta + lam * c``, and ``thetabar + lambdabar * cbar``
+    predicted from each entry of ``priced`` (``c`` predicted as its own vector)."""
+    lam, alpha, theta = _weibull_state_vectors(params, matrix.n_states)
+    c = (-math.log1p(-p)) ** (1.0 / alpha)
+    predicted = _predicted(matrix, theta, priced) + _predicted(
+        matrix, lam, priced
+    ) * _predicted(matrix, c, priced)
+    return theta + lam * c, predicted
 
 
 def modulated_var_trajectory(
     family: ModelFamily | str,
     params: Mapping[str, StateLinkedParams],
     matrix: TransitionMatrix,
-    chain_path: ChainPath,
+    chain_path: ChainPath | np.ndarray,
     p: float,
     T: int,
-) -> list[float]:
+) -> list[float] | np.ndarray:
     """Value-at-risk recursion along a realized chain path.
 
     Time 0 uses the realized parameters of ``X_0`` (linked to the state at
@@ -462,40 +510,27 @@ def modulated_var_trajectory(
     """
     p = _require_probability(p)
     family = ModelFamily(family)
-    states = _validated_path(chain_path, matrix, T)
+    states = _path_states(chain_path, matrix, T)
     n = matrix.n_states
+    priced = states[:, 1 : T + 1]
     if family is ModelFamily.GAUSSIAN:
-        mu, sigma = _gaussian_state_vectors(params, n)
-        q = gaussian_quantile(p)
-        per_state = mu + sigma * q
-        realized0 = per_state[states[1] - 1]
+        per_state = np.array([var(m, p) for m in _state_models(family, params, n)])
+        predicted = _predicted(matrix, per_state, priced)
     else:
-        lam, alpha, theta = _weibull_state_vectors(params, n)
-        c = (-math.log1p(-p)) ** (1.0 / alpha)
-        s1 = states[1] - 1
-        realized0 = theta[s1] + lam[s1] * c[s1]
-    terms = [float(realized0)]
-    for k in range(1, T + 1):
-        z_k = states[k]
-        if family is ModelFamily.GAUSSIAN:
-            terms.append(_predict(matrix, per_state, z_k))
-        else:
-            terms.append(
-                _predict(matrix, theta, z_k)
-                + _predict(matrix, lam, z_k) * _predict(matrix, c, z_k)
-            )
-    return _alternating_sum(np.array(terms))
+        per_state, predicted = _weibull_quantiles(params, matrix, priced, p)
+    terms = np.concatenate([per_state[states[:, 1:2] - 1], predicted], axis=1)
+    return _as_given(_alternating_sum(terms), not isinstance(chain_path, ChainPath))
 
 
 def modulated_cvar_trajectory(
     family: ModelFamily | str,
     params: Mapping[str, StateLinkedParams],
     matrix: TransitionMatrix,
-    chain_path: ChainPath,
-    realized_returns: Sequence[float],
+    chain_path: ChainPath | np.ndarray,
+    realized_returns: Sequence[float] | np.ndarray,
     p: float,
     T: int,
-) -> list[float]:
+) -> list[float] | np.ndarray:
     """Conditional value-at-risk branch recursion along a realized chain path.
 
     Time 0 is the realized static value.  For ``t >= 1`` the realized return
@@ -512,51 +547,38 @@ def modulated_cvar_trajectory(
     """
     p = _require_probability(p)
     family = ModelFamily(family)
-    states = _validated_path(chain_path, matrix, T)
-    if len(realized_returns) != T + 1:
-        raise DomainError(
-            f"realized returns must have length {T + 1}, got {len(realized_returns)}"
-        )
+    states = _path_states(chain_path, matrix, T)
+    realized = _path_array("realized returns", realized_returns, T, n_paths=len(states))
     n = matrix.n_states
-    q = gaussian_quantile(p)
+    models = _state_models(family, params, n)
+    priced = states[:, 1 : T + 1]
+    out = np.empty(realized.shape)
+    out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 1] - 1]
     if family is ModelFamily.GAUSSIAN:
+        q = gaussian_quantile(p)
         mu, sigma = _gaussian_state_vectors(params, n)
-        s1 = states[1] - 1
-        out = [float(mu[s1] + sigma[s1] * gaussian_pdf(q) / (1.0 - p))]
-        for t in range(1, T + 1):
-            z_t = states[t]
-            mubar = _predict(matrix, mu, z_t)
-            sigbar = _predict(matrix, sigma, z_t)
-            s_next = states[t + 1] - 1
-            threshold = mu[s_next] + sigma[s_next] * q
-            if float(realized_returns[t]) <= threshold:
-                out.append(mubar + sigbar * q)
-            else:
-                out.append(mubar + (p / (1.0 - p)) * sigbar * q)
-        return out
-    lam, alpha, theta = _weibull_state_vectors(params, n)
-    c = (-math.log1p(-p)) ** (1.0 / alpha)
-    means = np.array(
-        [model_mean(WeibullParams(lam[i], alpha[i], theta[i])) for i in range(n)]
-    )
-    s1 = states[1] - 1
-    out = [cvar_tail(WeibullParams(lam[s1], alpha[s1], theta[s1]), p)]
-    for t in range(1, T + 1):
-        prev = out[-1]
-        z_t = states[t]
-        varbar = _predict(matrix, theta, z_t) + _predict(matrix, lam, z_t) * _predict(
-            matrix, c, z_t
+        mubar = _predicted(matrix, mu, priced)
+        sigbar = _predicted(matrix, sigma, priced)
+        threshold = np.array([var(m, p) for m in models])[states[:, 2:] - 1]
+        out[:, 1:] = np.where(
+            realized[:, 1:] <= threshold,
+            mubar + sigbar * q,
+            mubar + (p / (1.0 - p)) * sigbar * q,
         )
-        if float(realized_returns[t]) <= varbar + 2.0 * prev:
-            out.append(varbar - prev)
-        else:
-            meanbar = _predict(matrix, means, z_t)
-            out.append(
-                meanbar / (1.0 - p)
-                - (p / (1.0 - p)) * varbar
-                + ((1.0 + p) / (1.0 - p)) * prev
+    else:
+        _, varbar = _weibull_quantiles(params, matrix, priced, p)
+        meanbar = _predicted(matrix, np.array([model_mean(m) for m in models]), priced)
+        for t in range(1, T + 1):
+            prev = out[:, t - 1]
+            v_t = varbar[:, t - 1]
+            out[:, t] = np.where(
+                realized[:, t] <= v_t + 2.0 * prev,
+                v_t - prev,
+                meanbar[:, t - 1] / (1.0 - p)
+                - (p / (1.0 - p)) * v_t
+                + ((1.0 + p) / (1.0 - p)) * prev,
             )
-    return out
+    return _as_given(out, not isinstance(chain_path, ChainPath))
 
 
 def is_acceptable(risk_value: float) -> bool:

@@ -15,6 +15,7 @@ terminal state is frozen.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -164,14 +165,30 @@ def linked_value(params: StateLinkedParams, state: int) -> float:
 
 
 def one_step_linked_expectation(
-    matrix: TransitionMatrix, params: StateLinkedParams, state: int
-) -> float:
-    """``E[<params, Z_next> | Z = e_state]`` — the predicted next-step parameter."""
+    matrix: TransitionMatrix, params: StateLinkedParams, state: int | np.ndarray
+) -> float | np.ndarray:
+    """``E[<params, Z_next> | Z = e_state]`` — the predicted next-step parameter.
+
+    ``state`` is one 1-based state, or an integer array of them (for example
+    chain paths stacked as ``(n_paths, T)``); an array gives the predictions
+    elementwise, each evaluated once per chain state.
+    """
     if len(params) != matrix.n_states:
         raise DomainError(
             f"parameter vector has {len(params)} states, matrix has {matrix.n_states}"
         )
-    return float(np.dot(params.as_array(), matrix.column(state)))
+    values = params.as_array()
+
+    def predict(s: int) -> float:
+        return float(np.dot(values, matrix.column(s)))
+
+    if np.ndim(state) == 0:
+        return predict(state)
+    states = np.asarray(state)
+    if states.size and not 1 <= states.min() <= states.max() <= matrix.n_states:
+        raise DomainError(f"state indices must lie in [1, {matrix.n_states}]")
+    table = np.array([predict(s) for s in range(1, matrix.n_states + 1)])
+    return table[states - 1]
 
 
 def simulate_path(
@@ -180,18 +197,19 @@ def simulate_path(
     """Simulate ``Z_0 .. Z_T`` from the chain and freeze the terminal state.
 
     ``horizon`` is ``T >= 0``; the result has ``T + 2`` entries (see
-    :class:`ChainPath`).  Deterministic per seed.
+    :class:`ChainPath`).  Deterministic per seed: the ``T`` uniforms come
+    from one draw of the seeded stream, and each step takes the first state
+    whose cumulative transition probability exceeds its uniform.
     """
     current = matrix.require_state(initial_state)
     if horizon < 0:
         raise DomainError(f"horizon must be non-negative, got {horizon!r}")
-    rng = np.random.default_rng(seed)
-    cumulative = np.cumsum(matrix.entries, axis=0)
+    uniforms = np.random.default_rng(seed).random(horizon).tolist()
+    cumulative = np.cumsum(matrix.entries, axis=0).T.tolist()
+    n = matrix.n_states
     states = [current]
-    for _ in range(horizon):
-        u = rng.random()
-        nxt = int(np.searchsorted(cumulative[:, current - 1], u, side="right")) + 1
-        current = min(nxt, matrix.n_states)
+    for u in uniforms:
+        current = min(bisect.bisect_right(cumulative[current - 1], u) + 1, n)
         states.append(current)
     states.append(current)
     return ChainPath(states=tuple(states), seed=int(seed))

@@ -5,9 +5,10 @@ a return family with one parameter set per chain state, a transition matrix
 (accepted row- or column-stochastic and stored column-stochastic), an
 initial state, confidence level, horizon, number of seeded paths, and which
 measures to evaluate.  :func:`run_experiment` simulates each path's chain
-and returns, evaluates the static, recursive, and modulated trajectories,
-and aggregates summary statistics; :func:`emit_trajectories` writes the
-fixed-schema CSV/JSON tables.  Reruns of the same config are byte-identical.
+and returns, evaluates the static, recursive, and modulated trajectories
+for all paths at once on ``(n_paths, T + 1)`` arrays, and aggregates summary
+statistics; :func:`emit_trajectories` writes the fixed-schema CSV/JSON
+tables.  Reruns of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
 cover a Gaussian index-level study and a Weibull daily-increment study: base
@@ -21,25 +22,26 @@ the Weibull shape is held constant across states.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from importlib.resources import files as _resource_files
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .distributions import (
+    STANDARD_MODELS,
     GaussianParams,
     ModelFamily,
     ReturnModel,
     WeibullParams,
     sample,
+    scale_standard_draws,
 )
 from .dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
@@ -69,7 +71,6 @@ __all__ = [
     "emit_trajectories",
     "config_to_json",
     "config_from_json",
-    "worker_count",
 ]
 
 _MEASURE_NAMES = ("var", "cvar")
@@ -88,20 +89,6 @@ class ReferenceStudy(str, Enum):
 
     GAUSSIAN_MSCI = "gaussian_msci"
     WEIBULL_BBGEX = "weibull_bbgex"
-
-
-def worker_count() -> int:
-    """Parallel path workers: ``RISKFLOW_THREADS`` if set, else logical cores."""
-    raw = os.environ.get("RISKFLOW_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"RISKFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"RISKFLOW_THREADS must be >= 1, got {n}")
-    return n
 
 
 _FAMILY_PARAM_KEYS = {
@@ -537,139 +524,31 @@ class SummaryStats:
         }
 
 
-def _run_single_path(
-    config: ExperimentConfig,
-    matrix: TransitionMatrix,
-    path_id: int,
-    chain_seed: int,
-    returns_seed: int,
-) -> PathTrajectories:
-    T = config.horizon
-    chain = simulate_path(matrix, config.initial_state, T, chain_seed)
-    period_models = [config.state_model(chain.states[t + 1]) for t in range(T + 1)]
-    rng = np.random.default_rng(returns_seed)
-    realized = tuple(float(sample(m, 1, rng)[0]) for m in period_models)
-    linked = config.state_linked_params()
-    times = tuple(range(T + 1))
-    notes: list[str] = []
-
-    static_var: list[float] = []
-    static_cvar: list[float] = []
-    for t, model in enumerate(period_models):
-        try:
-            if "var" in config.measures:
-                static_var.append(var(model, config.p))
-            if "cvar" in config.measures:
-                static_cvar.append(cvar_tail(model, config.p))
-        except NumericError as exc:
-            raise NumericError(f"path {path_id}, t={t}: {exc}") from exc
-
-    var_traj = cvar_traj = None
-    try:
-        if "var" in config.measures:
-            if config.family is ModelFamily.GAUSSIAN:
-                recursive = recursive_var_gaussian_closed(
-                    [m.mu for m in period_models],
-                    [m.sigma for m in period_models],
-                    config.p,
-                    T,
-                )
-            else:
-                recursive = recursive_var_weibull_closed(
-                    [m.lam for m in period_models],
-                    [m.alpha for m in period_models],
-                    [m.theta for m in period_models],
-                    config.p,
-                    T,
-                )
-            modulated = modulated_var_trajectory(
-                config.family, linked, matrix, chain, config.p, T
-            )
-            var_traj = RiskTrajectory(
-                kind=MeasureKind.VAR,
-                p=config.p,
-                times=times,
-                static=tuple(static_var),
-                recursive=tuple(recursive),
-                modulated=tuple(modulated),
-            )
-        if "cvar" in config.measures:
-            recursive_c = recursive_cvar(
-                period_models, config.p, T, config.cvar_mode, realized
-            )
-            modulated_c = modulated_cvar_trajectory(
-                config.family, linked, matrix, chain, realized, config.p, T
-            )
-            if config.family is ModelFamily.GAUSSIAN:
-                notes.append(GAUSSIAN_MODULATED_CVAR_NOTE)
-            cvar_traj = RiskTrajectory(
-                kind=MeasureKind.CVAR,
-                p=config.p,
-                times=times,
-                static=tuple(static_cvar),
-                recursive=tuple(recursive_c),
-                modulated=tuple(modulated_c),
-            )
-    except NumericError as exc:
-        raise NumericError(f"path {path_id} (trajectories): {exc}") from exc
-
-    return PathTrajectories(
-        path_id=path_id,
-        chain_seed=chain_seed,
-        returns_seed=returns_seed,
-        states=chain.states,
-        returns=realized,
-        var=var_traj,
-        cvar=cvar_traj,
-        notes=tuple(notes),
-    )
-
-
-def _summarize(config: ExperimentConfig, paths: Sequence[PathTrajectories]) -> SummaryStats:
-    columns: dict[str, list[float]] = {}
-
-    def collect(name: str, values: Sequence[float] | None) -> None:
-        if values is not None:
-            columns.setdefault(name, []).extend(values)
-
-    for res in paths:
-        if res.var is not None:
-            collect("static_var", res.var.static)
-            collect("recursive_var", res.var.recursive)
-            collect("modulated_var", res.var.modulated)
-        if res.cvar is not None:
-            collect("static_cvar", res.cvar.static)
-            collect("recursive_cvar", res.cvar.recursive)
-            collect("modulated_cvar", res.cvar.modulated)
-
-    fractions: dict[str, float] = {}
-    for dyn, stat in (
-        ("recursive_var", "static_var"),
-        ("modulated_var", "static_var"),
-        ("recursive_cvar", "static_cvar"),
-        ("modulated_cvar", "static_cvar"),
-    ):
-        if dyn in columns:
-            d = np.array(columns[dyn])
-            s = np.array(columns[stat])
-            fractions[dyn] = float(np.mean(d <= s))
-
+def _summarize(config: ExperimentConfig, columns: Mapping[str, np.ndarray]) -> SummaryStats:
+    fractions = {
+        dyn: float(np.mean(columns[dyn] <= columns[stat]))
+        for dyn, stat in (
+            ("recursive_var", "static_var"),
+            ("modulated_var", "static_var"),
+            ("recursive_cvar", "static_cvar"),
+            ("modulated_cvar", "static_cvar"),
+        )
+        if dyn in columns
+    }
     stats = {
         name: {
             "min": float(np.min(vals)),
             "max": float(np.max(vals)),
-            "mean": float(np.mean(vals)),
+            "mean": float(np.mean(vals.ravel())),
         }
         for name, vals in columns.items()
     }
     alternation: bool | None = None
     if "recursive_var" in columns:
-        alternation = all(
-            res.var is not None
-            and all(v == 0.0 for t, v in enumerate(res.var.recursive) if t % 2 == 1)
-            for res in paths
-        )
-    notes = tuple(dict.fromkeys(note for res in paths for note in res.notes))
+        alternation = bool(np.all(columns["recursive_var"][:, 1::2] == 0.0))
+    notes: tuple[str, ...] = ()
+    if "cvar" in config.measures and config.family is ModelFamily.GAUSSIAN:
+        notes = (GAUSSIAN_MODULATED_CVAR_NOTE,)
     return SummaryStats(
         n_paths=config.n_paths,
         horizon=config.horizon,
@@ -685,33 +564,92 @@ def run_experiment(
 ) -> tuple[list[PathTrajectories], SummaryStats]:
     """Simulate all paths and aggregate; deterministic for a fixed seed.
 
-    Paths draw independent chain/returns seed pairs from one root sequence
-    and may evaluate in parallel (``RISKFLOW_THREADS`` caps workers); results
-    are folded in path order regardless of scheduling.
+    Paths draw independent chain/returns seed pairs from one root sequence.
+    Each path simulates its chain and draws its standard returns from its own
+    streams; everything after that runs on ``(n_paths, T + 1)`` arrays, with
+    the static measures, means and one-step predictions evaluated once per
+    chain state.
     """
     matrix = config.chain()
+    T, p, family = config.horizon, config.p, config.family
     seed_words = np.random.SeedSequence(config.seed).generate_state(
         2 * config.n_paths, dtype=np.uint64
     )
-    jobs = [
-        (i, int(seed_words[2 * i]), int(seed_words[2 * i + 1]))
+    chain_seeds = seed_words[0::2].tolist()
+    returns_seeds = seed_words[1::2].tolist()
+    chains = [simulate_path(matrix, config.initial_state, T, s) for s in chain_seeds]
+    states = np.array([chain.states for chain in chains])
+    # Period t is priced with the model of the state reached at t + 1.
+    period = states[:, 1:] - 1
+    models = [config.state_model(s) for s in range(1, config.n_states + 1)]
+    standard = np.array([
+        sample(STANDARD_MODELS[family], T + 1, np.random.default_rng(s))
+        for s in returns_seeds
+    ])
+    realized = np.empty(standard.shape)
+    for s, model in enumerate(models):
+        in_state = period == s
+        realized[in_state] = scale_standard_draws(model, standard[in_state])
+
+    params = {k: np.array(v)[period] for k, v in config.params.items()}
+    linked = config.state_linked_params()
+    columns: dict[str, np.ndarray] = {}
+    try:
+        if "var" in config.measures:
+            columns["static_var"] = np.array([var(m, p) for m in models])[period]
+            if family is ModelFamily.GAUSSIAN:
+                columns["recursive_var"] = recursive_var_gaussian_closed(
+                    params["mu"], params["sigma"], p, T
+                )
+            else:
+                columns["recursive_var"] = recursive_var_weibull_closed(
+                    params["lambda"], params["alpha"], params["theta"], p, T
+                )
+            columns["modulated_var"] = modulated_var_trajectory(
+                family, linked, matrix, states, p, T
+            )
+        if "cvar" in config.measures:
+            columns["static_cvar"] = np.array([cvar_tail(m, p) for m in models])[period]
+            columns["recursive_cvar"] = recursive_cvar(
+                models, p, T, config.cvar_mode, realized, states=period
+            )
+            columns["modulated_cvar"] = modulated_cvar_trajectory(
+                family, linked, matrix, states, realized, p, T
+            )
+    except NumericError as exc:
+        raise NumericError(f"[seed {config.seed}] {exc}") from exc
+
+    stats = _summarize(config, columns)
+    times = tuple(range(T + 1))
+    rows = {name: values.tolist() for name, values in columns.items()}
+    realized_rows = realized.tolist()
+
+    def trajectory(kind: MeasureKind, i: int) -> RiskTrajectory | None:
+        if kind.value not in config.measures:
+            return None
+        return RiskTrajectory(
+            kind=kind,
+            p=p,
+            times=times,
+            static=tuple(rows[f"static_{kind.value}"][i]),
+            recursive=tuple(rows[f"recursive_{kind.value}"][i]),
+            modulated=tuple(rows[f"modulated_{kind.value}"][i]),
+        )
+
+    paths = [
+        PathTrajectories(
+            path_id=i,
+            chain_seed=chain_seeds[i],
+            returns_seed=returns_seeds[i],
+            states=chains[i].states,
+            returns=tuple(realized_rows[i]),
+            var=trajectory(MeasureKind.VAR, i),
+            cvar=trajectory(MeasureKind.CVAR, i),
+            notes=stats.notes,
+        )
         for i in range(config.n_paths)
     ]
-
-    def work(job: tuple[int, int, int]) -> PathTrajectories:
-        path_id, chain_seed, returns_seed = job
-        try:
-            return _run_single_path(config, matrix, path_id, chain_seed, returns_seed)
-        except NumericError as exc:
-            raise NumericError(f"[chain seed {chain_seed}] {exc}") from exc
-
-    workers = min(config.n_paths, worker_count())
-    if workers <= 1:
-        paths = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(work, jobs))
-    return paths, _summarize(config, paths)
+    return paths, stats
 
 
 # --------------------------------------------------------------------------
@@ -719,39 +657,19 @@ def run_experiment(
 # --------------------------------------------------------------------------
 
 
-def _trajectory_cell(traj: RiskTrajectory | None, series: str, t: int) -> float | None:
-    if traj is None:
-        return None
-    values = getattr(traj, series)
-    return None if values is None else values[t]
-
-
-def _csv_cell(value: object) -> object:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def _path_records(paths: Sequence[PathTrajectories]) -> list[dict[str, object]]:
-    records: list[dict[str, object]] = []
+def _rows(paths: Sequence[PathTrajectories]) -> Iterator[tuple[object, ...]]:
+    """Table rows in output order: ``[path,] t`` and the six measure columns."""
     multi = len(paths) > 1
+    absent = itertools.repeat(None)
     for res in paths:
-        horizon_source = res.var or res.cvar
-        if horizon_source is None:
-            raise DataError(f"path {res.path_id} carries no trajectories to emit")
-        for t in horizon_source.times:
-            record: dict[str, object] = {}
-            if multi:
-                record["path"] = res.path_id
-            record["t"] = t
-            for column in _CSV_COLUMNS:
-                series, kind = column.split("_", 1)
-                traj = res.var if kind == "var" else res.cvar
-                record[column] = _trajectory_cell(traj, series, t)
-            records.append(record)
-    return records
+        source = res.var or res.cvar
+        columns = [
+            absent if traj is None else getattr(traj, series)
+            for traj in (res.var, res.cvar)
+            for series in ("static", "recursive", "modulated")
+        ]
+        prefix = (itertools.repeat(res.path_id),) if multi else ()
+        yield from zip(*prefix, source.times, *columns)
 
 
 def emit_trajectories(
@@ -767,17 +685,18 @@ def emit_trajectories(
     """
     if fmt not in ("csv", "json"):
         raise DomainError(f'format must be "csv" or "json", got {fmt!r}')
-    records = _path_records(paths)
-    multi = len(paths) > 1
-    header = (("path",) if multi else ()) + ("t",) + _CSV_COLUMNS
+    for res in paths:
+        if res.var is None and res.cvar is None:
+            raise DataError(f"path {res.path_id} carries no trajectories to emit")
+    header = (("path",) if len(paths) > 1 else ()) + ("t",) + _CSV_COLUMNS
     try:
         if fmt == "csv":
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
-                for record in records:
-                    writer.writerow([_csv_cell(record.get(col)) for col in header])
+                writer.writerows(_rows(paths))
         else:
+            records = [dict(zip(header, row)) for row in _rows(paths)]
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(records, handle, indent=2)
                 handle.write("\n")

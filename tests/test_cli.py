@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,13 @@ from riskflow.scenario import (
     load_returns,
 )
 from riskflow.static_risk import cvar_tail, var
+
+#: Trajectory CSV and summary JSON of ``reproduce`` at the reference seed.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+#: The recorded Weibull CSV writes its ``modulated_cvar`` cells as numpy
+#: scalar reprs (``np.float64(61.3)``), which an earlier engine let through;
+#: they are compared as the float they wrap.
+NUMPY_REPR = re.compile(r"np\.float64\(([^)]*)\)")
 
 
 def write_series(tmp_path, levels, name="series.csv"):
@@ -172,6 +181,25 @@ class TestReproduce:
         assert run(["reproduce", "--study", "weibull"]) == 0
         capsys.readouterr()
         assert (tmp_path / "riskflow_weibull_trajectories.csv").is_file()
+
+    @pytest.mark.parametrize("study", ["gaussian", "weibull"])
+    def test_reference_bytes(self, tmp_path, capsys, study):
+        out = tmp_path / "study.csv"
+        assert run(["reproduce", "--study", study, "--output", str(out)]) == 0
+        summary = capsys.readouterr().out.encode()
+        assert summary == (REFERENCE_DIR / f"{study}.json").read_bytes()
+        recorded = (REFERENCE_DIR / f"{study}.csv").read_text(encoding="utf-8")
+        assert out.read_bytes() == NUMPY_REPR.sub(r"\1", recorded).encode()
+
+    @pytest.mark.parametrize("study", ["gaussian", "weibull"])
+    def test_csv_cells_are_plain_floats(self, tmp_path, capsys, study):
+        out = tmp_path / "study.csv"
+        assert run(["reproduce", "--study", study, "--output", str(out)]) == 0
+        with open(out, newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == 11
+        for row in rows:
+            assert all(repr(float(cell)) == cell for cell in row[1:]), row
 
 
 class TestAxioms:

@@ -18,7 +18,6 @@ from riskflow.distributions import (
 from riskflow.dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
     CvarMode,
-    RecursiveState,
     RiskTrajectory,
     VectorialMeasure,
     is_acceptable,
@@ -33,7 +32,7 @@ from riskflow.dynamic_risk import (
     vector_recursive_trajectories,
 )
 from riskflow.errors import DomainError
-from riskflow.markov import ChainPath, StateLinkedParams, TransitionMatrix
+from riskflow.markov import ChainPath, StateLinkedParams, TransitionMatrix, simulate_path
 from riskflow.static_risk import (
     MeasureKind,
     Orientation,
@@ -133,12 +132,6 @@ class TestRecursiveVar:
             recursive_risk_generic([GaussianParams(0.0, 1.0)], VAR_99, 1)
         with pytest.raises(DomainError):
             recursive_risk_generic([], VAR_99, -1)
-
-    def test_recursive_state_validation(self):
-        with pytest.raises(DomainError):
-            RecursiveState(t=-1, prev_risk=0.0)
-        with pytest.raises(DomainError):
-            RecursiveState(t=0, prev_risk=float("inf"))
 
 
 class TestClosedForms:
@@ -471,6 +464,81 @@ class TestModulatedCvarTrajectory:
         with pytest.raises(DomainError):
             modulated_cvar_trajectory(
                 "gaussian", params, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0], 0.99, 1
+            )
+
+
+class TestStackedPaths:
+    """A stack of paths gives, row by row, exactly what each path gives alone."""
+
+    T = 6
+    P = 0.95
+
+    def stack(self, n_paths=5):
+        paths = [simulate_path(REFERENCE_MATRIX, 1, self.T, seed) for seed in range(n_paths)]
+        rng = np.random.default_rng(3)
+        returns = rng.normal(0.0, 3.0, (n_paths, self.T + 1))
+        return paths, np.array([path.states for path in paths]), returns
+
+    @pytest.mark.parametrize("family,params", [
+        ("gaussian", {"mu": (1.0, -2.0), "sigma": (0.5, 2.0)}),
+        ("weibull", {"lambda": (2.0, 3.0), "alpha": (1.1, 0.9)}),
+    ])
+    def test_modulated_rows_match_single_paths(self, family, params):
+        params = {key: StateLinkedParams(values) for key, values in params.items()}
+        paths, states, returns = self.stack()
+        var_rows = modulated_var_trajectory(
+            family, params, REFERENCE_MATRIX, states, self.P, self.T
+        )
+        cvar_rows = modulated_cvar_trajectory(
+            family, params, REFERENCE_MATRIX, states, returns, self.P, self.T
+        )
+        assert var_rows.shape == cvar_rows.shape == (len(paths), self.T + 1)
+        for i, path in enumerate(paths):
+            args = (family, params, REFERENCE_MATRIX, path)
+            assert var_rows[i].tolist() == modulated_var_trajectory(*args, self.P, self.T)
+            assert cvar_rows[i].tolist() == modulated_cvar_trajectory(
+                *args, returns[i], self.P, self.T
+            )
+
+    @pytest.mark.parametrize("mode", [CvarMode.PIECEWISE, CvarMode.EXACT])
+    def test_recursive_cvar_rows_match_single_paths(self, mode):
+        _, states, returns = self.stack()
+        models = [GaussianParams(1.0, 0.5), GaussianParams(-2.0, 2.0)]
+        index = states[:, 1:] - 1
+        rows = recursive_cvar(models, self.P, self.T, mode, returns, states=index)
+        for i in range(len(states)):
+            single = recursive_cvar(
+                [models[k] for k in index[i]], self.P, self.T, mode, returns[i]
+            )
+            assert rows[i].tolist() == single
+
+    def test_closed_form_rows_match_single_paths(self):
+        rng = np.random.default_rng(4)
+        mus, sigmas = rng.normal(0.0, 5.0, (3, 5)), rng.uniform(0.5, 2.0, (3, 5))
+        rows = recursive_var_gaussian_closed(mus, sigmas, self.P, 4)
+        lams, alphas, thetas = rng.uniform(1.0, 3.0, (3, 3, 5))
+        weibull_rows = recursive_var_weibull_closed(lams, alphas, thetas, self.P, 4)
+        for i in range(3):
+            assert rows[i].tolist() == recursive_var_gaussian_closed(mus[i], sigmas[i], self.P, 4)
+            assert weibull_rows[i].tolist() == recursive_var_weibull_closed(
+                lams[i], alphas[i], thetas[i], self.P, 4
+            )
+
+    def test_stacks_are_validated(self):
+        _, states, returns = self.stack()
+        params = {"mu": StateLinkedParams((0.0, 0.0)), "sigma": StateLinkedParams((1.0, 1.0))}
+        bad = states.copy()
+        bad[0, -1] = 3 - bad[0, -2]
+        with pytest.raises(DomainError):
+            modulated_var_trajectory("gaussian", params, REFERENCE_MATRIX, bad, 0.9, self.T)
+        with pytest.raises(DomainError):
+            modulated_cvar_trajectory(
+                "gaussian", params, REFERENCE_MATRIX, states, returns[:-1], 0.9, self.T
+            )
+        with pytest.raises(DomainError):
+            recursive_cvar(
+                [GaussianParams(0.0, 1.0)], 0.9, self.T, CvarMode.PIECEWISE, returns,
+                states=states[:, 1:] - 1,
             )
 
 

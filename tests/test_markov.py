@@ -168,6 +168,17 @@ class TestLinkedParams:
         predicted = one_step_linked_expectation(m, params, 2)
         assert abs(values.mean() - predicted) < 3.0 * se
 
+    def test_one_step_expectation_of_a_state_array(self):
+        m = reference_matrix()
+        params = StateLinkedParams((3.0, -7.0))
+        states = np.array([[1, 2, 2], [2, 1, 1]])
+        got = one_step_linked_expectation(m, params, states)
+        assert got.shape == states.shape
+        for s, value in zip(states.ravel().tolist(), got.ravel().tolist()):
+            assert value == one_step_linked_expectation(m, params, s)
+        with pytest.raises(DomainError):
+            one_step_linked_expectation(m, params, np.array([1, 3]))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):
             one_step_linked_expectation(reference_matrix(), StateLinkedParams((1.0,)), 1)

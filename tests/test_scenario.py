@@ -23,7 +23,6 @@ from riskflow.scenario import (
     fit_weibull,
     load_returns,
     run_experiment,
-    worker_count,
 )
 from riskflow.static_risk import cvar_tail, var
 
@@ -144,22 +143,6 @@ class TestExperimentConfig:
         cfg = config_from_json(json.dumps(data))
         assert cfg.cvar_mode is CvarMode.PIECEWISE
         assert cfg.output is None
-
-
-class TestWorkerCount:
-    def test_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("RISKFLOW_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("RISKFLOW_THREADS", "3")
-        assert worker_count() == 3
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_invalid_env_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("RISKFLOW_THREADS", raw)
-        with pytest.raises(ConfigError):
-            worker_count()
 
 
 class TestFitGaussian:
@@ -343,14 +326,6 @@ class TestRunExperiment:
         assert run_experiment(cfg) == run_experiment(cfg)
         other = dataclasses.replace(cfg, seed=12)
         assert run_experiment(other)[0] != run_experiment(cfg)[0]
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        cfg = small_config(n_paths=6, horizon=4)
-        monkeypatch.setenv("RISKFLOW_THREADS", "1")
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("RISKFLOW_THREADS", "4")
-        parallel = run_experiment(cfg)
-        assert serial == parallel
 
     def test_var_only_run(self):
         paths, stats = run_experiment(small_config(measures=("var",)))
