@@ -18,17 +18,13 @@ from .distributions import (
     WeibullParams,
     expected_positive_part,
     model_from_params,
-    model_mean,
     model_params_dict,
-    model_quantile,
     sample,
-    shift_model,
 )
 from .dynamic_risk import (
     CvarMode,
     RiskTrajectory,
     VectorialMeasure,
-    is_acceptable,
     modulated_cvar_trajectory,
     modulated_var_trajectory,
     recursive_cvar,
@@ -99,12 +95,9 @@ __all__ = [
     "expected_positive_part",
     "fit_gaussian",
     "fit_weibull",
-    "is_acceptable",
     "load_returns",
     "model_from_params",
-    "model_mean",
     "model_params_dict",
-    "model_quantile",
     "modulated_cvar_trajectory",
     "modulated_var_trajectory",
     "recursive_cvar",
@@ -114,7 +107,6 @@ __all__ = [
     "ru_objective",
     "run_experiment",
     "sample",
-    "shift_model",
     "simulate_path",
     "var",
     "__version__",

@@ -44,7 +44,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .distributions import EmpiricalSample, shift_model
+from .distributions import EmpiricalSample
 from .errors import DataError, DomainError, NumericError
 from .markov import TransitionMatrix
 from .static_risk import (
@@ -737,7 +737,7 @@ def risk_from_acceptable_set(spec: RiskMeasureSpec, sample: EmpiricalSample) -> 
     direction = 1.0 if spec.orientation is Orientation.LOWER_TAIL else -1.0
 
     def g(m: float) -> float:
-        return evaluate(shift_model(sample, direction * m), spec)
+        return evaluate(sample.shift(direction * m), spec)
 
     anchor = evaluate(sample, spec)
     lo, hi = anchor - 1.0, anchor + 1.0

@@ -8,18 +8,31 @@ Three model families describe one-period returns:
   shape ``alpha`` and location ``theta`` (support ``[theta, inf)``);
 * :class:`EmpiricalSample` — an equal-weight sample of observed returns.
 
+Each family is one frozen dataclass that owns its formulas as methods:
+``cdf(x)``, ``quantile(p)``, ``mean()``, ``exceedance(a)`` (the expected
+positive part ``E[(X - a)+]``), ``draw(rng, n)`` and ``shift(c)`` (the law
+of ``X + c``).  The two parametric families also map draws of their
+standard model (:data:`STANDARD_MODELS`) to their own with ``scale``, and
+the two families closed under negation give the law of ``-X`` with
+``negated()``.  Each class names its ``family`` and maps its fields to
+their JSON keys in ``keys``; :data:`FAMILIES` maps family names to classes,
+so :func:`model_from_params` and :func:`model_params_dict` hold no
+per-family code.  The constructors check every parameter's domain.
+
 Everything downstream (static risk measures, recursions, calibration) is
-written against the small functional surface defined here: CDF, quantile,
-mean, expected positive part ``E[(X - a)+]`` and seeded sampling.
+written against this surface.  :func:`expected_positive_part` and
+:func:`sample` are the module-level entry points that validate their
+arguments before calling the methods.
 """
 
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Union
+from typing import ClassVar, Mapping, Union
 
 import numpy as np
 from scipy.integrate import quad
@@ -33,23 +46,12 @@ __all__ = [
     "WeibullParams",
     "EmpiricalSample",
     "ReturnModel",
-    "gaussian_cdf",
-    "gaussian_pdf",
-    "gaussian_quantile",
-    "weibull_cdf",
-    "weibull_pdf",
-    "weibull_quantile",
-    "model_cdf",
-    "model_quantile",
-    "model_mean",
+    "FAMILIES",
+    "STANDARD_MODELS",
     "expected_positive_part",
     "sample",
-    "STANDARD_MODELS",
-    "scale_standard_draws",
-    "shift_model",
     "model_from_params",
     "model_params_dict",
-    "family_of",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -70,9 +72,29 @@ def _require_probability(p: float) -> float:
     return p
 
 
+def _require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _normal_pdf(z: float) -> float:
+    """Standard normal density."""
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF; ``erfc`` keeps full relative accuracy in the lower tail."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """Normal return model ``N(mu, sigma**2)``."""
+
+    family: ClassVar[str] = "gaussian"
+    keys: ClassVar[Mapping[str, str]] = {"mu": "mu", "sigma": "sigma"}
 
     mu: float
     sigma: float
@@ -82,6 +104,32 @@ class GaussianParams:
             raise DomainError(f"gaussian mu must be finite, got {self.mu!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError(f"gaussian sigma must be positive, got {self.sigma!r}")
+
+    def cdf(self, x: float) -> float:
+        return _normal_cdf((float(x) - self.mu) / self.sigma)
+
+    def quantile(self, p: float) -> float:
+        return self.mu + self.sigma * float(ndtri(_require_probability(p)))
+
+    def mean(self) -> float:
+        return self.mu
+
+    def exceedance(self, a: float) -> float:
+        """Closed form ``sigma * phi(d) + (mu - a) * Phi(d)`` with ``d = (mu - a) / sigma``."""
+        d = (self.mu - a) / self.sigma
+        return self.sigma * _normal_pdf(d) + (self.mu - a) * _normal_cdf(d)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.scale(rng.standard_normal(n))
+
+    def scale(self, draws: np.ndarray) -> np.ndarray:
+        return self.mu + self.sigma * draws
+
+    def shift(self, c: float) -> GaussianParams:
+        return GaussianParams(self.mu + _require_finite("shift", c), self.sigma)
+
+    def negated(self) -> GaussianParams:
+        return GaussianParams(-self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -93,6 +141,9 @@ class WeibullParams:
     ``theta`` the location.  CDF: ``1 - exp(-((x - theta)/lam)**alpha)`` for
     ``x >= theta``.
     """
+
+    family: ClassVar[str] = "weibull"
+    keys: ClassVar[Mapping[str, str]] = {"lam": "lambda", "alpha": "alpha", "theta": "theta"}
 
     lam: float
     alpha: float
@@ -106,6 +157,50 @@ class WeibullParams:
         if not math.isfinite(self.theta):
             raise DomainError(f"weibull location must be finite, got {self.theta!r}")
 
+    def cdf(self, x: float) -> float:
+        x = float(x)
+        if x <= self.theta:
+            return 0.0
+        return -math.expm1(-(((x - self.theta) / self.lam) ** self.alpha))
+
+    def quantile(self, p: float) -> float:
+        """``theta + lam * (-ln(1 - p))**(1/alpha)``; ``-log1p(-p)`` keeps accuracy near 1."""
+        p = _require_probability(p)
+        return self.theta + self.lam * (-math.log1p(-p)) ** (1.0 / self.alpha)
+
+    def mean(self) -> float:
+        return self.theta + self.lam * math.gamma(1.0 + 1.0 / self.alpha)
+
+    def exceedance(self, a: float) -> float:
+        """Exact ``mean - a`` below the support, otherwise adaptive quadrature.
+
+        Integrates the survival function ``S(x) = exp(-((x - theta)/lam)**alpha)``
+        over ``[a, inf)``, which equals the exceedance by parts and has a
+        smooth integrand.
+        """
+        if a <= self.theta:
+            return self.mean() - a
+        lam, alpha, theta = self.lam, self.alpha, self.theta
+
+        def survival(x: float) -> float:
+            return math.exp(-(((x - theta) / lam) ** alpha))
+
+        value, abserr = quad(survival, a, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
+        if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
+            raise NumericError(
+                f"exceedance quadrature failed for weibull{(lam, alpha, theta)!r} at a={a!r}"
+            )
+        return max(value, 0.0)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return self.scale(-np.log1p(-rng.random(n)))
+
+    def scale(self, draws: np.ndarray) -> np.ndarray:
+        return self.theta + self.lam * draws ** (1.0 / self.alpha)
+
+    def shift(self, c: float) -> WeibullParams:
+        return WeibullParams(self.lam, self.alpha, self.theta + _require_finite("shift", c))
+
 
 @dataclass(frozen=True)
 class EmpiricalSample:
@@ -114,6 +209,9 @@ class EmpiricalSample:
     Values are stored sorted ascending; quantiles follow the
     smallest-order-statistic convention ``inf {eta : P(X <= eta) >= p}``.
     """
+
+    family: ClassVar[str] = "empirical"
+    keys: ClassVar[Mapping[str, str]] = {"values": "values"}
 
     values: tuple[float, ...]
 
@@ -125,145 +223,56 @@ class EmpiricalSample:
             raise DataError("empirical sample contains non-finite values")
         object.__setattr__(self, "values", tuple(sorted(vals)))
 
-
-ReturnModel = Union[GaussianParams, WeibullParams, EmpiricalSample]
-
-
-# --------------------------------------------------------------------------
-# Normal family
-# --------------------------------------------------------------------------
-
-
-def gaussian_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """``P(X <= x)`` for ``X ~ N(mu, sigma**2)``.
-
-    Uses ``erfc`` so the lower tail keeps full relative accuracy.
-    """
-    z = (float(x) - mu) / sigma
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def gaussian_pdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    z = (float(x) - mu) / sigma
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z) / sigma
-
-
-def gaussian_quantile(p: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """Quantile of ``N(mu, sigma**2)`` at level ``p`` in (0, 1)."""
-    p = _require_probability(p)
-    return mu + sigma * float(ndtri(p))
-
-
-# --------------------------------------------------------------------------
-# Weibull family
-# --------------------------------------------------------------------------
-
-
-def weibull_cdf(x: float, lam: float, alpha: float, theta: float = 0.0) -> float:
-    """``P(X <= x)`` for the three-parameter Weibull."""
-    x = float(x)
-    if x <= theta:
-        return 0.0
-    u = (x - theta) / lam
-    return -math.expm1(-(u**alpha))
-
-
-def weibull_pdf(x: float, lam: float, alpha: float, theta: float = 0.0) -> float:
-    x = float(x)
-    if x <= theta:
-        return 0.0
-    u = (x - theta) / lam
-    return (alpha / lam) * u ** (alpha - 1.0) * math.exp(-(u**alpha))
-
-
-def weibull_quantile(p: float, lam: float, alpha: float, theta: float = 0.0) -> float:
-    """Quantile ``theta + lam * (-ln(1 - p))**(1/alpha)``.
-
-    ``-log1p(-p)`` keeps accuracy for levels close to 1.
-    """
-    p = _require_probability(p)
-    return theta + lam * (-math.log1p(-p)) ** (1.0 / alpha)
-
-
-# --------------------------------------------------------------------------
-# Model-level dispatch
-# --------------------------------------------------------------------------
-
-
-def model_cdf(model: ReturnModel, x: float) -> float:
-    """``P(X <= x)`` under the given return model."""
-    if isinstance(model, GaussianParams):
-        return gaussian_cdf(x, model.mu, model.sigma)
-    if isinstance(model, WeibullParams):
-        return weibull_cdf(x, model.lam, model.alpha, model.theta)
-    if isinstance(model, EmpiricalSample):
+    def cdf(self, x: float) -> float:
         # values are sorted; count of entries <= x
-        return bisect.bisect_right(model.values, float(x)) / len(model.values)
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+        return bisect.bisect_right(self.values, float(x)) / len(self.values)
 
-
-def model_quantile(model: ReturnModel, p: float) -> float:
-    """Lower quantile ``inf {eta : P(X <= eta) >= p}``."""
-    p = _require_probability(p)
-    if isinstance(model, GaussianParams):
-        return gaussian_quantile(p, model.mu, model.sigma)
-    if isinstance(model, WeibullParams):
-        return weibull_quantile(p, model.lam, model.alpha, model.theta)
-    if isinstance(model, EmpiricalSample):
-        n = len(model.values)
+    def quantile(self, p: float) -> float:
+        p = _require_probability(p)
+        n = len(self.values)
         # Smallest k with k/n >= p.  The 1e-9 nudge absorbs float noise in
         # n*p (e.g. 0.9 * 10 == 9.000000000000002) so the order-statistic
         # rule matches the exact rational convention for every intended pair.
         k = math.ceil(n * p - 1e-9)
-        k = min(max(k, 1), n)
-        return model.values[k - 1]
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+        return self.values[min(max(k, 1), n) - 1]
+
+    def mean(self) -> float:
+        return math.fsum(self.values) / len(self.values)
+
+    def exceedance(self, a: float) -> float:
+        return math.fsum(max(v - a, 0.0) for v in self.values) / len(self.values)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        vals = np.asarray(self.values)
+        return vals[rng.integers(0, len(vals), size=n)]
+
+    def shift(self, c: float) -> EmpiricalSample:
+        c = _require_finite("shift", c)
+        return EmpiricalSample(tuple(v + c for v in self.values))
+
+    def negated(self) -> EmpiricalSample:
+        return EmpiricalSample(tuple(-v for v in self.values))
 
 
-def model_mean(model: ReturnModel) -> float:
-    """``E[X]`` under the given return model."""
-    if isinstance(model, GaussianParams):
-        return model.mu
-    if isinstance(model, WeibullParams):
-        return model.theta + model.lam * math.gamma(1.0 + 1.0 / model.alpha)
-    if isinstance(model, EmpiricalSample):
-        return math.fsum(model.values) / len(model.values)
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+ReturnModel = Union[GaussianParams, WeibullParams, EmpiricalSample]
+
+#: Model classes by family name.
+FAMILIES: Mapping[str, type] = {
+    cls.family: cls for cls in (GaussianParams, WeibullParams, EmpiricalSample)
+}
+
+#: The standard model of each parametric family: ``sample`` of any model of
+#: the family is its ``scale`` applied to ``sample`` of this model from the
+#: same stream.  The Weibull one is the unit exponential.
+STANDARD_MODELS: Mapping[ModelFamily, ReturnModel] = {
+    ModelFamily.GAUSSIAN: GaussianParams(0.0, 1.0),
+    ModelFamily.WEIBULL: WeibullParams(1.0, 1.0, 0.0),
+}
 
 
 def expected_positive_part(model: ReturnModel, a: float) -> float:
-    """``E[(X - a)+]`` — the expected exceedance of ``X`` over ``a``.
-
-    Gaussian: closed form ``sigma * phi(d) + (mu - a) * Phi(d)`` with
-    ``d = (mu - a) / sigma``.  Weibull: exact ``mean - a`` below the support,
-    otherwise adaptive quadrature of the survival function (integrating
-    ``S(x) = exp(-((x - theta)/lam)**alpha)`` over ``[a, inf)``, which equals
-    the exceedance by parts and has a smooth integrand).  Empirical: sample
-    mean of the clipped values.
-    """
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError(f"threshold must be finite, got {a!r}")
-    if isinstance(model, GaussianParams):
-        d = (model.mu - a) / model.sigma
-        return model.sigma * gaussian_pdf(d) + (model.mu - a) * gaussian_cdf(d)
-    if isinstance(model, WeibullParams):
-        if a <= model.theta:
-            return model_mean(model) - a
-        lam, alpha, theta = model.lam, model.alpha, model.theta
-
-        def survival(x: float) -> float:
-            return math.exp(-(((x - theta) / lam) ** alpha))
-
-        value, abserr = quad(survival, a, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
-        if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
-            raise NumericError(
-                f"exceedance quadrature failed for weibull{(lam, alpha, theta)!r} at a={a!r}"
-            )
-        return max(value, 0.0)
-    if isinstance(model, EmpiricalSample):
-        return math.fsum(max(v - a, 0.0) for v in model.values) / len(model.values)
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+    """``E[(X - a)+]`` — the expected exceedance of ``X`` over a finite ``a``."""
+    return model.exceedance(_require_finite("threshold", a))
 
 
 def sample(model: ReturnModel, n: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -274,108 +283,46 @@ def sample(model: ReturnModel, n: int, seed: int | np.random.Generator) -> np.nd
     """
     if n <= 0:
         raise DomainError(f"sample size must be positive, got {n!r}")
-    rng = np.random.default_rng(seed)
-    if isinstance(model, GaussianParams):
-        return scale_standard_draws(model, rng.standard_normal(n))
-    if isinstance(model, WeibullParams):
-        return scale_standard_draws(model, -np.log1p(-rng.random(n)))
-    if isinstance(model, EmpiricalSample):
-        vals = np.asarray(model.values)
-        return vals[rng.integers(0, len(vals), size=n)]
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
-
-
-#: The standard model of each parametric family: ``sample`` of any model of
-#: the family is :func:`scale_standard_draws` applied to ``sample`` of this
-#: model from the same stream.  The Weibull one is the unit exponential.
-STANDARD_MODELS: Mapping[ModelFamily, ReturnModel] = {
-    ModelFamily.GAUSSIAN: GaussianParams(0.0, 1.0),
-    ModelFamily.WEIBULL: WeibullParams(1.0, 1.0, 0.0),
-}
-
-
-def scale_standard_draws(model: ReturnModel, draws: np.ndarray) -> np.ndarray:
-    """Map draws of the family's standard model (:data:`STANDARD_MODELS`) to draws of ``model``."""
-    if isinstance(model, GaussianParams):
-        return model.mu + model.sigma * draws
-    if isinstance(model, WeibullParams):
-        return model.theta + model.lam * draws ** (1.0 / model.alpha)
-    raise DomainError(f"{type(model).__name__} has no standard model")
-
-
-def shift_model(model: ReturnModel, c: float) -> ReturnModel:
-    """The law of ``X + c``; every family is closed under translation."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"shift must be finite, got {c!r}")
-    if isinstance(model, GaussianParams):
-        return GaussianParams(model.mu + c, model.sigma)
-    if isinstance(model, WeibullParams):
-        return WeibullParams(model.lam, model.alpha, model.theta + c)
-    if isinstance(model, EmpiricalSample):
-        return EmpiricalSample(tuple(v + c for v in model.values))
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+    return model.draw(np.random.default_rng(seed), n)
 
 
 # --------------------------------------------------------------------------
 # JSON-facing constructors
 # --------------------------------------------------------------------------
 
-_GAUSSIAN_KEYS = {"mu", "sigma"}
-_WEIBULL_KEYS = {"lambda", "alpha", "theta"}
-
 
 def model_from_params(family: str, params: Mapping[str, object]) -> ReturnModel:
     """Build a model from its JSON parameter mapping.
 
-    Accepted shapes: ``gaussian`` with ``{"mu", "sigma"}``; ``weibull`` with
-    ``{"lambda", "alpha"}`` and optional ``"theta"`` (default 0);
-    ``empirical`` with ``{"values": [...]}``.
+    ``family`` names a class in :data:`FAMILIES` and ``params`` maps that
+    class's JSON keys to numbers (``empirical`` takes a list under
+    ``"values"``).  Keys of fields with a default may be left out: the
+    Weibull ``"theta"`` defaults to 0.  Unknown families, wrong keys and
+    values that are not numbers raise :class:`DataError`.
     """
-    fam = str(family).lower()
-    if fam == "gaussian":
-        extra = set(params) - _GAUSSIAN_KEYS
-        missing = _GAUSSIAN_KEYS - set(params)
-        if extra or missing:
-            raise DataError(
-                f"gaussian params need keys {sorted(_GAUSSIAN_KEYS)}; "
-                f"missing {sorted(missing)}, unexpected {sorted(extra)}"
-            )
-        return GaussianParams(float(params["mu"]), float(params["sigma"]))  # type: ignore[arg-type]
-    if fam == "weibull":
-        extra = set(params) - _WEIBULL_KEYS
-        missing = {"lambda", "alpha"} - set(params)
-        if extra or missing:
-            raise DataError(
-                f"weibull params need keys ['alpha', 'lambda'] (optional 'theta'); "
-                f"missing {sorted(missing)}, unexpected {sorted(extra)}"
-            )
-        theta = float(params.get("theta", 0.0))  # type: ignore[arg-type]
-        return WeibullParams(float(params["lambda"]), float(params["alpha"]), theta)  # type: ignore[arg-type]
-    if fam == "empirical":
-        if set(params) != {"values"} or not isinstance(params["values"], (list, tuple)):
-            raise DataError('empirical params need a single key "values" with a list')
-        return EmpiricalSample(tuple(float(v) for v in params["values"]))  # type: ignore[arg-type]
-    raise DataError(f"unknown model family {family!r}")
+    cls = FAMILIES.get(str(family).lower())
+    if cls is None:
+        raise DataError(f"unknown model family {family!r}")
+    optional = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    required = {key for name, key in cls.keys.items() if name not in optional}
+    missing = required - set(params)
+    extra = set(params) - set(cls.keys.values())
+    if missing or extra:
+        raise DataError(
+            f"{cls.family} params take keys {sorted(cls.keys.values())} "
+            f"({sorted(required)} required); "
+            f"missing {sorted(missing)}, unexpected {sorted(extra)}"
+        )
+    given = {name: params[key] for name, key in cls.keys.items() if key in params}
+    try:
+        return cls(**{
+            name: value if isinstance(value, (list, tuple)) else float(value)
+            for name, value in given.items()
+        })
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{cls.family} params must be numbers: {exc}") from exc
 
 
 def model_params_dict(model: ReturnModel) -> dict[str, object]:
     """Inverse of :func:`model_from_params`, suitable for JSON output."""
-    if isinstance(model, GaussianParams):
-        return {"mu": model.mu, "sigma": model.sigma}
-    if isinstance(model, WeibullParams):
-        return {"lambda": model.lam, "alpha": model.alpha, "theta": model.theta}
-    if isinstance(model, EmpiricalSample):
-        return {"values": list(model.values)}
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
-
-
-def family_of(model: ReturnModel) -> str:
-    """Family name string for JSON output."""
-    if isinstance(model, GaussianParams):
-        return "gaussian"
-    if isinstance(model, WeibullParams):
-        return "weibull"
-    if isinstance(model, EmpiricalSample):
-        return "empirical"
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+    return {key: getattr(model, name) for name, key in model.keys.items()}

@@ -49,16 +49,13 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .distributions import (
-    GaussianParams,
+    STANDARD_MODELS,
     ModelFamily,
     ReturnModel,
-    WeibullParams,
     _require_probability,
-    gaussian_quantile,
-    model_mean,
-    shift_model,
+    model_from_params,
 )
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .markov import (
     ChainPath,
     StateLinkedParams,
@@ -83,12 +80,8 @@ __all__ = [
     "recursive_var_gaussian_closed",
     "recursive_var_weibull_closed",
     "recursive_cvar",
-    "modulated_scalar",
-    "modulated_vector",
-    "vector_recursive_trajectories",
     "modulated_var_trajectory",
     "modulated_cvar_trajectory",
-    "is_acceptable",
 ]
 
 #: Attached to run metadata whenever the Gaussian modulated cvar branches are
@@ -111,25 +104,22 @@ class CvarMode(str, Enum):
 class VectorialMeasure:
     """One static measure per chain state.
 
-    Components normally share kind, level and orientation (only the numbers
-    they produce differ, through the state-linked models); pass
-    ``allow_heterogeneous=True`` to mix on purpose.
+    Components share kind, level and orientation (only the numbers they
+    produce differ, through the state-linked models), so the measure has
+    one orientation, that of its first component.
     """
 
     specs: tuple[RiskMeasureSpec, ...]
-    allow_heterogeneous: bool = False
 
     def __post_init__(self) -> None:
         if len(self.specs) == 0:
             raise DomainError("a vectorial measure needs at least one component")
-        if not self.allow_heterogeneous:
-            first = self.specs[0]
-            for s in self.specs[1:]:
-                if (s.kind, s.p, s.orientation) != (first.kind, first.p, first.orientation):
-                    raise DomainError(
-                        "vectorial measure components differ; "
-                        "pass allow_heterogeneous=True if intended"
-                    )
+        first = self.specs[0]
+        for s in self.specs[1:]:
+            if (s.kind, s.p, s.orientation) != (first.kind, first.p, first.orientation):
+                raise DomainError(
+                    "vectorial measure components differ in kind, level or orientation"
+                )
 
     @property
     def n_states(self) -> int:
@@ -205,7 +195,7 @@ def recursive_risk_generic(
     sign = _shift_sign(orientation)
     out = [fn(models[0])]
     for t in range(1, T + 1):
-        out.append(fn(shift_model(models[t], sign * out[-1])))
+        out.append(fn(models[t].shift(sign * out[-1])))
     return out
 
 
@@ -260,7 +250,7 @@ def recursive_var_gaussian_closed(
     sigma = _path_array("sigmas", sigmas, T, positive=True)
     if mu.shape != sigma.shape:
         raise DomainError(f"mus {mu.shape} and sigmas {sigma.shape} differ in shape")
-    q = gaussian_quantile(p)
+    q = STANDARD_MODELS[ModelFamily.GAUSSIAN].quantile(p)
     return _as_given(_alternating_sum(mu + sigma * q), np.ndim(mus) == 2)
 
 
@@ -338,12 +328,12 @@ def recursive_cvar(
     out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 0]]
     if mode is CvarMode.PIECEWISE:
         var_table = np.array([var(m, p) for m in models])
-        mean_table = np.array([model_mean(m) for m in models])
+        mean_table = np.array([m.mean() for m in models])
     for t in range(1, T + 1):
         prev = out[:, t - 1]
         if mode is CvarMode.EXACT:
             out[:, t] = [
-                cvar_tail(shift_model(models[k], -c), p)
+                cvar_tail(models[k].shift(-c), p)
                 for k, c in zip(states[:, t].tolist(), prev.tolist())
             ]
             continue
@@ -360,44 +350,6 @@ def recursive_cvar(
 # --------------------------------------------------------------------------
 # Markov modulation
 # --------------------------------------------------------------------------
-
-
-def modulated_scalar(
-    value: float,
-    aggregator: StateLinkedParams,
-    matrix: TransitionMatrix,
-    state: int,
-) -> float:
-    """Scale a scalar risk value by the predicted aggregator weight.
-
-    ``value * E[<aggregator, Z_next> | Z = e_state]``.
-    """
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"risk value must be finite, got {value!r}")
-    return value * one_step_linked_expectation(matrix, aggregator, state)
-
-
-def modulated_vector(
-    risks: Sequence[float], matrix: TransitionMatrix, state: int
-) -> float:
-    """Predicted per-state risk: ``E[<risks, Z_next> | Z = e_state]``.
-
-    At time 0 callers bypass this and use the realized static value directly.
-    """
-    return one_step_linked_expectation(
-        matrix, StateLinkedParams(tuple(risks)), state
-    )
-
-
-def vector_recursive_trajectories(
-    models: Sequence[ReturnModel], measure: VectorialMeasure, T: int
-) -> list[list[float]]:
-    """Run each component's recursion independently over the same returns.
-
-    Returns one trajectory per chain state, each of length ``T + 1``.
-    """
-    return [recursive_risk_generic(models, spec, T) for spec in measure.specs]
 
 
 def _path_states(
@@ -417,57 +369,22 @@ def _path_states(
     return states
 
 
-def _state_vector(
-    params: Mapping[str, StateLinkedParams],
-    key: str,
-    n_states: int,
-    *,
-    positive: bool,
-    default: float | None = None,
-) -> np.ndarray:
-    if key not in params:
-        if default is None:
-            raise DomainError(f"state-linked parameters missing {key!r}")
-        return np.full(n_states, float(default))
-    vec = params[key]
-    if len(vec) != n_states:
-        raise DomainError(
-            f"state-linked {key!r} has {len(vec)} states, matrix has {n_states}"
-        )
-    arr = vec.as_array()
-    if positive and np.any(arr <= 0.0):
-        raise DomainError(f"state-linked {key!r} entries must be positive")
-    return arr
-
-
-def _gaussian_state_vectors(
-    params: Mapping[str, StateLinkedParams], n_states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    mu = _state_vector(params, "mu", n_states, positive=False)
-    sigma = _state_vector(params, "sigma", n_states, positive=True)
-    return mu, sigma
-
-
-def _weibull_state_vectors(
-    params: Mapping[str, StateLinkedParams], n_states: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lam = _state_vector(params, "lambda", n_states, positive=True)
-    alpha = _state_vector(params, "alpha", n_states, positive=True)
-    theta = _state_vector(params, "theta", n_states, positive=False, default=0.0)
-    return lam, alpha, theta
-
-
 def _state_models(
     family: ModelFamily, params: Mapping[str, StateLinkedParams], n_states: int
 ) -> list[ReturnModel]:
     """The return model realized in each chain state."""
-    if family is ModelFamily.GAUSSIAN:
-        mu, sigma = _gaussian_state_vectors(params, n_states)
-        return [GaussianParams(m, s) for m, s in zip(mu.tolist(), sigma.tolist())]
-    lam, alpha, theta = _weibull_state_vectors(params, n_states)
-    return [
-        WeibullParams(*values) for values in zip(lam.tolist(), alpha.tolist(), theta.tolist())
-    ]
+    for key, vec in params.items():
+        if len(vec) != n_states:
+            raise DomainError(
+                f"state-linked {key!r} has {len(vec)} states, matrix has {n_states}"
+            )
+    try:
+        return [
+            model_from_params(family.value, {k: vec.values[i] for k, vec in params.items()})
+            for i in range(n_states)
+        ]
+    except DataError as exc:
+        raise DomainError(f"state-linked parameters: {exc}") from exc
 
 
 def _predicted(matrix: TransitionMatrix, values: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -476,11 +393,13 @@ def _predicted(matrix: TransitionMatrix, values: np.ndarray, states: np.ndarray)
 
 
 def _weibull_quantiles(
-    params: Mapping[str, StateLinkedParams], matrix: TransitionMatrix, priced: np.ndarray, p: float
+    models: Sequence[ReturnModel], matrix: TransitionMatrix, priced: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-state quantiles ``theta + lam * c``, and ``thetabar + lambdabar * cbar``
     predicted from each entry of ``priced`` (``c`` predicted as its own vector)."""
-    lam, alpha, theta = _weibull_state_vectors(params, matrix.n_states)
+    lam = np.array([m.lam for m in models])
+    alpha = np.array([m.alpha for m in models])
+    theta = np.array([m.theta for m in models])
     c = (-math.log1p(-p)) ** (1.0 / alpha)
     predicted = _predicted(matrix, theta, priced) + _predicted(
         matrix, lam, priced
@@ -511,13 +430,13 @@ def modulated_var_trajectory(
     p = _require_probability(p)
     family = ModelFamily(family)
     states = _path_states(chain_path, matrix, T)
-    n = matrix.n_states
+    models = _state_models(family, params, matrix.n_states)
     priced = states[:, 1 : T + 1]
     if family is ModelFamily.GAUSSIAN:
-        per_state = np.array([var(m, p) for m in _state_models(family, params, n)])
+        per_state = np.array([var(m, p) for m in models])
         predicted = _predicted(matrix, per_state, priced)
     else:
-        per_state, predicted = _weibull_quantiles(params, matrix, priced, p)
+        per_state, predicted = _weibull_quantiles(models, matrix, priced, p)
     terms = np.concatenate([per_state[states[:, 1:2] - 1], predicted], axis=1)
     return _as_given(_alternating_sum(terms), not isinstance(chain_path, ChainPath))
 
@@ -549,16 +468,14 @@ def modulated_cvar_trajectory(
     family = ModelFamily(family)
     states = _path_states(chain_path, matrix, T)
     realized = _path_array("realized returns", realized_returns, T, n_paths=len(states))
-    n = matrix.n_states
-    models = _state_models(family, params, n)
+    models = _state_models(family, params, matrix.n_states)
     priced = states[:, 1 : T + 1]
     out = np.empty(realized.shape)
     out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 1] - 1]
     if family is ModelFamily.GAUSSIAN:
-        q = gaussian_quantile(p)
-        mu, sigma = _gaussian_state_vectors(params, n)
-        mubar = _predicted(matrix, mu, priced)
-        sigbar = _predicted(matrix, sigma, priced)
+        q = STANDARD_MODELS[ModelFamily.GAUSSIAN].quantile(p)
+        mubar = _predicted(matrix, np.array([m.mu for m in models]), priced)
+        sigbar = _predicted(matrix, np.array([m.sigma for m in models]), priced)
         threshold = np.array([var(m, p) for m in models])[states[:, 2:] - 1]
         out[:, 1:] = np.where(
             realized[:, 1:] <= threshold,
@@ -566,8 +483,8 @@ def modulated_cvar_trajectory(
             mubar + (p / (1.0 - p)) * sigbar * q,
         )
     else:
-        _, varbar = _weibull_quantiles(params, matrix, priced, p)
-        meanbar = _predicted(matrix, np.array([model_mean(m) for m in models]), priced)
+        _, varbar = _weibull_quantiles(models, matrix, priced, p)
+        meanbar = _predicted(matrix, np.array([m.mean() for m in models]), priced)
         for t in range(1, T + 1):
             prev = out[:, t - 1]
             v_t = varbar[:, t - 1]
@@ -579,11 +496,3 @@ def modulated_cvar_trajectory(
                 + ((1.0 + p) / (1.0 - p)) * prev,
             )
     return _as_given(out, not isinstance(chain_path, ChainPath))
-
-
-def is_acceptable(risk_value: float) -> bool:
-    """Whether a position with this risk value needs no extra capital."""
-    risk_value = float(risk_value)
-    if not math.isfinite(risk_value):
-        raise DomainError(f"risk value must be finite, got {risk_value!r}")
-    return risk_value <= 0.0

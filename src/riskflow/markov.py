@@ -27,9 +27,6 @@ __all__ = [
     "TransitionMatrix",
     "ChainPath",
     "StateLinkedParams",
-    "step_expectation",
-    "martingale_increment",
-    "linked_value",
     "one_step_linked_expectation",
     "simulate_path",
 ]
@@ -133,35 +130,6 @@ class StateLinkedParams:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
-
-
-def step_expectation(matrix: TransitionMatrix, state: int) -> np.ndarray:
-    """``E[Z_next | Z = e_state]`` — the outgoing distribution as a vector."""
-    return matrix.column(state).copy()
-
-
-def martingale_increment(
-    matrix: TransitionMatrix, prev_state: int, next_state: int
-) -> np.ndarray:
-    """``M = Z_next - A Z_prev``, the one-step compensated jump.
-
-    Conditionally centred: averaging over ``next_state`` draws from
-    ``prev_state``'s outgoing distribution gives the zero vector.
-    """
-    next_state = matrix.require_state(next_state)
-    inc = -step_expectation(matrix, prev_state)
-    inc[next_state - 1] += 1.0
-    return inc
-
-
-def linked_value(params: StateLinkedParams, state: int) -> float:
-    """The parameter realized in the given 1-based state."""
-    state = int(state)
-    if not 1 <= state <= len(params):
-        raise DomainError(
-            f"state index must lie in [1, {len(params)}], got {state!r}"
-        )
-    return params.values[state - 1]
 
 
 def one_step_linked_expectation(

@@ -35,13 +35,14 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .distributions import (
+    FAMILIES,
     STANDARD_MODELS,
     GaussianParams,
     ModelFamily,
     ReturnModel,
     WeibullParams,
+    model_from_params,
     sample,
-    scale_standard_draws,
 )
 from .dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
@@ -89,13 +90,6 @@ class ReferenceStudy(str, Enum):
 
     GAUSSIAN_MSCI = "gaussian_msci"
     WEIBULL_BBGEX = "weibull_bbgex"
-
-
-_FAMILY_PARAM_KEYS = {
-    ModelFamily.GAUSSIAN: ("mu", "sigma"),
-    ModelFamily.WEIBULL: ("lambda", "alpha", "theta"),
-}
-_POSITIVE_PARAM_KEYS = {"sigma", "lambda", "alpha"}
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown measure {m!r}; choose from {_MEASURE_NAMES}")
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "cvar_mode", CvarMode(self.cvar_mode))
-        expected_keys = _FAMILY_PARAM_KEYS[family]
+        # Every key is required here (the Weibull theta too): the closed
+        # forms read each parameter sequence.
+        expected_keys = tuple(FAMILIES[family.value].keys.values())
         given = {k: tuple(float(v) for v in vec) for k, vec in dict(self.params).items()}
         if set(given) != set(expected_keys):
             raise ConfigError(
@@ -159,11 +155,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"param {key!r} has {len(vec)} entries for {n} chain states"
                 )
-            if any(not math.isfinite(v) for v in vec):
-                raise ConfigError(f"param {key!r} contains non-finite entries")
-            if key in _POSITIVE_PARAM_KEYS and any(v <= 0.0 for v in vec):
-                raise ConfigError(f"param {key!r} entries must be positive")
         object.__setattr__(self, "params", {k: given[k] for k in expected_keys})
+        try:
+            for state in range(1, n + 1):
+                self.state_model(state)
+        except DomainError as exc:
+            raise ConfigError(f"state {state} params: {exc}") from exc
 
     def chain(self) -> TransitionMatrix:
         if self.orientation == "row":
@@ -177,11 +174,7 @@ class ExperimentConfig:
     def state_model(self, state: int) -> ReturnModel:
         """The return model realized in the given 1-based chain state."""
         i = int(state) - 1
-        if self.family is ModelFamily.GAUSSIAN:
-            return GaussianParams(self.params["mu"][i], self.params["sigma"][i])
-        return WeibullParams(
-            self.params["lambda"][i], self.params["alpha"][i], self.params["theta"][i]
-        )
+        return model_from_params(self.family.value, {k: vec[i] for k, vec in self.params.items()})
 
     def state_linked_params(self) -> dict[str, StateLinkedParams]:
         return {k: StateLinkedParams(vec) for k, vec in self.params.items()}
@@ -589,7 +582,7 @@ def run_experiment(
     realized = np.empty(standard.shape)
     for s, model in enumerate(models):
         in_state = period == s
-        realized[in_state] = scale_standard_draws(model, standard[in_state])
+        realized[in_state] = model.scale(standard[in_state])
 
     params = {k: np.array(v)[period] for k, v in config.params.items()}
     linked = config.state_linked_params()

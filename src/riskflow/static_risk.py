@@ -29,17 +29,15 @@ from enum import Enum
 from typing import Callable
 
 from .distributions import (
+    STANDARD_MODELS,
     EmpiricalSample,
     GaussianParams,
+    ModelFamily,
     ReturnModel,
     WeibullParams,
+    _normal_pdf,
     _require_probability,
     expected_positive_part,
-    gaussian_pdf,
-    gaussian_quantile,
-    model_mean,
-    model_quantile,
-    weibull_quantile,
 )
 from .errors import DomainError, NumericError
 
@@ -53,7 +51,6 @@ __all__ = [
     "cvar_ru",
     "argmin_contains_var",
     "evaluate",
-    "measure_fn",
 ]
 
 
@@ -83,15 +80,6 @@ class RiskMeasureSpec:
         _require_probability(self.p)
 
 
-def _negated(model: ReturnModel) -> ReturnModel:
-    """The law of ``-X`` for families closed under negation."""
-    if isinstance(model, GaussianParams):
-        return GaussianParams(-model.mu, model.sigma)
-    if isinstance(model, EmpiricalSample):
-        return EmpiricalSample(tuple(-v for v in model.values))
-    raise DomainError(f"{type(model).__name__} is not closed under negation")
-
-
 def var(
     model: ReturnModel,
     p: float,
@@ -105,10 +93,10 @@ def var(
     """
     p = _require_probability(p)
     if orientation is Orientation.UPPER_TAIL:
-        return model_quantile(model, p)
+        return model.quantile(p)
     if isinstance(model, WeibullParams):
-        return -weibull_quantile(1.0 - p, model.lam, model.alpha, model.theta)
-    return model_quantile(_negated(model), p)
+        return -model.quantile(1.0 - p)
+    return model.negated().quantile(p)
 
 
 def cvar_tail(
@@ -128,23 +116,20 @@ def cvar_tail(
             # E[-X | -X >= q_p(-X)] spelled through upper-tail primitives:
             # with q = q_{1-p}(X), the lower tail mean of X below q is
             # (mean - E[(X-q)+] - q*p) / (1-p).
-            q = weibull_quantile(1.0 - p, model.lam, model.alpha, model.theta)
+            q = model.quantile(1.0 - p)
             lower_mean = (
-                model_mean(model) - expected_positive_part(model, q) - q * p
+                model.mean() - expected_positive_part(model, q) - q * p
             ) / (1.0 - p)
             return -lower_mean
-        return cvar_tail(_negated(model), p, Orientation.UPPER_TAIL)
+        return cvar_tail(model.negated(), p, Orientation.UPPER_TAIL)
     if isinstance(model, GaussianParams):
-        z = gaussian_quantile(p)
-        return model.mu + model.sigma * gaussian_pdf(z) / (1.0 - p)
-    if isinstance(model, WeibullParams):
-        v = weibull_quantile(p, model.lam, model.alpha, model.theta)
-        return v + expected_positive_part(model, v) / (1.0 - p)
+        z = STANDARD_MODELS[ModelFamily.GAUSSIAN].quantile(p)
+        return model.mu + model.sigma * _normal_pdf(z) / (1.0 - p)
+    v = model.quantile(p)
     if isinstance(model, EmpiricalSample):
-        v = model_quantile(model, p)
         tail = [x for x in model.values if x >= v]
         return math.fsum(tail) / len(tail)
-    raise DomainError(f"unsupported model type: {type(model).__name__}")
+    return v + expected_positive_part(model, v) / (1.0 - p)
 
 
 def ru_objective(
@@ -167,7 +152,7 @@ def ru_objective(
     if orientation is Orientation.UPPER_TAIL:
         excess = expected_positive_part(model, eta)
     else:
-        excess = expected_positive_part(model, -eta) - model_mean(model) - eta
+        excess = expected_positive_part(model, -eta) - model.mean() - eta
     return eta + excess / (1.0 - p)
 
 
@@ -275,12 +260,3 @@ def evaluate(model: ReturnModel, spec: RiskMeasureSpec) -> float:
     if spec.kind is MeasureKind.VAR:
         return var(model, spec.p, spec.orientation)
     return cvar_tail(model, spec.p, spec.orientation)
-
-
-def measure_fn(spec: RiskMeasureSpec) -> Callable[[ReturnModel], float]:
-    """The measure as a plain ``model -> value`` callable."""
-
-    def _measure(model: ReturnModel) -> float:
-        return evaluate(model, spec)
-
-    return _measure

@@ -122,6 +122,21 @@ class TestRisk:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mu", ['"x"', "null"])
+    def test_non_numeric_param_is_one_line_exit_2(self, mu):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "riskflow.cli", "risk", "--family", "gaussian",
+                "--params", f'{{"mu": {mu}, "sigma": 1}}', "--measure", "var", "--p", "0.9",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("ERROR gaussian params must be numbers")
+
     def test_bad_level_exit_2(self):
         code = run(
             [

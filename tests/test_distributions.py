@@ -6,25 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import weibull_min
 
 from riskflow.distributions import (
+    FAMILIES,
     EmpiricalSample,
     GaussianParams,
     ModelFamily,
     WeibullParams,
     expected_positive_part,
-    family_of,
-    gaussian_quantile,
-    model_cdf,
     model_from_params,
-    model_mean,
     model_params_dict,
-    model_quantile,
     sample,
-    shift_model,
-    weibull_cdf,
-    weibull_pdf,
-    weibull_quantile,
 )
 from riskflow.errors import DataError, DomainError
 
@@ -37,33 +30,36 @@ WEIBULL_REF_VAR99 = 45.48374687636546
 WEIBULL_REF_MEAN = 7.657118882653609
 
 
+STANDARD_NORMAL = GaussianParams(0.0, 1.0)
+
+
 def rel_close(a, b, rel=1e-12):
     return abs(a - b) <= rel * max(1.0, abs(b))
 
 
 class TestGaussian:
     def test_quantile_median_is_zero(self):
-        assert gaussian_quantile(0.5) == 0.0
+        assert STANDARD_NORMAL.quantile(0.5) == 0.0
 
     def test_quantile_reference_levels(self):
-        assert rel_close(gaussian_quantile(0.99), Z_99)
-        assert rel_close(gaussian_quantile(0.975), Z_975)
+        assert rel_close(STANDARD_NORMAL.quantile(0.99), Z_99)
+        assert rel_close(STANDARD_NORMAL.quantile(0.975), Z_975)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5, float("nan")])
     def test_quantile_rejects_bad_levels(self, p):
         with pytest.raises(DomainError):
-            gaussian_quantile(p)
+            STANDARD_NORMAL.quantile(p)
 
     def test_quantile_affine_in_parameters(self):
-        assert rel_close(gaussian_quantile(0.99, mu=10.0, sigma=3.0), 10.0 + 3.0 * Z_99)
+        assert rel_close(GaussianParams(10.0, 3.0).quantile(0.99), 10.0 + 3.0 * Z_99)
 
     @given(st.floats(min_value=1e-4, max_value=1.0 - 1e-4))
     @settings(max_examples=200)
     def test_quantile_symmetry(self, p):
-        # gaussian_quantile(p) == -gaussian_quantile(1-p) within 1e-12.  The
-        # range stays clear of the extreme tails, where rounding 1-p in float
-        # is itself amplified by 1/pdf(z) beyond the stated tolerance.
-        assert abs(gaussian_quantile(p) + gaussian_quantile(1.0 - p)) <= 1e-12
+        # quantile(p) == -quantile(1-p) within 1e-12.  The range stays clear
+        # of the extreme tails, where rounding 1-p in float is itself
+        # amplified by 1/pdf(z) beyond the stated tolerance.
+        assert abs(STANDARD_NORMAL.quantile(p) + STANDARD_NORMAL.quantile(1.0 - p)) <= 1e-12
 
     def test_params_validated(self):
         with pytest.raises(DomainError):
@@ -74,13 +70,13 @@ class TestGaussian:
 
 class TestWeibull:
     def test_cdf_at_location_is_zero(self):
-        assert weibull_cdf(0.0, 1.0, 1.0) == 0.0
-        assert weibull_cdf(-3.0, 1.0, 1.0) == 0.0
+        assert WeibullParams(1.0, 1.0).cdf(0.0) == 0.0
+        assert WeibullParams(1.0, 1.0).cdf(-3.0) == 0.0
 
     def test_cdf_exponential_special_case(self):
         expected = 1.0 - math.exp(-1.0)
-        assert rel_close(weibull_cdf(1.0, 1.0, 1.0), expected)
-        assert rel_close(weibull_cdf(3.0, 2.0, 2.0, theta=1.0), expected)
+        assert rel_close(WeibullParams(1.0, 1.0).cdf(1.0), expected)
+        assert rel_close(WeibullParams(2.0, 2.0, theta=1.0).cdf(3.0), expected)
 
     def test_cdf_monte_carlo_agreement(self):
         params = WeibullParams(2.0, 2.0, 1.0)
@@ -89,11 +85,11 @@ class TestWeibull:
         assert abs(empirical - (1.0 - math.exp(-1.0))) < 2e-3
 
     def test_quantile_exponential_special_case(self):
-        assert rel_close(weibull_quantile(1.0 - 1.0 / math.e, 1.0, 1.0), 1.0)
-        assert rel_close(weibull_quantile(0.99, 1.0, 1.0), -math.log(0.01))
+        assert rel_close(WeibullParams(1.0, 1.0).quantile(1.0 - 1.0 / math.e), 1.0)
+        assert rel_close(WeibullParams(1.0, 1.0).quantile(0.99), -math.log(0.01))
 
     def test_quantile_reference_parameters(self):
-        value = weibull_quantile(0.99, WEIBULL_REF.lam, WEIBULL_REF.alpha)
+        value = WEIBULL_REF.quantile(0.99)
         assert rel_close(value, WEIBULL_REF_VAR99)
         draws = sample(WEIBULL_REF, 1_000_000, seed=5)
         mc_q = np.quantile(draws, 0.99)
@@ -101,19 +97,27 @@ class TestWeibull:
 
     def test_quantile_rejects_bad_levels(self):
         with pytest.raises(DomainError):
-            weibull_quantile(1.0, 1.0, 1.0)
+            WeibullParams(1.0, 1.0).quantile(1.0)
 
     def test_cdf_monotone_with_bounded_range(self):
         grid = np.linspace(-5.0, 60.0, 10_000)
-        values = np.array([weibull_cdf(x, 1.7, 0.6, theta=-2.0) for x in grid])
+        values = np.array([WeibullParams(1.7, 0.6, theta=-2.0).cdf(x) for x in grid])
         assert np.all(np.diff(values) >= 0.0)
         assert values[0] >= 0.0 and values[-1] < 1.0
 
     def test_pdf_integrates_to_cdf(self):
+        # Independent density: scipy's weibull_min, integrated by trapezoid.
         xs = np.linspace(0.5, 4.0, 20_001)
-        dens = np.array([weibull_pdf(x, 2.0, 1.5, theta=0.5) for x in xs])
+        dens = weibull_min.pdf(xs, 1.5, loc=0.5, scale=2.0)
         integral = np.trapezoid(dens, xs)
-        assert abs(integral - weibull_cdf(4.0, 2.0, 1.5, theta=0.5)) < 1e-6
+        assert abs(integral - WeibullParams(2.0, 1.5, theta=0.5).cdf(4.0)) < 1e-6
+
+    def test_cdf_and_quantile_match_scipy(self):
+        model = WeibullParams(1.7, 0.6, theta=-2.0)
+        for x in (-1.5, 0.0, 3.0, 40.0):
+            assert rel_close(model.cdf(x), weibull_min.cdf(x, 0.6, loc=-2.0, scale=1.7))
+        for p in (0.01, 0.5, 0.99):
+            assert rel_close(model.quantile(p), weibull_min.ppf(p, 0.6, loc=-2.0, scale=1.7))
 
     def test_params_validated(self):
         with pytest.raises(DomainError):
@@ -136,31 +140,31 @@ class TestEmpirical:
     def test_quantile_inf_convention(self):
         s = EmpiricalSample(tuple(float(i) for i in range(1, 101)))
         # smallest order statistic x_(k) with k/n >= p
-        assert model_quantile(s, 0.95) == 95.0
-        assert model_quantile(s, 0.951) == 96.0
-        assert model_quantile(s, 0.01) == 1.0
+        assert s.quantile(0.95) == 95.0
+        assert s.quantile(0.951) == 96.0
+        assert s.quantile(0.01) == 1.0
 
     def test_cdf_step_function(self):
         s = EmpiricalSample((1.0, 2.0, 2.0, 4.0))
-        assert model_cdf(s, 0.5) == 0.0
-        assert model_cdf(s, 2.0) == 0.75
-        assert model_cdf(s, 4.0) == 1.0
+        assert s.cdf(0.5) == 0.0
+        assert s.cdf(2.0) == 0.75
+        assert s.cdf(4.0) == 1.0
 
 
 class TestMean:
     def test_gaussian_mean(self):
-        assert model_mean(GaussianParams(3.0, 5.0)) == 3.0
+        assert GaussianParams(3.0, 5.0).mean() == 3.0
 
     def test_weibull_unit_mean(self):
-        assert rel_close(model_mean(WeibullParams(1.0, 1.0)), 1.0)
+        assert rel_close(WeibullParams(1.0, 1.0).mean(), 1.0)
 
     def test_weibull_reference_mean(self):
-        assert rel_close(model_mean(WEIBULL_REF), WEIBULL_REF_MEAN)
+        assert rel_close(WEIBULL_REF.mean(), WEIBULL_REF_MEAN)
         draws = sample(WEIBULL_REF, 1_000_000, seed=11)
         assert abs(np.mean(draws) - WEIBULL_REF_MEAN) / WEIBULL_REF_MEAN < 0.01
 
     def test_empirical_mean(self):
-        assert model_mean(EmpiricalSample((1.0, 2.0, 6.0))) == 3.0
+        assert EmpiricalSample((1.0, 2.0, 6.0)).mean() == 3.0
 
 
 class TestExpectedPositivePart:
@@ -185,7 +189,9 @@ class TestExpectedPositivePart:
     def test_weibull_below_support_reduces_to_mean_shift(self):
         params = WeibullParams(2.0, 1.5, 1.0)
         assert rel_close(
-            expected_positive_part(params, -2.0), model_mean(params) + 2.0, rel=1e-10
+            expected_positive_part(params, -2.0),
+            weibull_min.mean(1.5, loc=1.0, scale=2.0) + 2.0,
+            rel=1e-10,
         )
 
     @given(
@@ -199,7 +205,7 @@ class TestExpectedPositivePart:
         e_lo = expected_positive_part(model, lo)
         e_hi = expected_positive_part(model, hi)
         assert e_lo >= e_hi - 1e-9
-        assert e_lo >= max(0.0, model_mean(model) - lo) - 1e-9
+        assert e_lo >= max(0.0, weibull_min.mean(1.2, loc=-1.0, scale=1.8) - lo) - 1e-9
 
 
 class TestRoundTrip:
@@ -218,8 +224,8 @@ class TestRoundTrip:
                 )
             else:
                 model = EmpiricalSample(tuple(rng.normal(0, 3, int(rng.integers(2, 30)))))
-            q = model_quantile(model, p)
-            c = model_cdf(model, q)
+            q = model.quantile(p)
+            c = model.cdf(q)
             if isinstance(model, EmpiricalSample):
                 assert c >= p - 1e-12  # step function overshoots by construction
             else:
@@ -253,11 +259,13 @@ class TestSampling:
 
 class TestModelPlumbing:
     def test_shift_model(self):
-        assert shift_model(GaussianParams(1.0, 2.0), 3.0) == GaussianParams(4.0, 2.0)
-        shifted = shift_model(WeibullParams(1.0, 1.0, 0.5), -2.0)
+        assert GaussianParams(1.0, 2.0).shift(3.0) == GaussianParams(4.0, 2.0)
+        shifted = WeibullParams(1.0, 1.0, 0.5).shift(-2.0)
         assert shifted.theta == -1.5 and shifted.lam == 1.0
-        s = shift_model(EmpiricalSample((1.0, 2.0)), 1.0)
+        s = EmpiricalSample((1.0, 2.0)).shift(1.0)
         assert s.values == (2.0, 3.0)
+        with pytest.raises(DomainError):
+            GaussianParams(1.0, 2.0).shift(float("nan"))
 
     def test_from_params_round_trip(self):
         for family, params in [
@@ -266,7 +274,7 @@ class TestModelPlumbing:
             ("empirical", {"values": [2.0, 1.0]}),
         ]:
             model = model_from_params(family, params)
-            assert family_of(model) == family
+            assert model.family == family and FAMILIES[family] is type(model)
             rebuilt = model_from_params(family, model_params_dict(model))
             assert rebuilt == model
 
@@ -281,6 +289,18 @@ class TestModelPlumbing:
             model_from_params("gaussian", {"mu": 1.0, "sigma": 2.0, "nu": 3.0})
         with pytest.raises(DataError):
             model_from_params("cauchy", {"x0": 0.0})
+
+    @pytest.mark.parametrize("family,params", [
+        ("gaussian", {"mu": "x", "sigma": 1.0}),
+        ("gaussian", {"mu": None, "sigma": 1.0}),
+        ("gaussian", {"mu": [1.0], "sigma": 1.0}),
+        ("weibull", {"lambda": 1.0, "alpha": {}}),
+        ("empirical", {"values": ["a"]}),
+        ("empirical", {"values": 3.0}),
+    ])
+    def test_from_params_rejects_malformed_values(self, family, params):
+        with pytest.raises(DataError):
+            model_from_params(family, params)
 
     def test_family_enum_values(self):
         assert ModelFamily("gaussian") is ModelFamily.GAUSSIAN

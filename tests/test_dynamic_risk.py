@@ -6,30 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
+from scipy.stats import norm, weibull_min
 
-from riskflow.distributions import (
-    EmpiricalSample,
-    GaussianParams,
-    WeibullParams,
-    gaussian_pdf,
-    gaussian_quantile,
-    model_mean,
-)
+from riskflow.distributions import EmpiricalSample, GaussianParams, WeibullParams
 from riskflow.dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
     CvarMode,
     RiskTrajectory,
     VectorialMeasure,
-    is_acceptable,
     modulated_cvar_trajectory,
-    modulated_scalar,
     modulated_var_trajectory,
-    modulated_vector,
     recursive_cvar,
     recursive_risk_generic,
     recursive_var_gaussian_closed,
     recursive_var_weibull_closed,
-    vector_recursive_trajectories,
 )
 from riskflow.errors import DomainError
 from riskflow.markov import ChainPath, StateLinkedParams, TransitionMatrix, simulate_path
@@ -124,7 +115,7 @@ class TestRecursiveVar:
     def test_callable_measure(self):
         # Any translation-additive functional recurses the same way.
         models = [EmpiricalSample((0.0, 2.0)), EmpiricalSample((1.0, 3.0))]
-        out = recursive_risk_generic(models, model_mean, 1)
+        out = recursive_risk_generic(models, lambda model: model.mean(), 1)
         assert out == [1.0, 1.0]  # mean(X_1) - mean(X_0) = 2 - 1
 
     def test_length_mismatch_rejected(self):
@@ -170,7 +161,7 @@ class TestClosedForms:
         sigmas = [1.0] * len(mus)
         T = len(mus) - 1
         closed = recursive_var_gaussian_closed(mus, sigmas, p, T)
-        q = gaussian_quantile(p)
+        q = float(ndtri(p))
         for t in range(T + 1):
             expected = sum((-1.0) ** (t - k) * (mus[k] + q) for k in range(t + 1))
             assert closed[t] == pytest.approx(expected, abs=1e-9)
@@ -220,11 +211,11 @@ class TestRecursiveCvar:
         models = [GaussianParams(0.0, 1.0), GaussianParams(2.0, 3.0)]
         c0 = cvar_tail(models[0], p)
         out = recursive_cvar(models, p, 1, CvarMode.PIECEWISE, realized_path=[0.0, 50.0])
-        v1, m1 = var(models[1], p), model_mean(models[1])
+        v1, m1 = var(models[1], p), 2.0
         expected = v1 - c0 + (m1 - v1 + 2.0 * c0) / (1.0 - p)
         assert out[1] == pytest.approx(expected, rel=1e-12)
         # Same number, spelled as the family form.
-        q = gaussian_quantile(p)
+        q = float(ndtri(p))
         family_form = 2.0 - (p / (1.0 - p)) * 3.0 * q + ((1.0 + p) / (1.0 - p)) * c0
         assert out[1] == pytest.approx(family_form, rel=1e-12)
 
@@ -233,7 +224,7 @@ class TestRecursiveCvar:
         models = [WeibullParams(2.0, 1.3), WeibullParams(1.5, 0.8)]
         c0 = cvar_tail(models[0], p)
         out = recursive_cvar(models, p, 1, CvarMode.PIECEWISE, realized_path=[0.0, 1e6])
-        v1, m1 = var(models[1], p), model_mean(models[1])
+        v1, m1 = var(models[1], p), weibull_min.mean(0.8, scale=1.5)
         family_form = m1 / (1.0 - p) - (p / (1.0 - p)) * v1 + ((1.0 + p) / (1.0 - p)) * c0
         assert out[1] == pytest.approx(family_form, rel=1e-12)
 
@@ -271,36 +262,16 @@ class TestVectorialMeasure:
         m = VectorialMeasure((VAR_99, VAR_99))
         assert m.n_states == 2
 
-    def test_heterogeneous_needs_flag(self):
+    def test_heterogeneous_rejected(self):
+        lower = RiskMeasureSpec(MeasureKind.VAR, 0.99, Orientation.LOWER_TAIL)
         with pytest.raises(DomainError):
             VectorialMeasure((VAR_99, CVAR_99))
-        m = VectorialMeasure((VAR_99, CVAR_99), allow_heterogeneous=True)
-        assert m.n_states == 2
+        with pytest.raises(DomainError):
+            VectorialMeasure((VAR_99, lower))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             VectorialMeasure(())
-
-    def test_vector_recursive_trajectories(self):
-        models = [GaussianParams(0.0, 1.0), GaussianParams(1.0, 2.0)]
-        trajs = vector_recursive_trajectories(models, VectorialMeasure((VAR_99, VAR_99)), 1)
-        assert len(trajs) == 2
-        assert trajs[0] == trajs[1] == recursive_risk_generic(models, VAR_99, 1)
-
-
-class TestModulatedHelpers:
-    def test_modulated_vector_is_predicted_blend(self):
-        got = modulated_vector((10.0, 20.0), REFERENCE_MATRIX, 1)
-        assert got == pytest.approx(0.25 * 10.0 + 0.75 * 20.0)
-
-    def test_modulated_scalar_scales_by_prediction(self):
-        weights = StateLinkedParams((2.0, 4.0))
-        got = modulated_scalar(3.0, weights, REFERENCE_MATRIX, 2)
-        assert got == pytest.approx(3.0 * (0.35 * 2.0 + 0.65 * 4.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            modulated_scalar(float("nan"), StateLinkedParams((1.0, 1.0)), REFERENCE_MATRIX, 1)
 
 
 class TestModulatedVarTrajectory:
@@ -312,7 +283,7 @@ class TestModulatedVarTrajectory:
         out = modulated_var_trajectory(
             "gaussian", {"mu": mu, "sigma": sigma}, REFERENCE_MATRIX, path, p, 2
         )
-        q = gaussian_quantile(p)
+        q = float(ndtri(p))
         per_state = np.array([1.0 + 2.0 * q, -2.0 + 3.0 * q])
         v0 = per_state[1]  # X_0 parameters link to the state at Z_1 = 2
         vbar_1 = float(per_state @ REFERENCE_MATRIX.column(2))  # predicted from Z_1
@@ -379,7 +350,7 @@ class TestModulatedVarTrajectory:
 class TestModulatedCvarTrajectory:
     def test_gaussian_branches_and_threshold(self):
         p = 0.95
-        q = gaussian_quantile(p)
+        q = float(ndtri(p))
         params = {
             "mu": StateLinkedParams((0.0, 0.0)),
             "sigma": StateLinkedParams((1.0, 2.0)),
@@ -394,7 +365,7 @@ class TestModulatedCvarTrajectory:
         above = modulated_cvar_trajectory(
             "gaussian", params, REFERENCE_MATRIX, path, [0.0, q + 0.01, 0.0], p, 2
         )
-        assert below[0] == above[0] == pytest.approx(2.0 * gaussian_pdf(q) / (1.0 - p))
+        assert below[0] == above[0] == pytest.approx(2.0 * norm.pdf(q) / (1.0 - p))
         assert below[1] == pytest.approx(sigbar_1 * q, rel=1e-12)
         assert above[1] == pytest.approx((p / (1.0 - p)) * sigbar_1 * q, rel=1e-12)
         # t=2 value is identical in both runs: the branches carry no memory.
@@ -423,7 +394,7 @@ class TestModulatedCvarTrajectory:
         )
         assert below[0] == above[0] == pytest.approx(c0, rel=1e-12)
         assert below[1] == pytest.approx(vbar - c0, rel=1e-12)
-        means = np.array([model_mean(WeibullParams(2.0, 1.1)), model_mean(WeibullParams(3.0, 0.9))])
+        means = np.array([weibull_min.mean(1.1, scale=2.0), weibull_min.mean(0.9, scale=3.0)])
         meanbar = float(means @ col1)
         expected_tail = (
             meanbar / (1.0 - p) - (p / (1.0 - p)) * vbar + ((1.0 + p) / (1.0 - p)) * c0
@@ -565,19 +536,3 @@ class TestRiskTrajectory:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             RiskTrajectory(MeasureKind.VAR, 0.99, (0,), (float("nan"),))
-
-
-class TestAcceptability:
-    def test_sign_convention(self):
-        assert is_acceptable(0.0)
-        assert is_acceptable(-3.2)
-        assert not is_acceptable(1e-9)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            is_acceptable(float("nan"))
-
-    @given(st.floats(min_value=-1e6, max_value=1e6))
-    @settings(max_examples=50)
-    def test_matches_sign(self, x):
-        assert is_acceptable(x) == (x <= 0.0)

@@ -10,11 +10,8 @@ from riskflow.markov import (
     ChainPath,
     StateLinkedParams,
     TransitionMatrix,
-    linked_value,
-    martingale_increment,
     one_step_linked_expectation,
     simulate_path,
-    step_expectation,
 )
 
 REFERENCE_ROWS = ((0.25, 0.75), (0.35, 0.65))
@@ -88,60 +85,7 @@ class TestChainPath:
             ChainPath((1, 0, 0))
 
 
-class TestStepExpectation:
-    def test_matches_enumeration(self):
-        m = reference_matrix()
-        expected = [sum(m.entries[j, 0] * e for j, e in enumerate(np.eye(2)[:, k])) for k in range(2)]
-        np.testing.assert_allclose(step_expectation(m, 1), expected)
-
-    def test_returns_independent_copy(self):
-        m = reference_matrix()
-        vec = step_expectation(m, 1)
-        vec[0] = 99.0
-        np.testing.assert_allclose(m.column(1), [0.25, 0.75])
-
-
-class TestMartingaleIncrement:
-    def test_entries_sum_to_zero(self):
-        m = reference_matrix()
-        for prev in (1, 2):
-            for nxt in (1, 2):
-                inc = martingale_increment(m, prev, nxt)
-                assert abs(inc.sum()) < 1e-15
-
-    def test_conditionally_centred_exact(self):
-        # Averaging over the outgoing distribution gives the zero vector.
-        m = reference_matrix()
-        for prev in (1, 2):
-            probs = m.column(prev)
-            mean = sum(
-                probs[nxt - 1] * martingale_increment(m, prev, nxt) for nxt in (1, 2)
-            )
-            np.testing.assert_allclose(mean, [0.0, 0.0], atol=1e-15)
-
-    def test_conditionally_centred_monte_carlo(self):
-        m = reference_matrix()
-        rng = np.random.default_rng(17)
-        n = 100_000
-        draws = rng.choice([1, 2], size=n, p=m.column(1))
-        total = np.zeros(2)
-        for nxt in (1, 2):
-            total += np.sum(draws == nxt) * martingale_increment(m, 1, nxt)
-        # 3 standard errors of a Bernoulli(0.25) mean.
-        se = np.sqrt(0.25 * 0.75 / n)
-        assert np.all(np.abs(total / n) < 3.0 * se)
-
-
 class TestLinkedParams:
-    def test_linked_value_is_one_based(self):
-        params = StateLinkedParams((10.0, 20.0))
-        assert linked_value(params, 1) == 10.0
-        assert linked_value(params, 2) == 20.0
-        with pytest.raises(DomainError):
-            linked_value(params, 0)
-        with pytest.raises(DomainError):
-            linked_value(params, 3)
-
     def test_one_step_expectation_reference_value(self):
         m = reference_matrix()
         params = StateLinkedParams((1169.009625, 1057.675375))
@@ -153,7 +97,7 @@ class TestLinkedParams:
         params = StateLinkedParams((3.0, -7.0))
         for state in (1, 2):
             expected = sum(
-                m.column(state)[j - 1] * linked_value(params, j) for j in (1, 2)
+                m.column(state)[j - 1] * params.values[j - 1] for j in (1, 2)
             )
             assert one_step_linked_expectation(m, params, state) == pytest.approx(expected)
 

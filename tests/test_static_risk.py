@@ -11,9 +11,7 @@ from riskflow.distributions import (
     EmpiricalSample,
     GaussianParams,
     WeibullParams,
-    model_mean,
     sample,
-    shift_model,
 )
 from riskflow.errors import DomainError
 from riskflow.static_risk import (
@@ -24,7 +22,6 @@ from riskflow.static_risk import (
     cvar_ru,
     cvar_tail,
     evaluate,
-    measure_fn,
     ru_objective,
     var,
 )
@@ -160,7 +157,7 @@ class TestTranslation:
     @settings(max_examples=100)
     def test_upper_tail_adds_cash(self, c):
         model = GaussianParams(1.0, 2.0)
-        shifted = shift_model(model, c)
+        shifted = model.shift(c)
         assert abs(var(shifted, 0.99) - (var(model, 0.99) + c)) <= 1e-9
         assert abs(cvar_tail(shifted, 0.99) - (cvar_tail(model, 0.99) + c)) <= 1e-9
 
@@ -168,7 +165,7 @@ class TestTranslation:
     @settings(max_examples=100)
     def test_lower_tail_subtracts_cash(self, c):
         model = WeibullParams(2.0, 1.3, 0.5)
-        shifted = shift_model(model, c)
+        shifted = model.shift(c)
         lower = Orientation.LOWER_TAIL
         assert abs(var(shifted, 0.95, lower) - (var(model, 0.95, lower) - c)) <= 1e-9
         assert abs(
@@ -181,7 +178,7 @@ class TestTranslation:
             model = random_model(rng)
             c = float(rng.normal(0, 10))
             p = float(rng.uniform(0.6, 0.99))
-            shifted = shift_model(model, c)
+            shifted = model.shift(c)
             v0 = var(model, p)
             assert abs(var(shifted, p) - (v0 + c)) <= 1e-9 * max(1.0, abs(v0 + c))
 
@@ -246,11 +243,6 @@ class TestSpecAndDispatch:
         c = evaluate(model, RiskMeasureSpec(MeasureKind.CVAR, 0.99))
         assert rel_close(v, Z_99)
         assert rel_close(c, STD_NORMAL_CVAR_99)
-
-    def test_measure_fn_closes_over_spec(self):
-        fn = measure_fn(RiskMeasureSpec(MeasureKind.VAR, 0.95, Orientation.LOWER_TAIL))
-        model = GaussianParams(0.0, 1.0)
-        assert fn(model) == var(model, 0.95, Orientation.LOWER_TAIL)
 
     def test_spec_validates_fields(self):
         with pytest.raises(DomainError):
