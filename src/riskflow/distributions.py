@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Mapping, Union
@@ -291,16 +292,18 @@ def sample(model: ReturnModel, n: int, seed: int | np.random.Generator) -> np.nd
 # --------------------------------------------------------------------------
 
 
-def model_from_params(family: str, params: Mapping[str, object]) -> ReturnModel:
+def model_from_params(family: str | ModelFamily, params: Mapping[str, object]) -> ReturnModel:
     """Build a model from its JSON parameter mapping.
 
-    ``family`` names a class in :data:`FAMILIES` and ``params`` maps that
-    class's JSON keys to numbers (``empirical`` takes a list under
-    ``"values"``).  Keys of fields with a default may be left out: the
-    Weibull ``"theta"`` defaults to 0.  Unknown families, wrong keys and
-    values that are not numbers raise :class:`DataError`.
+    ``family`` names a class in :data:`FAMILIES` (a :class:`ModelFamily`
+    member names its value) and ``params`` maps that class's JSON keys to
+    numbers (``empirical`` takes a list under ``"values"``).  Keys of fields
+    with a default may be left out: the Weibull ``"theta"`` defaults to 0.
+    Unknown families, wrong keys and values that are not real numbers
+    (booleans and numeric strings included) raise :class:`DataError`.
     """
-    cls = FAMILIES.get(str(family).lower())
+    family_name = family.value if isinstance(family, ModelFamily) else str(family)
+    cls = FAMILIES.get(family_name.lower())
     if cls is None:
         raise DataError(f"unknown model family {family!r}")
     optional = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
@@ -313,13 +316,19 @@ def model_from_params(family: str, params: Mapping[str, object]) -> ReturnModel:
             f"({sorted(required)} required); "
             f"missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
+
+    def number(value: object) -> float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DataError(f"{cls.family} params must be numbers, got {value!r}")
+        return float(value)
+
     given = {name: params[key] for name, key in cls.keys.items() if key in params}
     try:
         return cls(**{
-            name: value if isinstance(value, (list, tuple)) else float(value)
+            name: tuple(map(number, value)) if isinstance(value, (list, tuple)) else number(value)
             for name, value in given.items()
         })
-    except (TypeError, ValueError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise DataError(f"{cls.family} params must be numbers: {exc}") from exc
 
 

@@ -380,7 +380,7 @@ def _state_models(
             )
     try:
         return [
-            model_from_params(family.value, {k: vec.values[i] for k, vec in params.items()})
+            model_from_params(family, {k: vec.values[i] for k, vec in params.items()})
             for i in range(n_states)
         ]
     except DataError as exc:

@@ -8,7 +8,9 @@ measures to evaluate.  :func:`run_experiment` simulates each path's chain
 and returns, evaluates the static, recursive, and modulated trajectories
 for all paths at once on ``(n_paths, T + 1)`` arrays, and aggregates summary
 statistics; :func:`emit_trajectories` writes the fixed-schema CSV/JSON
-tables.  Reruns of the same config are byte-identical.
+tables.  The CSV is streamed line by line and formats each distinct float
+once; its bytes equal the ``csv`` module's.  Reruns of the same config are
+byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
 cover a Gaussian index-level study and a Weibull daily-increment study: base
@@ -30,7 +32,7 @@ from datetime import date
 from enum import Enum
 from importlib.resources import files as _resource_files
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -174,7 +176,7 @@ class ExperimentConfig:
     def state_model(self, state: int) -> ReturnModel:
         """The return model realized in the given 1-based chain state."""
         i = int(state) - 1
-        return model_from_params(self.family.value, {k: vec[i] for k, vec in self.params.items()})
+        return model_from_params(self.family, {k: vec[i] for k, vec in self.params.items()})
 
     def state_linked_params(self) -> dict[str, StateLinkedParams]:
         return {k: StateLinkedParams(vec) for k, vec in self.params.items()}
@@ -656,13 +658,40 @@ def _rows(paths: Sequence[PathTrajectories]) -> Iterator[tuple[object, ...]]:
     absent = itertools.repeat(None)
     for res in paths:
         source = res.var or res.cvar
+        # An absent trajectory, or an absent column of one, leaves empty cells.
         columns = [
-            absent if traj is None else getattr(traj, series)
+            getattr(traj, series, None) or absent
             for traj in (res.var, res.cvar)
             for series in ("static", "recursive", "modulated")
         ]
         prefix = (itertools.repeat(res.path_id),) if multi else ()
         yield from zip(*prefix, source.times, *columns)
+
+
+def _csv_cell_text() -> Callable[[object], str]:
+    """The text of one table's CSV cells, formatting each distinct float once.
+
+    A run writes few distinct numbers into many cells, so each float's
+    ``repr`` is kept for its later cells.  Zeros bypass that store:
+    ``0.0 == -0.0`` with one hash, and ``recursive_var`` writes ``-0.0``.
+    Cells are floats, ints (``path``, ``t``) or ``None``; none needs quoting,
+    so the text equals what ``csv.writer`` writes.
+    """
+    texts: dict[float, str] = {}
+
+    def cell(value: object) -> str:
+        if value is None:
+            return ""
+        if type(value) is int:
+            return str(value)
+        if not value:
+            return repr(value)
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = repr(value)
+        return text
+
+    return cell
 
 
 def emit_trajectories(
@@ -684,10 +713,10 @@ def emit_trajectories(
     header = (("path",) if len(paths) > 1 else ()) + ("t",) + _CSV_COLUMNS
     try:
         if fmt == "csv":
+            cell = _csv_cell_text()
             with open(path, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(_rows(paths))
+                handle.write(",".join(header) + "\n")
+                handle.writelines(",".join(map(cell, row)) + "\n" for row in _rows(paths))
         else:
             records = [dict(zip(header, row)) for row in _rows(paths)]
             with open(path, "w", encoding="utf-8") as handle:

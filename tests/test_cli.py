@@ -122,7 +122,7 @@ class TestRisk:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("mu", ['"x"', "null"])
+    @pytest.mark.parametrize("mu", ['"x"', "null", "true", '"2"'])
     def test_non_numeric_param_is_one_line_exit_2(self, mu):
         proc = subprocess.run(
             [

@@ -272,6 +272,8 @@ class TestModelPlumbing:
             ("gaussian", {"mu": 1.0, "sigma": 2.0}),
             ("weibull", {"lambda": 1.5, "alpha": 0.9, "theta": 0.25}),
             ("empirical", {"values": [2.0, 1.0]}),
+            ("gaussian", {"mu": 1, "sigma": np.float64(2.0)}),
+            ("empirical", {"values": [np.int64(2), 1, np.float32(0.5)]}),
         ]:
             model = model_from_params(family, params)
             assert model.family == family and FAMILIES[family] is type(model)
@@ -297,6 +299,10 @@ class TestModelPlumbing:
         ("weibull", {"lambda": 1.0, "alpha": {}}),
         ("empirical", {"values": ["a"]}),
         ("empirical", {"values": 3.0}),
+        ("gaussian", {"mu": True, "sigma": 1.0}),
+        ("gaussian", {"mu": 0.0, "sigma": "2"}),
+        ("empirical", {"values": ["1", "2", "3"]}),
+        ("empirical", {"values": [True, False, 2.0]}),
     ])
     def test_from_params_rejects_malformed_values(self, family, params):
         with pytest.raises(DataError):
@@ -305,3 +311,5 @@ class TestModelPlumbing:
     def test_family_enum_values(self):
         assert ModelFamily("gaussian") is ModelFamily.GAUSSIAN
         assert ModelFamily("weibull") is ModelFamily.WEIBULL
+        assert model_from_params(ModelFamily.GAUSSIAN, {"mu": 0, "sigma": 1}) == GaussianParams(0.0, 1.0)
+        assert model_from_params(ModelFamily.WEIBULL, {"lambda": 2, "alpha": 1}) == WeibullParams(2.0, 1.0)

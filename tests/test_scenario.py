@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from riskflow.distributions import GaussianParams, WeibullParams, sample
-from riskflow.dynamic_risk import GAUSSIAN_MODULATED_CVAR_NOTE, CvarMode
+from riskflow.dynamic_risk import GAUSSIAN_MODULATED_CVAR_NOTE, CvarMode, RiskTrajectory
 from riskflow.errors import ConfigError, DataError, DomainError, NumericError
 from riskflow.scenario import (
     ExperimentConfig,
+    PathTrajectories,
     ReferenceStudy,
     build_reference_experiment,
     bundled_returns_path,
@@ -24,7 +26,7 @@ from riskflow.scenario import (
     load_returns,
     run_experiment,
 )
-from riskflow.static_risk import cvar_tail, var
+from riskflow.static_risk import MeasureKind, cvar_tail, var
 
 REFERENCE_ROWS = ((0.25, 0.75), (0.35, 0.65))
 
@@ -402,6 +404,62 @@ class TestEmitTrajectories:
         assert records[0]["t"] == 0
         assert records[0]["static_cvar"] is None
         assert records[2]["static_var"] == paths[0].var.static[2]
+
+    @staticmethod
+    def hand_built_path(path_id, var_cols, cvar_cols):
+        """A path whose trajectories carry the given (static, recursive, modulated) columns."""
+        def trajectory(kind, cols):
+            if cols is None:
+                return None
+            static, recursive, modulated = cols
+            return RiskTrajectory(kind, 0.9, tuple(range(len(static))), static, recursive, modulated)
+
+        return PathTrajectories(
+            path_id=path_id, chain_seed=0, returns_seed=0, states=(), returns=(),
+            var=trajectory(MeasureKind.VAR, var_cols), cvar=trajectory(MeasureKind.CVAR, cvar_cols),
+        )
+
+    @staticmethod
+    def csv_module_text(paths):
+        """The table as ``csv.writer`` renders it, built from the trajectories directly."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        prefix = ["path"] if len(paths) > 1 else []
+        writer.writerow(prefix + ["t", "static_var", "recursive_var", "modulated_var",
+                                  "static_cvar", "recursive_cvar", "modulated_cvar"])
+        for res in paths:
+            for t in (res.var or res.cvar).times:
+                row = [res.path_id] if prefix else []
+                row.append(t)
+                for traj in (res.var, res.cvar):
+                    for name in ("static", "recursive", "modulated"):
+                        col = None if traj is None else getattr(traj, name)
+                        row.append(None if col is None else col[t])
+                writer.writerow(row)
+        return out.getvalue()
+
+    def test_csv_bytes_match_the_csv_module(self, tmp_path):
+        # Signed zeros share one column in both orders, values repeat across
+        # paths and columns, paths carry var only, cvar only or both (one
+        # only a static column), and the float 3.0 precedes the path id 3.
+        both = self.hand_built_path(
+            0,
+            ((1.25, 1.25, 1.25), (1.25, -0.0, 0.0), (0.1, 0.30000000000000004, 1e-300)),
+            ((2.5, 2.5, 2.5), (0.0, -0.0, 2.5), (3.0, -7.5, 1.25)),
+        )
+        var_only = self.hand_built_path(
+            1, ((1.25, 1.25, 1.25), (-0.0, 0.0, -0.0), (0.1, 0.1, -1.25)), None
+        )
+        cvar_only = self.hand_built_path(
+            2, None, ((2.5, 2.5, 2.5), (-0.0, 2.5, 0.0), (1.25, 0.30000000000000004, -0.0))
+        )
+        partial = self.hand_built_path(3, None, ((2.5, 0.0, -0.0), None, None))
+        cases = [[both], [var_only], [cvar_only], [both, var_only, cvar_only, partial],
+                 [cvar_only, var_only, both]]
+        for paths in cases:
+            out = tmp_path / "traj.csv"
+            emit_trajectories(paths, "csv", out)
+            assert out.read_bytes() == self.csv_module_text(paths).encode()
 
     def test_format_and_target_validated(self, tmp_path):
         paths = self.run_small()
