@@ -39,7 +39,7 @@ from .errors import (
     NumericError,
     RiskEngineError,
 )
-from .markov import ChainPath, StateLinkedParams, TransitionMatrix, simulate_path
+from .markov import ChainPath, TransitionMatrix, simulate_path
 from .scenario import (
     ExperimentConfig,
     ReferenceStudy,
@@ -82,7 +82,6 @@ __all__ = [
     "RiskEngineError",
     "RiskMeasureSpec",
     "RiskTrajectory",
-    "StateLinkedParams",
     "SummaryStats",
     "TransitionMatrix",
     "VectorialMeasure",

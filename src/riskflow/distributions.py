@@ -73,6 +73,17 @@ def _require_probability(p: float) -> float:
     return p
 
 
+def _require_number(value: object, complaint: str) -> float:
+    """``value`` as a float.  A bool, a string or any other value that is not
+    a real number raises :class:`DataError`, whose message opens with ``complaint``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{complaint}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise DataError(f"{complaint}: {value!r} is too large for a float") from exc
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -317,19 +328,17 @@ def model_from_params(family: str | ModelFamily, params: Mapping[str, object]) -
             f"missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
 
-    def number(value: object) -> float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DataError(f"{cls.family} params must be numbers, got {value!r}")
-        return float(value)
-
+    complaint = f"{cls.family} params must be numbers"
     given = {name: params[key] for name, key in cls.keys.items() if key in params}
     try:
         return cls(**{
-            name: tuple(map(number, value)) if isinstance(value, (list, tuple)) else number(value)
+            name: tuple(_require_number(v, complaint) for v in value)
+            if isinstance(value, (list, tuple))
+            else _require_number(value, complaint)
             for name, value in given.items()
         })
-    except (TypeError, OverflowError) as exc:
-        raise DataError(f"{cls.family} params must be numbers: {exc}") from exc
+    except TypeError as exc:
+        raise DataError(f"{complaint}: {exc}") from exc
 
 
 def model_params_dict(model: ReturnModel) -> dict[str, object]:

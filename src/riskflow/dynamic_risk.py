@@ -12,12 +12,14 @@ alternating sum ``R_t = sum_k (-1)**(t-k) * R(X_k)``, which the
 ``*_closed`` functions evaluate directly — a numerically independent route
 used to cross-check the step-by-step recursion.
 
-Markov modulation replaces realized parameters by their one-step conditional
-expectations along a chain path: at time ``t`` the engine stands in state
-``Z_t`` and prices the coming return (whose parameters are linked to
-``Z_{t+1}``) by averaging the per-state values over the outgoing
-distribution.  Time 0 is the exception everywhere: the value is the plain
-static measure of ``X_0`` with its realized parameters.
+Markov modulation gives each chain state one return model (the modulated
+functions take them as a sequence, state ``j`` at index ``j - 1``) and
+replaces realized parameters by their one-step conditional expectations
+along a chain path: at time ``t`` the engine stands in state ``Z_t`` and
+prices the coming return (whose model is that of ``Z_{t+1}``) by averaging
+per-state parameters or static values over the outgoing distribution.  Time
+0 is the exception everywhere: the value is the plain static measure of
+``X_0`` with its realized parameters.
 
 The conditional value-at-risk recursion ships in two modes.  ``exact``
 evaluates the static measure of the shifted position at every step, which is
@@ -44,28 +46,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .distributions import (
-    STANDARD_MODELS,
-    ModelFamily,
-    ReturnModel,
-    _require_probability,
-    model_from_params,
-)
-from .errors import DataError, DomainError
-from .markov import (
-    ChainPath,
-    StateLinkedParams,
-    TransitionMatrix,
-    one_step_linked_expectation,
-)
+from .distributions import STANDARD_MODELS, ModelFamily, ReturnModel, _require_probability
+from .errors import DomainError
+from .markov import ChainPath, TransitionMatrix, one_step_linked_expectation
 from .static_risk import (
     MeasureKind,
     Orientation,
     RiskMeasureSpec,
+    _require_orientation,
     cvar_tail,
     evaluate,
     var,
@@ -105,7 +97,7 @@ class VectorialMeasure:
     """One static measure per chain state.
 
     Components share kind, level and orientation (only the numbers they
-    produce differ, through the state-linked models), so the measure has
+    produce differ, through the per-state models), so the measure has
     one orientation, that of its first component.
     """
 
@@ -164,11 +156,11 @@ class RiskTrajectory:
 MeasureLike = Union[RiskMeasureSpec, Callable[[ReturnModel], float]]
 
 
-def _shift_sign(orientation: Orientation) -> float:
+def _shift_sign(orientation: Orientation | str) -> float:
     # Upper tail: R(X + c) = R(X) + c, so realizing R(X_t) - R_prev needs a
     # -R_prev shift.  Lower tail: the measure is monetary, R(X + c) = R(X) - c,
     # and the literal +R_prev shift produces the same difference.
-    return -1.0 if orientation is Orientation.UPPER_TAIL else 1.0
+    return -1.0 if _require_orientation(orientation) is Orientation.UPPER_TAIL else 1.0
 
 
 def recursive_risk_generic(
@@ -369,27 +361,16 @@ def _path_states(
     return states
 
 
-def _state_models(
-    family: ModelFamily, params: Mapping[str, StateLinkedParams], n_states: int
-) -> list[ReturnModel]:
-    """The return model realized in each chain state."""
-    for key, vec in params.items():
-        if len(vec) != n_states:
-            raise DomainError(
-                f"state-linked {key!r} has {len(vec)} states, matrix has {n_states}"
-            )
-    try:
-        return [
-            model_from_params(family, {k: vec.values[i] for k, vec in params.items()})
-            for i in range(n_states)
-        ]
-    except DataError as exc:
-        raise DomainError(f"state-linked parameters: {exc}") from exc
-
-
-def _predicted(matrix: TransitionMatrix, values: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """One-step predictions of per-state ``values`` from each entry of ``states``."""
-    return one_step_linked_expectation(matrix, StateLinkedParams(tuple(values)), states)
+def _state_family(models: Sequence[ReturnModel], matrix: TransitionMatrix) -> ModelFamily:
+    """The family of ``models``: one per chain state, all Gaussian or all Weibull."""
+    names = [f.value for f in ModelFamily]
+    families = {str(getattr(m, "family", None)) for m in models}
+    if len(models) != matrix.n_states or len(families) != 1 or not families <= set(names):
+        raise DomainError(
+            f"need {matrix.n_states} state models of one family in {names}, "
+            f"got {len(models)} of {sorted(families)}"
+        )
+    return ModelFamily(families.pop())
 
 
 def _weibull_quantiles(
@@ -401,15 +382,15 @@ def _weibull_quantiles(
     alpha = np.array([m.alpha for m in models])
     theta = np.array([m.theta for m in models])
     c = (-math.log1p(-p)) ** (1.0 / alpha)
-    predicted = _predicted(matrix, theta, priced) + _predicted(
-        matrix, lam, priced
-    ) * _predicted(matrix, c, priced)
+    predicted = one_step_linked_expectation(matrix, theta, priced) + (
+        one_step_linked_expectation(matrix, lam, priced)
+        * one_step_linked_expectation(matrix, c, priced)
+    )
     return theta + lam * c, predicted
 
 
 def modulated_var_trajectory(
-    family: ModelFamily | str,
-    params: Mapping[str, StateLinkedParams],
+    models: Sequence[ReturnModel],
     matrix: TransitionMatrix,
     chain_path: ChainPath | np.ndarray,
     p: float,
@@ -417,24 +398,24 @@ def modulated_var_trajectory(
 ) -> list[float] | np.ndarray:
     """Value-at-risk recursion along a realized chain path.
 
-    Time 0 uses the realized parameters of ``X_0`` (linked to the state at
-    ``Z_1``); every later term replaces parameters by their one-step
-    predictions from the state occupied when the step is priced:
+    ``models`` holds the return model of each chain state, all Gaussian or
+    all Weibull.  Time 0 uses the realized parameters of ``X_0`` (the model
+    of the state at ``Z_1``); every later term replaces parameters by their
+    one-step predictions from the state occupied when the step is priced:
 
         R_t = (-1)**t (mu_0 + sigma_0 q) + sum_{k=1..t} (-1)**(t-k) (mubar_k + sigbar_k q)
 
     and the Weibull analogue with ``thetabar_k + lambdabar_k * cbar_k``,
     where ``c_i = (-ln(1-p))**(1/alpha_i)`` is predicted as its own
-    state-linked vector.
+    per-state vector.
     """
     p = _require_probability(p)
-    family = ModelFamily(family)
+    family = _state_family(models, matrix)
     states = _path_states(chain_path, matrix, T)
-    models = _state_models(family, params, matrix.n_states)
     priced = states[:, 1 : T + 1]
     if family is ModelFamily.GAUSSIAN:
         per_state = np.array([var(m, p) for m in models])
-        predicted = _predicted(matrix, per_state, priced)
+        predicted = one_step_linked_expectation(matrix, per_state, priced)
     else:
         per_state, predicted = _weibull_quantiles(models, matrix, priced, p)
     terms = np.concatenate([per_state[states[:, 1:2] - 1], predicted], axis=1)
@@ -442,8 +423,7 @@ def modulated_var_trajectory(
 
 
 def modulated_cvar_trajectory(
-    family: ModelFamily | str,
-    params: Mapping[str, StateLinkedParams],
+    models: Sequence[ReturnModel],
     matrix: TransitionMatrix,
     chain_path: ChainPath | np.ndarray,
     realized_returns: Sequence[float] | np.ndarray,
@@ -452,6 +432,7 @@ def modulated_cvar_trajectory(
 ) -> list[float] | np.ndarray:
     """Conditional value-at-risk branch recursion along a realized chain path.
 
+    ``models`` are the per-state models of :func:`modulated_var_trajectory`.
     Time 0 is the realized static value.  For ``t >= 1`` the realized return
     is compared against the family's branch threshold; barred quantities are
     one-step predictions from the state occupied at ``t``:
@@ -465,17 +446,16 @@ def modulated_cvar_trajectory(
       + ((1+p)/(1-p)) C_{t-1}``.
     """
     p = _require_probability(p)
-    family = ModelFamily(family)
+    family = _state_family(models, matrix)
     states = _path_states(chain_path, matrix, T)
     realized = _path_array("realized returns", realized_returns, T, n_paths=len(states))
-    models = _state_models(family, params, matrix.n_states)
     priced = states[:, 1 : T + 1]
     out = np.empty(realized.shape)
     out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 1] - 1]
     if family is ModelFamily.GAUSSIAN:
         q = STANDARD_MODELS[ModelFamily.GAUSSIAN].quantile(p)
-        mubar = _predicted(matrix, np.array([m.mu for m in models]), priced)
-        sigbar = _predicted(matrix, np.array([m.sigma for m in models]), priced)
+        mubar = one_step_linked_expectation(matrix, [m.mu for m in models], priced)
+        sigbar = one_step_linked_expectation(matrix, [m.sigma for m in models], priced)
         threshold = np.array([var(m, p) for m in models])[states[:, 2:] - 1]
         out[:, 1:] = np.where(
             realized[:, 1:] <= threshold,
@@ -484,7 +464,7 @@ def modulated_cvar_trajectory(
         )
     else:
         _, varbar = _weibull_quantiles(models, matrix, priced, p)
-        meanbar = _predicted(matrix, np.array([m.mean() for m in models]), priced)
+        meanbar = one_step_linked_expectation(matrix, [m.mean() for m in models], priced)
         for t in range(1, T + 1):
             prev = out[:, t - 1]
             v_t = varbar[:, t - 1]

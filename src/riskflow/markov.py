@@ -1,4 +1,4 @@
-"""Finite-state Markov chain machinery for regime-linked parameters.
+"""Finite-state Markov chains: transition matrices, paths, one-step predictions.
 
 The chain state is a basis vector ``Z_t``; here states are handled as
 1-based integer indices.  Transition matrices are stored column-stochastic:
@@ -26,7 +26,6 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "TransitionMatrix",
     "ChainPath",
-    "StateLinkedParams",
     "one_step_linked_expectation",
     "simulate_path",
 ]
@@ -111,41 +110,23 @@ class ChainPath:
         return len(self.states) - 2
 
 
-@dataclass(frozen=True)
-class StateLinkedParams:
-    """One scalar parameter value per chain state (index 1-based at use)."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) == 0:
-            raise DomainError("state-linked parameters need at least one state")
-        if any(not np.isfinite(v) for v in vals):
-            raise DomainError(f"state-linked parameters must be finite, got {vals!r}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-
 def one_step_linked_expectation(
-    matrix: TransitionMatrix, params: StateLinkedParams, state: int | np.ndarray
+    matrix: TransitionMatrix, values: Sequence[float] | np.ndarray, state: int | np.ndarray
 ) -> float | np.ndarray:
-    """``E[<params, Z_next> | Z = e_state]`` — the predicted next-step parameter.
+    """``E[<values, Z_next> | Z = e_state]`` — the predicted next-step value.
 
-    ``state`` is one 1-based state, or an integer array of them (for example
-    chain paths stacked as ``(n_paths, T)``); an array gives the predictions
-    elementwise, each evaluated once per chain state.
+    ``values`` holds one finite number per chain state (state ``j`` at index
+    ``j - 1``).  ``state`` is one 1-based state, or an integer array of them
+    (for example chain paths stacked as ``(n_paths, T)``); an array gives the
+    predictions elementwise, each evaluated once per chain state.
     """
-    if len(params) != matrix.n_states:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (matrix.n_states,):
         raise DomainError(
-            f"parameter vector has {len(params)} states, matrix has {matrix.n_states}"
+            f"per-state values have shape {values.shape}, matrix has {matrix.n_states} states"
         )
-    values = params.as_array()
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"per-state values must be finite, got {values.tolist()!r}")
 
     def predict(s: int) -> float:
         return float(np.dot(values, matrix.column(s)))

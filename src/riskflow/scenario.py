@@ -27,7 +27,8 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
 from importlib.resources import files as _resource_files
@@ -43,6 +44,7 @@ from .distributions import (
     ModelFamily,
     ReturnModel,
     WeibullParams,
+    _require_number,
     model_from_params,
     sample,
 )
@@ -57,7 +59,7 @@ from .dynamic_risk import (
     recursive_var_weibull_closed,
 )
 from .errors import ConfigError, DataError, DomainError, NumericError
-from .markov import StateLinkedParams, TransitionMatrix, simulate_path
+from .markov import TransitionMatrix, simulate_path
 from .static_risk import MeasureKind, cvar_tail, var
 
 __all__ = [
@@ -121,7 +123,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f'orientation must be "row" or "column", got {self.orientation!r}'
             )
-        rows = tuple(tuple(float(v) for v in row) for row in self.transition_matrix)
+        for name in ("initial_state", "horizon", "n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        try:
+            object.__setattr__(self, "p", _require_number(self.p, "p must be a number"))
+            rows = tuple(
+                tuple(_require_number(v, "transition matrix entries must be numbers") for v in row)
+                for row in self.transition_matrix
+            )
+            given = {
+                k: tuple(_require_number(v, f"param {k!r} entries must be numbers") for v in vec)
+                for k, vec in dict(self.params).items()
+            }
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
         object.__setattr__(self, "transition_matrix", rows)
         chain = self.chain()  # validates stochasticity
         n = chain.n_states
@@ -135,6 +153,10 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ConfigError(f"output must be a path or null, got {self.output!r}")
         measures = tuple(str(m) for m in self.measures)
         if not measures or len(set(measures)) != len(measures):
             raise ConfigError(f"measures must be a non-empty set, got {measures!r}")
@@ -142,11 +164,13 @@ class ExperimentConfig:
             if m not in _MEASURE_NAMES:
                 raise ConfigError(f"unknown measure {m!r}; choose from {_MEASURE_NAMES}")
         object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "cvar_mode", CvarMode(self.cvar_mode))
+        try:
+            object.__setattr__(self, "cvar_mode", CvarMode(self.cvar_mode))
+        except ValueError as exc:
+            raise ConfigError(f"unknown cvar_mode {self.cvar_mode!r}") from exc
         # Every key is required here (the Weibull theta too): the closed
         # forms read each parameter sequence.
         expected_keys = tuple(FAMILIES[family.value].keys.values())
-        given = {k: tuple(float(v) for v in vec) for k, vec in dict(self.params).items()}
         if set(given) != set(expected_keys):
             raise ConfigError(
                 f"{family.value} params need keys {sorted(expected_keys)}, "
@@ -178,9 +202,6 @@ class ExperimentConfig:
         i = int(state) - 1
         return model_from_params(self.family, {k: vec[i] for k, vec in self.params.items()})
 
-    def state_linked_params(self) -> dict[str, StateLinkedParams]:
-        return {k: StateLinkedParams(vec) for k, vec in self.params.items()}
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "family": self.family.value,
@@ -203,52 +224,26 @@ def config_to_json(config: ExperimentConfig) -> str:
     return json.dumps(config.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-_CONFIG_KEYS = {
-    "family",
-    "params",
-    "transition_matrix",
-    "orientation",
-    "initial_state",
-    "p",
-    "horizon",
-    "n_paths",
-    "seed",
-    "measures",
-    "cvar_mode",
-    "output",
-}
-_OPTIONAL_CONFIG_KEYS = {"cvar_mode", "output"}
-
-
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse and validate a config from its JSON representation."""
+    """Parse and validate a config from its JSON representation.
+
+    The keys are the :class:`ExperimentConfig` field names; those with a
+    default may be left out.  Values go to the constructor as parsed.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config JSON must be an object")
-    unknown = set(data) - _CONFIG_KEYS
-    missing = _CONFIG_KEYS - _OPTIONAL_CONFIG_KEYS - set(data)
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
+    missing = {f.name for f in fields(ExperimentConfig) if f.default is MISSING} - set(data)
     if unknown or missing:
         raise ConfigError(
             f"config keys: missing {sorted(missing)}, unknown {sorted(unknown)}"
         )
     try:
-        return ExperimentConfig(
-            family=data["family"],
-            params={k: tuple(v) for k, v in dict(data["params"]).items()},
-            transition_matrix=tuple(tuple(row) for row in data["transition_matrix"]),
-            orientation=data["orientation"],
-            initial_state=int(data["initial_state"]),
-            p=float(data["p"]),
-            horizon=int(data["horizon"]),
-            n_paths=int(data["n_paths"]),
-            seed=int(data["seed"]),
-            measures=tuple(data["measures"]),
-            cvar_mode=data.get("cvar_mode", CvarMode.PIECEWISE),
-            output=data.get("output"),
-        )
+        return ExperimentConfig(**data)
     except (TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
@@ -587,7 +582,6 @@ def run_experiment(
         realized[in_state] = model.scale(standard[in_state])
 
     params = {k: np.array(v)[period] for k, v in config.params.items()}
-    linked = config.state_linked_params()
     columns: dict[str, np.ndarray] = {}
     try:
         if "var" in config.measures:
@@ -601,7 +595,7 @@ def run_experiment(
                     params["lambda"], params["alpha"], params["theta"], p, T
                 )
             columns["modulated_var"] = modulated_var_trajectory(
-                family, linked, matrix, states, p, T
+                models, matrix, states, p, T
             )
         if "cvar" in config.measures:
             columns["static_cvar"] = np.array([cvar_tail(m, p) for m in models])[period]
@@ -609,7 +603,7 @@ def run_experiment(
                 models, p, T, config.cvar_mode, realized, states=period
             )
             columns["modulated_cvar"] = modulated_cvar_trajectory(
-                family, linked, matrix, states, realized, p, T
+                models, matrix, states, realized, p, T
             )
     except NumericError as exc:
         raise NumericError(f"[seed {config.seed}] {exc}") from exc

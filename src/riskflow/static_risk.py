@@ -64,6 +64,13 @@ class Orientation(str, Enum):
     LOWER_TAIL = "lower_tail"
 
 
+def _require_orientation(orientation: Orientation | str) -> Orientation:
+    try:
+        return Orientation(orientation)
+    except ValueError as exc:
+        raise DomainError(f"unknown orientation {orientation!r}") from exc
+
+
 @dataclass(frozen=True)
 class RiskMeasureSpec:
     """A fully specified single-period measure: kind, level and orientation."""
@@ -92,7 +99,7 @@ def var(
     ``q_p(-X) = -q_{1-p}(X)``, exact on its continuous support).
     """
     p = _require_probability(p)
-    if orientation is Orientation.UPPER_TAIL:
+    if _require_orientation(orientation) is Orientation.UPPER_TAIL:
         return model.quantile(p)
     if isinstance(model, WeibullParams):
         return -model.quantile(1.0 - p)
@@ -111,7 +118,7 @@ def cvar_tail(
     (weak inequality), matching the sample quantile convention.
     """
     p = _require_probability(p)
-    if orientation is Orientation.LOWER_TAIL:
+    if _require_orientation(orientation) is Orientation.LOWER_TAIL:
         if isinstance(model, WeibullParams):
             # E[-X | -X >= q_p(-X)] spelled through upper-tail primitives:
             # with q = q_{1-p}(X), the lower tail mean of X below q is
@@ -149,7 +156,7 @@ def ru_objective(
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"threshold must be finite, got {eta!r}")
-    if orientation is Orientation.UPPER_TAIL:
+    if _require_orientation(orientation) is Orientation.UPPER_TAIL:
         excess = expected_positive_part(model, eta)
     else:
         excess = expected_positive_part(model, -eta) - model.mean() - eta

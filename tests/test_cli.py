@@ -179,6 +179,24 @@ class TestSimulate:
         path.write_text('{"family": "gaussian"}', encoding="utf-8")
         assert run(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("horizon", 2.7), ("params", {"mu": [True, "1000"], "sigma": [195.6045, 176.9755]})],
+    )
+    def test_malformed_config_value_is_one_line_exit_2(self, tmp_path, key, value):
+        data = json.loads(config_to_json(build_reference_experiment("gaussian_msci")))
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskflow.cli", "simulate", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestReproduce:
     def test_writes_named_output(self, tmp_path, capsys):

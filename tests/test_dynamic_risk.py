@@ -23,7 +23,7 @@ from riskflow.dynamic_risk import (
     recursive_var_weibull_closed,
 )
 from riskflow.errors import DomainError
-from riskflow.markov import ChainPath, StateLinkedParams, TransitionMatrix, simulate_path
+from riskflow.markov import ChainPath, TransitionMatrix, simulate_path
 from riskflow.static_risk import (
     MeasureKind,
     Orientation,
@@ -39,6 +39,7 @@ VAR_99 = RiskMeasureSpec(MeasureKind.VAR, 0.99)
 CVAR_99 = RiskMeasureSpec(MeasureKind.CVAR, 0.99)
 
 REFERENCE_MATRIX = TransitionMatrix.from_rows(((0.25, 0.75), (0.35, 0.65)))
+STANDARD_GAUSSIAN = GaussianParams(0.0, 1.0)
 
 
 def random_gaussian_sequence(rng, T):
@@ -277,12 +278,9 @@ class TestVectorialMeasure:
 class TestModulatedVarTrajectory:
     def test_gaussian_matches_manual_enumeration(self):
         p = 0.99
-        mu = StateLinkedParams((1.0, -2.0))
-        sigma = StateLinkedParams((2.0, 3.0))
+        models = [GaussianParams(1.0, 2.0), GaussianParams(-2.0, 3.0)]
         path = ChainPath((1, 2, 1, 1))
-        out = modulated_var_trajectory(
-            "gaussian", {"mu": mu, "sigma": sigma}, REFERENCE_MATRIX, path, p, 2
-        )
+        out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p, 2)
         q = float(ndtri(p))
         per_state = np.array([1.0 + 2.0 * q, -2.0 + 3.0 * q])
         v0 = per_state[1]  # X_0 parameters link to the state at Z_1 = 2
@@ -297,73 +295,70 @@ class TestModulatedVarTrajectory:
         # theta, lambda and the shape factor taken separately, not the
         # prediction of the per-state quantile.
         p = 0.99
-        lam = StateLinkedParams((7.106295, 6.429505))
-        alpha = StateLinkedParams((0.8016, 1.2))
-        theta = StateLinkedParams((0.5, -0.25))
-        params = {"lambda": lam, "alpha": alpha, "theta": theta}
+        lam = np.array([7.106295, 6.429505])
+        alpha = np.array([0.8016, 1.2])
+        theta = np.array([0.5, -0.25])
+        models = [WeibullParams(*params) for params in zip(lam, alpha, theta)]
         path = ChainPath((1, 1, 2, 2))
-        out = modulated_var_trajectory("weibull", params, REFERENCE_MATRIX, path, p, 2)
-        c = (-math.log1p(-p)) ** (1.0 / np.array(alpha.values))
+        out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p, 2)
+        c = (-math.log1p(-p)) ** (1.0 / alpha)
         col1 = REFERENCE_MATRIX.column(1)
-        v0 = theta.values[0] + lam.values[0] * c[0]
-        thetabar_1 = float(np.array(theta.values) @ col1)
-        lambar_1 = float(np.array(lam.values) @ col1)
+        v0 = theta[0] + lam[0] * c[0]
+        thetabar_1 = float(theta @ col1)
+        lambar_1 = float(lam @ col1)
         cbar_1 = float(c @ col1)
         vbar_1 = thetabar_1 + lambar_1 * cbar_1
         assert out[0] == pytest.approx(v0, rel=1e-12)
         assert out[1] == pytest.approx(vbar_1 - v0, rel=1e-12)
         # Differs from predicting the quantile itself whenever lambda varies.
-        quantile_prediction = float((np.array(theta.values) + np.array(lam.values) * c) @ col1)
+        quantile_prediction = float((theta + lam * c) @ col1)
         assert abs(vbar_1 - quantile_prediction) > 1e-6
 
     def test_absorbing_chain_collapses_to_recursion(self):
         # Point-mass predictions make the modulated and plain recursions equal.
         identity = TransitionMatrix.from_rows(((1.0, 0.0), (0.0, 1.0)))
-        mu = StateLinkedParams((3.0, 99.0))
-        sigma = StateLinkedParams((1.5, 1.0))
+        models = [GaussianParams(3.0, 1.5), GaussianParams(99.0, 1.0)]
         path = ChainPath((1,) * 7)
-        out = modulated_var_trajectory(
-            "gaussian", {"mu": mu, "sigma": sigma}, identity, path, 0.99, 5
-        )
+        out = modulated_var_trajectory(models, identity, path, 0.99, 5)
         closed = recursive_var_gaussian_closed([3.0] * 6, [1.5] * 6, 0.99, 5)
         assert out == pytest.approx(closed, rel=1e-12)
 
     def test_path_horizon_must_match(self):
-        params = {"mu": StateLinkedParams((0.0, 0.0)), "sigma": StateLinkedParams((1.0, 1.0))}
         with pytest.raises(DomainError):
             modulated_var_trajectory(
-                "gaussian", params, REFERENCE_MATRIX, ChainPath((1, 2, 2)), 0.99, 5
+                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, ChainPath((1, 2, 2)), 0.99, 5
             )
 
-    def test_missing_parameter_rejected(self):
+    @pytest.mark.parametrize("models", [
+        [STANDARD_GAUSSIAN],
+        [STANDARD_GAUSSIAN] * 3,
+        [STANDARD_GAUSSIAN, WeibullParams(1.0, 1.0)],
+        [EmpiricalSample((0.0, 1.0))] * 2,
+        [{"mu": 0.0, "sigma": 1.0}] * 2,
+    ])
+    def test_state_models_checked(self, models):
+        # One model per chain state, all of one parametric family.
+        path = ChainPath((1, 2, 2))
         with pytest.raises(DomainError):
-            modulated_var_trajectory(
-                "gaussian",
-                {"mu": StateLinkedParams((0.0, 0.0))},
-                REFERENCE_MATRIX,
-                ChainPath((1, 2, 2)),
-                0.99,
-                1,
-            )
+            modulated_var_trajectory(models, REFERENCE_MATRIX, path, 0.99, 1)
+        with pytest.raises(DomainError):
+            modulated_cvar_trajectory(models, REFERENCE_MATRIX, path, [0.0, 0.0], 0.99, 1)
 
 
 class TestModulatedCvarTrajectory:
     def test_gaussian_branches_and_threshold(self):
         p = 0.95
         q = float(ndtri(p))
-        params = {
-            "mu": StateLinkedParams((0.0, 0.0)),
-            "sigma": StateLinkedParams((1.0, 2.0)),
-        }
+        models = [GaussianParams(0.0, 1.0), GaussianParams(0.0, 2.0)]
         path = ChainPath((1, 2, 1, 1))
         sigbar_1 = float(np.array([1.0, 2.0]) @ REFERENCE_MATRIX.column(2))
         sigbar_2 = float(np.array([1.0, 2.0]) @ REFERENCE_MATRIX.column(1))
         # t=1 threshold: realized-parameter quantile of X_1 (state Z_2 = 1).
         below = modulated_cvar_trajectory(
-            "gaussian", params, REFERENCE_MATRIX, path, [0.0, q - 0.01, 0.0], p, 2
+            models, REFERENCE_MATRIX, path, [0.0, q - 0.01, 0.0], p, 2
         )
         above = modulated_cvar_trajectory(
-            "gaussian", params, REFERENCE_MATRIX, path, [0.0, q + 0.01, 0.0], p, 2
+            models, REFERENCE_MATRIX, path, [0.0, q + 0.01, 0.0], p, 2
         )
         assert below[0] == above[0] == pytest.approx(2.0 * norm.pdf(q) / (1.0 - p))
         assert below[1] == pytest.approx(sigbar_1 * q, rel=1e-12)
@@ -376,21 +371,21 @@ class TestModulatedCvarTrajectory:
 
     def test_weibull_branches_and_threshold(self):
         p = 0.9
-        lam = StateLinkedParams((2.0, 3.0))
-        alpha = StateLinkedParams((1.1, 0.9))
-        params = {"lambda": lam, "alpha": alpha}
+        lam = np.array([2.0, 3.0])
+        alpha = np.array([1.1, 0.9])
+        models = [WeibullParams(2.0, 1.1), WeibullParams(3.0, 0.9)]
         path = ChainPath((1, 1, 1))
-        c = (-math.log1p(-p)) ** (1.0 / np.array(alpha.values))
+        c = (-math.log1p(-p)) ** (1.0 / alpha)
         col1 = REFERENCE_MATRIX.column(1)
-        vbar = float(np.zeros(2) @ col1) + float(np.array(lam.values) @ col1) * float(c @ col1)
+        vbar = float(np.zeros(2) @ col1) + float(lam @ col1) * float(c @ col1)
         c0 = cvar_tail(WeibullParams(2.0, 1.1), p)
         # Threshold at t=1 is vbar + 2*C_0 (prediction plus carried value).
         eps = 1e-9
         below = modulated_cvar_trajectory(
-            "weibull", params, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 - eps], p, 1
+            models, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 - eps], p, 1
         )
         above = modulated_cvar_trajectory(
-            "weibull", params, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 + eps], p, 1
+            models, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 + eps], p, 1
         )
         assert below[0] == above[0] == pytest.approx(c0, rel=1e-12)
         assert below[1] == pytest.approx(vbar - c0, rel=1e-12)
@@ -408,16 +403,11 @@ class TestModulatedCvarTrajectory:
         # so the comparison is only meaningful in this common-branch regime).
         identity = TransitionMatrix.from_rows(((1.0, 0.0), (0.0, 1.0)))
         p = 0.99
-        params = {
-            "lambda": StateLinkedParams((6.7679, 1.0)),
-            "alpha": StateLinkedParams((0.8016, 1.0)),
-        }
+        models = [WeibullParams(6.7679, 0.8016), WeibullParams(1.0, 1.0)]
         T = 4
         path = ChainPath((1,) * (T + 2))
         big = [1e9] * (T + 1)
-        modulated = modulated_cvar_trajectory(
-            "weibull", params, identity, path, big, p, T
-        )
+        modulated = modulated_cvar_trajectory(models, identity, path, big, p, T)
         plain = recursive_cvar(
             [WeibullParams(6.7679, 0.8016)] * (T + 1),
             p,
@@ -428,13 +418,9 @@ class TestModulatedCvarTrajectory:
         assert modulated == pytest.approx(plain, rel=1e-12)
 
     def test_returns_length_validated(self):
-        params = {
-            "mu": StateLinkedParams((0.0, 0.0)),
-            "sigma": StateLinkedParams((1.0, 1.0)),
-        }
         with pytest.raises(DomainError):
             modulated_cvar_trajectory(
-                "gaussian", params, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0], 0.99, 1
+                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0], 0.99, 1
             )
 
 
@@ -450,22 +436,19 @@ class TestStackedPaths:
         returns = rng.normal(0.0, 3.0, (n_paths, self.T + 1))
         return paths, np.array([path.states for path in paths]), returns
 
-    @pytest.mark.parametrize("family,params", [
-        ("gaussian", {"mu": (1.0, -2.0), "sigma": (0.5, 2.0)}),
-        ("weibull", {"lambda": (2.0, 3.0), "alpha": (1.1, 0.9)}),
+    @pytest.mark.parametrize("models", [
+        [GaussianParams(1.0, 0.5), GaussianParams(-2.0, 2.0)],
+        [WeibullParams(2.0, 1.1), WeibullParams(3.0, 0.9)],
     ])
-    def test_modulated_rows_match_single_paths(self, family, params):
-        params = {key: StateLinkedParams(values) for key, values in params.items()}
+    def test_modulated_rows_match_single_paths(self, models):
         paths, states, returns = self.stack()
-        var_rows = modulated_var_trajectory(
-            family, params, REFERENCE_MATRIX, states, self.P, self.T
-        )
+        var_rows = modulated_var_trajectory(models, REFERENCE_MATRIX, states, self.P, self.T)
         cvar_rows = modulated_cvar_trajectory(
-            family, params, REFERENCE_MATRIX, states, returns, self.P, self.T
+            models, REFERENCE_MATRIX, states, returns, self.P, self.T
         )
         assert var_rows.shape == cvar_rows.shape == (len(paths), self.T + 1)
         for i, path in enumerate(paths):
-            args = (family, params, REFERENCE_MATRIX, path)
+            args = (models, REFERENCE_MATRIX, path)
             assert var_rows[i].tolist() == modulated_var_trajectory(*args, self.P, self.T)
             assert cvar_rows[i].tolist() == modulated_cvar_trajectory(
                 *args, returns[i], self.P, self.T
@@ -497,15 +480,13 @@ class TestStackedPaths:
 
     def test_stacks_are_validated(self):
         _, states, returns = self.stack()
-        params = {"mu": StateLinkedParams((0.0, 0.0)), "sigma": StateLinkedParams((1.0, 1.0))}
+        models = [STANDARD_GAUSSIAN] * 2
         bad = states.copy()
         bad[0, -1] = 3 - bad[0, -2]
         with pytest.raises(DomainError):
-            modulated_var_trajectory("gaussian", params, REFERENCE_MATRIX, bad, 0.9, self.T)
+            modulated_var_trajectory(models, REFERENCE_MATRIX, bad, 0.9, self.T)
         with pytest.raises(DomainError):
-            modulated_cvar_trajectory(
-                "gaussian", params, REFERENCE_MATRIX, states, returns[:-1], 0.9, self.T
-            )
+            modulated_cvar_trajectory(models, REFERENCE_MATRIX, states, returns[:-1], 0.9, self.T)
         with pytest.raises(DomainError):
             recursive_cvar(
                 [GaussianParams(0.0, 1.0)], 0.9, self.T, CvarMode.PIECEWISE, returns,

@@ -1,4 +1,4 @@
-"""Finite-state chain machinery: matrices, paths, linked parameters."""
+"""Finite-state chain machinery: matrices, paths, one-step predictions."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from riskflow.errors import ConfigError, DomainError
 from riskflow.markov import (
     ChainPath,
-    StateLinkedParams,
     TransitionMatrix,
     one_step_linked_expectation,
     simulate_path,
@@ -88,50 +87,45 @@ class TestChainPath:
 class TestLinkedParams:
     def test_one_step_expectation_reference_value(self):
         m = reference_matrix()
-        params = StateLinkedParams((1169.009625, 1057.675375))
-        got = one_step_linked_expectation(m, params, 1)
+        got = one_step_linked_expectation(m, (1169.009625, 1057.675375), 1)
         assert got == pytest.approx(1085.5089375, abs=1e-12)
 
     def test_one_step_expectation_matches_enumeration(self):
         m = reference_matrix()
-        params = StateLinkedParams((3.0, -7.0))
+        values = (3.0, -7.0)
         for state in (1, 2):
-            expected = sum(
-                m.column(state)[j - 1] * params.values[j - 1] for j in (1, 2)
-            )
-            assert one_step_linked_expectation(m, params, state) == pytest.approx(expected)
+            expected = sum(m.column(state)[j - 1] * values[j - 1] for j in (1, 2))
+            assert one_step_linked_expectation(m, values, state) == pytest.approx(expected)
 
     def test_one_step_expectation_monte_carlo(self):
         m = reference_matrix()
-        params = StateLinkedParams((5.0, 11.0))
         rng = np.random.default_rng(23)
         n = 200_000
         draws = rng.choice([1, 2], size=n, p=m.column(2))
         values = np.where(draws == 1, 5.0, 11.0)
         se = values.std() / np.sqrt(n)
-        predicted = one_step_linked_expectation(m, params, 2)
+        predicted = one_step_linked_expectation(m, (5.0, 11.0), 2)
         assert abs(values.mean() - predicted) < 3.0 * se
 
     def test_one_step_expectation_of_a_state_array(self):
         m = reference_matrix()
-        params = StateLinkedParams((3.0, -7.0))
+        values = np.array([3.0, -7.0])
         states = np.array([[1, 2, 2], [2, 1, 1]])
-        got = one_step_linked_expectation(m, params, states)
+        got = one_step_linked_expectation(m, values, states)
         assert got.shape == states.shape
         for s, value in zip(states.ravel().tolist(), got.ravel().tolist()):
-            assert value == one_step_linked_expectation(m, params, s)
+            assert value == one_step_linked_expectation(m, values, s)
         with pytest.raises(DomainError):
-            one_step_linked_expectation(m, params, np.array([1, 3]))
+            one_step_linked_expectation(m, values, np.array([1, 3]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            one_step_linked_expectation(reference_matrix(), StateLinkedParams((1.0,)), 1)
+            one_step_linked_expectation(reference_matrix(), (1.0,), 1)
 
-    def test_params_validated(self):
+    @pytest.mark.parametrize("values", [(), (1.0, float("nan")), (1.0, float("inf")), [[1.0, 2.0]]])
+    def test_values_validated(self, values):
         with pytest.raises(DomainError):
-            StateLinkedParams(())
-        with pytest.raises(DomainError):
-            StateLinkedParams((1.0, float("nan")))
+            one_step_linked_expectation(reference_matrix(), values, 1)
 
 
 class TestSimulatePath:

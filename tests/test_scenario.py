@@ -106,11 +106,52 @@ class TestExperimentConfig:
             {"params": {"mu": (1.0,), "sigma": (0.5, 0.8)}},
             {"params": {"mu": (1.0, 2.0), "sigma": (0.5, -0.8)}},
             {"params": {"mu": (1.0, float("nan")), "sigma": (0.5, 0.8)}},
+            {"params": {"mu": (True, "1000"), "sigma": (0.5, 0.8)}},
+            {"params": {"mu": (1.0, 2.0), "sigma": (0.5, None)}},
+            {"transition_matrix": ((True, False), (False, True))},
+            {"transition_matrix": (("0.25", 0.75), (0.35, 0.65))},
+            {"initial_state": True},
+            {"initial_state": 1.0},
+            {"p": "0.95"},
+            {"horizon": 2.7},
+            {"horizon": "3"},
+            {"n_paths": 1.9},
+            {"n_paths": True},
+            {"seed": "5"},
+            {"seed": 11.0},
+            {"seed": -1},
+            {"output": 7},
+            {"cvar_mode": "fast"},
         ],
     )
     def test_validation_rejects(self, overrides):
         with pytest.raises(ConfigError):
             small_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("horizon", 2.7),
+            ("n_paths", 1.9),
+            ("seed", "5"),
+            ("p", "0.99"),
+            ("initial_state", True),
+            ("params", {"mu": [True, "1000"], "sigma": [0.5, 0.8]}),
+        ],
+    )
+    def test_json_rejects_malformed_values(self, key, value):
+        data = dict(json.loads(config_to_json(small_config())), **{key: value})
+        with pytest.raises(ConfigError):
+            config_from_json(json.dumps(data))
+
+    def test_integer_entries_accepted(self):
+        data = json.loads(config_to_json(small_config()))
+        data.update(transition_matrix=[[1, 0], [0, 1]], p=1 / 2)
+        data["params"]["sigma"] = [1, 2]
+        cfg = config_from_json(json.dumps(data))
+        assert cfg.transition_matrix == ((1.0, 0.0), (0.0, 1.0))
+        assert cfg.params["sigma"] == (1.0, 2.0)
+        assert all(type(v) is float for row in cfg.transition_matrix for v in row)
 
     def test_json_round_trip(self):
         for study in ReferenceStudy:

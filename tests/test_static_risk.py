@@ -13,6 +13,7 @@ from riskflow.distributions import (
     WeibullParams,
     sample,
 )
+from riskflow.dynamic_risk import recursive_risk_generic
 from riskflow.errors import DomainError
 from riskflow.static_risk import (
     MeasureKind,
@@ -255,3 +256,34 @@ class TestSpecAndDispatch:
     def test_orientation_values_round_trip(self):
         assert Orientation("upper_tail") is Orientation.UPPER_TAIL
         assert MeasureKind("cvar") is MeasureKind.CVAR
+
+
+#: Every entry point that takes an orientation, as ``f(model, orientation)``.
+ORIENTED = {
+    "var": lambda m, o: var(m, 0.9, o),
+    "cvar_tail": lambda m, o: cvar_tail(m, 0.9, o),
+    "ru_objective": lambda m, o: ru_objective(m, 0.9, 0.5, o),
+    "cvar_ru": lambda m, o: cvar_ru(m, 0.9, o),
+    "argmin_contains_var": lambda m, o: argmin_contains_var(m, 0.9, o),
+    "recursive_risk_generic": lambda m, o: recursive_risk_generic(
+        [m, m.shift(1.0), m], lambda x: var(x, 0.9, Orientation(o)), 2, orientation=o
+    ),
+}
+
+
+class TestOrientationByValue:
+    @pytest.mark.parametrize("orientation", list(Orientation))
+    @pytest.mark.parametrize(
+        "model",
+        [GaussianParams(5.0, 1.0), WeibullParams(2.0, 1.5, 1.0), EmpiricalSample((1.0, 2.0, 7.0))],
+        ids=["gaussian", "weibull", "empirical"],
+    )
+    @pytest.mark.parametrize("name", list(ORIENTED))
+    def test_value_string_equals_member(self, name, model, orientation):
+        fn = ORIENTED[name]
+        assert fn(model, orientation.value) == fn(model, orientation)
+
+    @pytest.mark.parametrize("name", list(ORIENTED))
+    def test_unknown_orientation_rejected(self, name):
+        with pytest.raises(DomainError):
+            ORIENTED[name](GaussianParams(5.0, 1.0), "sideways")
