@@ -23,7 +23,6 @@ from .distributions import (
 )
 from .dynamic_risk import (
     CvarMode,
-    RiskTrajectory,
     VectorialMeasure,
     modulated_cvar_trajectory,
     modulated_var_trajectory,
@@ -42,6 +41,7 @@ from .errors import (
 from .markov import ChainPath, TransitionMatrix, simulate_path
 from .scenario import (
     ExperimentConfig,
+    ExperimentResult,
     ReferenceStudy,
     SummaryStats,
     build_reference_experiment,
@@ -72,6 +72,7 @@ __all__ = [
     "DomainError",
     "EmpiricalSample",
     "ExperimentConfig",
+    "ExperimentResult",
     "GaussianParams",
     "MeasureKind",
     "ModelFamily",
@@ -81,7 +82,6 @@ __all__ = [
     "ReturnModel",
     "RiskEngineError",
     "RiskMeasureSpec",
-    "RiskTrajectory",
     "SummaryStats",
     "TransitionMatrix",
     "VectorialMeasure",

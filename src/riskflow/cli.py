@@ -116,9 +116,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     config = config_from_json(text)
-    paths, stats = run_experiment(config)
+    result, stats = run_experiment(config)
     if config.output is not None:
-        emit_trajectories(paths, _emit_format(config.output), config.output)
+        emit_trajectories(result, _emit_format(config.output), config.output)
         log.info("wrote trajectories to %s", config.output)
     print(json.dumps(stats.to_json_dict(), sort_keys=True))
     return 0
@@ -132,8 +132,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     )
     config = build_reference_experiment(study)
     output = args.output or f"riskflow_{args.study}_trajectories.csv"
-    paths, stats = run_experiment(config)
-    emit_trajectories(paths, _emit_format(output), output)
+    result, stats = run_experiment(config)
+    emit_trajectories(result, _emit_format(output), output)
     log.info("wrote %s trajectories to %s", args.study, output)
     print(json.dumps(stats.to_json_dict(), sort_keys=True))
     return 0

@@ -54,7 +54,6 @@ from .distributions import STANDARD_MODELS, ModelFamily, ReturnModel, _require_p
 from .errors import DomainError
 from .markov import ChainPath, TransitionMatrix, one_step_linked_expectation
 from .static_risk import (
-    MeasureKind,
     Orientation,
     RiskMeasureSpec,
     _require_orientation,
@@ -66,7 +65,6 @@ from .static_risk import (
 __all__ = [
     "CvarMode",
     "VectorialMeasure",
-    "RiskTrajectory",
     "GAUSSIAN_MODULATED_CVAR_NOTE",
     "recursive_risk_generic",
     "recursive_var_gaussian_closed",
@@ -116,41 +114,6 @@ class VectorialMeasure:
     @property
     def n_states(self) -> int:
         return len(self.specs)
-
-
-@dataclass(frozen=True)
-class RiskTrajectory:
-    """Aligned per-time values of the static, recursive and modulated measures.
-
-    ``times`` is ``0..T``; ``recursive`` and ``modulated`` may be absent when
-    a run only requested a subset of measures.
-    """
-
-    kind: MeasureKind
-    p: float
-    times: tuple[int, ...]
-    static: tuple[float, ...]
-    recursive: tuple[float, ...] | None = None
-    modulated: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        _require_probability(self.p)
-        if tuple(self.times) != tuple(range(len(self.times))) or len(self.times) == 0:
-            raise DomainError(f"times must be 0..T, got {self.times!r}")
-        for name in ("static", "recursive", "modulated"):
-            vals = getattr(self, name)
-            if vals is None:
-                continue
-            if len(vals) != len(self.times):
-                raise DomainError(
-                    f"{name} column has {len(vals)} entries for {len(self.times)} times"
-                )
-            if not all(map(math.isfinite, vals)):
-                raise DomainError(f"{name} column contains non-finite values")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.times) - 1
 
 
 MeasureLike = Union[RiskMeasureSpec, Callable[[ReturnModel], float]]

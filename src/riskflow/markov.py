@@ -15,7 +15,7 @@ terminal state is frozen.
 
 from __future__ import annotations
 
-import bisect
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,11 +104,6 @@ class ChainPath:
             )
         object.__setattr__(self, "states", states)
 
-    @property
-    def horizon(self) -> int:
-        """The number of evaluation periods ``T`` (path length minus 2)."""
-        return len(self.states) - 2
-
 
 def one_step_linked_expectation(
     matrix: TransitionMatrix, values: Sequence[float] | np.ndarray, state: int | np.ndarray
@@ -141,24 +136,39 @@ def one_step_linked_expectation(
 
 
 def simulate_path(
-    matrix: TransitionMatrix, initial_state: int, horizon: int, seed: int
-) -> ChainPath:
+    matrix: TransitionMatrix,
+    initial_state: int,
+    horizon: int,
+    seed: int | Sequence[int] | np.ndarray,
+) -> ChainPath | np.ndarray:
     """Simulate ``Z_0 .. Z_T`` from the chain and freeze the terminal state.
 
-    ``horizon`` is ``T >= 0``; the result has ``T + 2`` entries (see
-    :class:`ChainPath`).  Deterministic per seed: the ``T`` uniforms come
-    from one draw of the seeded stream, and each step takes the first state
-    whose cumulative transition probability exceeds its uniform.
+    ``horizon`` is ``T >= 0``.  One seed gives a :class:`ChainPath`; a
+    sequence of seeds gives an ``(n_seeds, T + 2)`` array of 1-based states,
+    row ``i`` the path of ``seed[i]``.  Deterministic per seed: each path's
+    ``T`` uniforms come from one draw of its own seeded stream.  All paths
+    step together; each step takes the first state whose cumulative
+    transition probability exceeds the uniform, or else the last state.
     """
-    current = matrix.require_state(initial_state)
-    if horizon < 0:
-        raise DomainError(f"horizon must be non-negative, got {horizon!r}")
-    uniforms = np.random.default_rng(seed).random(horizon).tolist()
-    cumulative = np.cumsum(matrix.entries, axis=0).T.tolist()
-    n = matrix.n_states
-    states = [current]
-    for u in uniforms:
-        current = min(bisect.bisect_right(cumulative[current - 1], u) + 1, n)
-        states.append(current)
-    states.append(current)
-    return ChainPath(states=tuple(states), seed=int(seed))
+    single = isinstance(seed, (str, bytes)) or not isinstance(seed, (Sequence, np.ndarray))
+    seeds = [seed] if single else list(seed)
+    checked = [("initial_state", initial_state), ("horizon", horizon)]
+    for name, value in checked + [("seed", s) for s in seeds]:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    start = matrix.require_state(initial_state)
+    draws = [np.random.default_rng(s).random(horizon) for s in seeds]
+    uniforms = np.array(draws).reshape(len(seeds), horizon)
+    # Row i: the cumulative outgoing distribution of state i + 1, its last
+    # entry raised to infinity so that the count of entries <= u (which is
+    # what bisect_right returns) stops at the last state.
+    cumulative = np.cumsum(matrix.entries, axis=0).T
+    cumulative[:, -1] = np.inf
+    states = np.full((len(seeds), horizon + 2), start - 1)
+    for t in range(horizon):
+        states[:, t + 1] = (cumulative[states[:, t]] <= uniforms[:, t, np.newaxis]).sum(axis=1)
+    states[:, -1] = states[:, -2]
+    states += 1
+    if single:
+        return ChainPath(states=tuple(states[0].tolist()), seed=int(seed))
+    return states

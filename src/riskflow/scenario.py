@@ -4,13 +4,15 @@ An :class:`ExperimentConfig` fully describes a regime-switching risk study:
 a return family with one parameter set per chain state, a transition matrix
 (accepted row- or column-stochastic and stored column-stochastic), an
 initial state, confidence level, horizon, number of seeded paths, and which
-measures to evaluate.  :func:`run_experiment` simulates each path's chain
-and returns, evaluates the static, recursive, and modulated trajectories
-for all paths at once on ``(n_paths, T + 1)`` arrays, and aggregates summary
-statistics; :func:`emit_trajectories` writes the fixed-schema CSV/JSON
-tables.  The CSV is streamed line by line and formats each distinct float
-once; its bytes equal the ``csv`` module's.  Reruns of the same config are
-byte-identical.
+measures to evaluate.  :func:`run_experiment` walks every path's chain in
+one stacked step per period, draws each path's returns, evaluates the
+static, recursive, and modulated trajectories for all paths at once on
+``(n_paths, T + 1)`` arrays, and returns them as one
+:class:`ExperimentResult` (per-path views are built only on request) with
+its summary statistics; :func:`emit_trajectories` writes the fixed-schema
+CSV/JSON tables straight from those arrays.  The CSV is streamed line by
+line and formats each distinct float once; its bytes equal the ``csv``
+module's.  Reruns of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
 cover a Gaussian index-level study and a Weibull daily-increment study: base
@@ -51,7 +53,6 @@ from .distributions import (
 from .dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
     CvarMode,
-    RiskTrajectory,
     modulated_cvar_trajectory,
     modulated_var_trajectory,
     recursive_cvar,
@@ -60,11 +61,13 @@ from .dynamic_risk import (
 )
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .markov import TransitionMatrix, simulate_path
-from .static_risk import MeasureKind, cvar_tail, var
+from .static_risk import cvar_tail, var
 
 __all__ = [
     "ReferenceStudy",
     "ExperimentConfig",
+    "ExperimentResult",
+    "RiskColumns",
     "PathTrajectories",
     "SummaryStats",
     "fit_gaussian",
@@ -466,18 +469,74 @@ def build_reference_experiment(study: ReferenceStudy | str) -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class RiskColumns:
+    """The static, recursive and modulated values of one measure.
+
+    In an :class:`ExperimentResult` each is an ``(n_paths, T + 1)`` array;
+    in the view of one path, that path's row.
+    """
+
+    static: np.ndarray
+    recursive: np.ndarray
+    modulated: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class PathTrajectories:
-    """Everything produced for one simulated path."""
+    """Row ``path_id`` of an :class:`ExperimentResult`: one simulated path."""
 
     path_id: int
     chain_seed: int
     returns_seed: int
-    states: tuple[int, ...]
-    returns: tuple[float, ...]
-    var: RiskTrajectory | None
-    cvar: RiskTrajectory | None
-    notes: tuple[str, ...] = ()
+    states: np.ndarray
+    returns: np.ndarray
+    var: RiskColumns | None
+    cvar: RiskColumns | None
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentResult:
+    """Every path of one run, path ``i`` in row ``i`` of each array.
+
+    ``states`` ``(n_paths, T + 2)`` holds the 1-based chain paths,
+    ``returns`` ``(n_paths, T + 1)`` the realized returns, and ``var`` and
+    ``cvar`` the measure columns (``None`` when not requested).
+    ``result[i]`` and iteration give per-path views, built on request.
+    """
+
+    chain_seeds: np.ndarray
+    returns_seeds: np.ndarray
+    states: np.ndarray
+    returns: np.ndarray
+    var: RiskColumns | None
+    cvar: RiskColumns | None
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> PathTrajectories:
+        i = range(len(self))[i]
+        measures = [
+            None if m is None else RiskColumns(m.static[i], m.recursive[i], m.modulated[i])
+            for m in (self.var, self.cvar)
+        ]
+        return PathTrajectories(
+            i, int(self.chain_seeds[i]), int(self.returns_seeds[i]),
+            self.states[i], self.returns[i], *measures,
+        )
+
+    def __iter__(self) -> Iterator[PathTrajectories]:
+        return map(self.__getitem__, range(len(self)))
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The columns present, by table name (``static_var`` ...), in table order."""
+        return {
+            f"{series}_{kind}": getattr(m, series)
+            for kind, m in (("var", self.var), ("cvar", self.cvar))
+            if m is not None
+            for series in ("static", "recursive", "modulated")
+        }
 
 
 @dataclass(frozen=True)
@@ -549,32 +608,29 @@ def _summarize(config: ExperimentConfig, columns: Mapping[str, np.ndarray]) -> S
     )
 
 
-def run_experiment(
-    config: ExperimentConfig,
-) -> tuple[list[PathTrajectories], SummaryStats]:
+def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryStats]:
     """Simulate all paths and aggregate; deterministic for a fixed seed.
 
     Paths draw independent chain/returns seed pairs from one root sequence.
-    Each path simulates its chain and draws its standard returns from its own
+    Each path walks its chain and draws its standard returns from its own
     streams; everything after that runs on ``(n_paths, T + 1)`` arrays, with
     the static measures, means and one-step predictions evaluated once per
-    chain state.
+    chain state.  A non-finite value in any column (the piecewise CVaR
+    recursions overflow on long horizons) raises :class:`NumericError`.
     """
     matrix = config.chain()
     T, p, family = config.horizon, config.p, config.family
     seed_words = np.random.SeedSequence(config.seed).generate_state(
         2 * config.n_paths, dtype=np.uint64
     )
-    chain_seeds = seed_words[0::2].tolist()
-    returns_seeds = seed_words[1::2].tolist()
-    chains = [simulate_path(matrix, config.initial_state, T, s) for s in chain_seeds]
-    states = np.array([chain.states for chain in chains])
+    chain_seeds, returns_seeds = seed_words[0::2], seed_words[1::2]
+    states = simulate_path(matrix, config.initial_state, T, chain_seeds.tolist())
     # Period t is priced with the model of the state reached at t + 1.
     period = states[:, 1:] - 1
     models = [config.state_model(s) for s in range(1, config.n_states + 1)]
     standard = np.array([
         sample(STANDARD_MODELS[family], T + 1, np.random.default_rng(s))
-        for s in returns_seeds
+        for s in returns_seeds.tolist()
     ])
     realized = np.empty(standard.shape)
     for s, model in enumerate(models):
@@ -582,63 +638,42 @@ def run_experiment(
         realized[in_state] = model.scale(standard[in_state])
 
     params = {k: np.array(v)[period] for k, v in config.params.items()}
-    columns: dict[str, np.ndarray] = {}
+    measures: dict[str, RiskColumns | None] = dict.fromkeys(_MEASURE_NAMES)
     try:
-        if "var" in config.measures:
-            columns["static_var"] = np.array([var(m, p) for m in models])[period]
-            if family is ModelFamily.GAUSSIAN:
-                columns["recursive_var"] = recursive_var_gaussian_closed(
-                    params["mu"], params["sigma"], p, T
+        with np.errstate(all="ignore"):  # non-finite values are reported below
+            if "var" in config.measures:
+                measures["var"] = RiskColumns(
+                    static=np.array([var(m, p) for m in models])[period],
+                    recursive=(
+                        recursive_var_gaussian_closed(params["mu"], params["sigma"], p, T)
+                        if family is ModelFamily.GAUSSIAN
+                        else recursive_var_weibull_closed(
+                            params["lambda"], params["alpha"], params["theta"], p, T
+                        )
+                    ),
+                    modulated=modulated_var_trajectory(models, matrix, states, p, T),
                 )
-            else:
-                columns["recursive_var"] = recursive_var_weibull_closed(
-                    params["lambda"], params["alpha"], params["theta"], p, T
+            if "cvar" in config.measures:
+                measures["cvar"] = RiskColumns(
+                    static=np.array([cvar_tail(m, p) for m in models])[period],
+                    recursive=recursive_cvar(
+                        models, p, T, config.cvar_mode, realized, states=period
+                    ),
+                    modulated=modulated_cvar_trajectory(models, matrix, states, realized, p, T),
                 )
-            columns["modulated_var"] = modulated_var_trajectory(
-                models, matrix, states, p, T
-            )
-        if "cvar" in config.measures:
-            columns["static_cvar"] = np.array([cvar_tail(m, p) for m in models])[period]
-            columns["recursive_cvar"] = recursive_cvar(
-                models, p, T, config.cvar_mode, realized, states=period
-            )
-            columns["modulated_cvar"] = modulated_cvar_trajectory(
-                models, matrix, states, realized, p, T
-            )
     except NumericError as exc:
         raise NumericError(f"[seed {config.seed}] {exc}") from exc
-
-    stats = _summarize(config, columns)
-    times = tuple(range(T + 1))
-    rows = {name: values.tolist() for name, values in columns.items()}
-    realized_rows = realized.tolist()
-
-    def trajectory(kind: MeasureKind, i: int) -> RiskTrajectory | None:
-        if kind.value not in config.measures:
-            return None
-        return RiskTrajectory(
-            kind=kind,
-            p=p,
-            times=times,
-            static=tuple(rows[f"static_{kind.value}"][i]),
-            recursive=tuple(rows[f"recursive_{kind.value}"][i]),
-            modulated=tuple(rows[f"modulated_{kind.value}"][i]),
+    result = ExperimentResult(chain_seeds, returns_seeds, states, realized, **measures)
+    columns = result.columns()
+    stacked = np.stack(list(columns.values()))
+    bad = np.argwhere(~np.isfinite(stacked))
+    if bad.size:
+        k, i, t = bad[0].tolist()
+        raise NumericError(
+            f"[seed {config.seed}] {list(columns)[k]} is {float(stacked[k, i, t])!r} "
+            f"at path {i}, t={t}: the recursion overflows"
         )
-
-    paths = [
-        PathTrajectories(
-            path_id=i,
-            chain_seed=chain_seeds[i],
-            returns_seed=returns_seeds[i],
-            states=chains[i].states,
-            returns=tuple(realized_rows[i]),
-            var=trajectory(MeasureKind.VAR, i),
-            cvar=trajectory(MeasureKind.CVAR, i),
-            notes=stats.notes,
-        )
-        for i in range(config.n_paths)
-    ]
-    return paths, stats
+    return result, _summarize(config, columns)
 
 
 # --------------------------------------------------------------------------
@@ -646,20 +681,16 @@ def run_experiment(
 # --------------------------------------------------------------------------
 
 
-def _rows(paths: Sequence[PathTrajectories]) -> Iterator[tuple[object, ...]]:
+def _rows(result: ExperimentResult) -> Iterator[tuple[object, ...]]:
     """Table rows in output order: ``[path,] t`` and the six measure columns."""
-    multi = len(paths) > 1
-    absent = itertools.repeat(None)
-    for res in paths:
-        source = res.var or res.cvar
-        # An absent trajectory, or an absent column of one, leaves empty cells.
-        columns = [
-            getattr(traj, series, None) or absent
-            for traj in (res.var, res.cvar)
-            for series in ("static", "recursive", "modulated")
-        ]
-        prefix = (itertools.repeat(res.path_id),) if multi else ()
-        yield from zip(*prefix, source.times, *columns)
+    n_paths, width = result.returns.shape
+    present = result.columns()
+    columns = [
+        present[name].ravel().tolist() if name in present else itertools.repeat(None)
+        for name in _CSV_COLUMNS
+    ]
+    path_ids = [np.repeat(np.arange(n_paths), width).tolist()] if n_paths > 1 else []
+    return zip(*path_ids, list(range(width)) * n_paths, *columns)
 
 
 def _csv_cell_text() -> Callable[[object], str]:
@@ -688,9 +719,7 @@ def _csv_cell_text() -> Callable[[object], str]:
     return cell
 
 
-def emit_trajectories(
-    paths: Sequence[PathTrajectories], fmt: str, path: str | Path
-) -> None:
+def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> None:
     """Write the per-time trajectory table with a fixed schema.
 
     CSV header is exactly
@@ -701,18 +730,15 @@ def emit_trajectories(
     """
     if fmt not in ("csv", "json"):
         raise DomainError(f'format must be "csv" or "json", got {fmt!r}')
-    for res in paths:
-        if res.var is None and res.cvar is None:
-            raise DataError(f"path {res.path_id} carries no trajectories to emit")
-    header = (("path",) if len(paths) > 1 else ()) + ("t",) + _CSV_COLUMNS
+    header = (("path",) if len(result) > 1 else ()) + ("t",) + _CSV_COLUMNS
     try:
         if fmt == "csv":
             cell = _csv_cell_text()
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(",".join(header) + "\n")
-                handle.writelines(",".join(map(cell, row)) + "\n" for row in _rows(paths))
+                handle.writelines(",".join(map(cell, row)) + "\n" for row in _rows(result))
         else:
-            records = [dict(zip(header, row)) for row in _rows(paths)]
+            records = [dict(zip(header, row)) for row in _rows(result)]
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(records, handle, indent=2)
                 handle.write("\n")

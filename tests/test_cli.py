@@ -197,6 +197,20 @@ class TestSimulate:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_overflow_exits_3_with_one_stderr_line(self, tmp_path):
+        config = dataclasses.replace(build_reference_experiment("gaussian_msci"), horizon=150)
+        path = tmp_path / "long.json"
+        path.write_text(config_to_json(config), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskflow.cli", "simulate", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "recursive_cvar" in proc.stderr
+
 
 class TestReproduce:
     def test_writes_named_output(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from riskflow.distributions import EmpiricalSample, GaussianParams, WeibullParam
 from riskflow.dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
     CvarMode,
-    RiskTrajectory,
     VectorialMeasure,
     modulated_cvar_trajectory,
     modulated_var_trajectory,
@@ -493,27 +492,3 @@ class TestStackedPaths:
                 states=states[:, 1:] - 1,
             )
 
-
-class TestRiskTrajectory:
-    def test_holds_aligned_columns(self):
-        traj = RiskTrajectory(
-            kind=MeasureKind.VAR,
-            p=0.99,
-            times=(0, 1, 2),
-            static=(1.0, 2.0, 3.0),
-            recursive=(1.0, 1.0, 2.0),
-        )
-        assert traj.horizon == 2
-        assert traj.modulated is None
-
-    def test_times_must_start_at_zero(self):
-        with pytest.raises(DomainError):
-            RiskTrajectory(MeasureKind.VAR, 0.99, (1, 2), (1.0, 2.0))
-
-    def test_column_lengths_checked(self):
-        with pytest.raises(DomainError):
-            RiskTrajectory(MeasureKind.VAR, 0.99, (0, 1), (1.0,))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            RiskTrajectory(MeasureKind.VAR, 0.99, (0,), (float("nan"),))

@@ -1,5 +1,7 @@
 """Finite-state chain machinery: matrices, paths, one-step predictions."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,10 +69,6 @@ class TestTransitionMatrix:
 
 
 class TestChainPath:
-    def test_horizon_counts_periods(self):
-        path = ChainPath((1, 2, 2, 1, 1))
-        assert path.horizon == 3
-
     def test_requires_frozen_terminal_state(self):
         with pytest.raises(DomainError):
             ChainPath((1, 2, 1))
@@ -134,7 +132,6 @@ class TestSimulatePath:
         assert len(path.states) == 12
         assert path.states[0] == 1
         assert path.states[-1] == path.states[-2]
-        assert path.horizon == 10
         assert path.seed == 7
 
     def test_deterministic_per_seed(self):
@@ -176,3 +173,95 @@ class TestSimulatePath:
             simulate_path(m, 3, 5, seed=0)
         with pytest.raises(DomainError):
             simulate_path(m, 1, -1, seed=0)
+
+    @pytest.mark.parametrize("initial,horizon,seed", [
+        (1, 5, -1),
+        (1, 5, 1.0),
+        (1, 5, "7"),
+        (1, 5, True),
+        (1, 5, [3, -1]),
+        (1, 5, [3, 2.5]),
+        (1, 2.0, 0),
+        (1, True, 0),
+        (1.7, 5, 0),
+        (True, 5, 0),
+    ])
+    def test_malformed_arguments_are_domain_errors(self, initial, horizon, seed):
+        with pytest.raises(DomainError):
+            simulate_path(reference_matrix(), initial, horizon, seed)
+
+    def test_a_sequence_of_seeds_gives_stacked_states(self):
+        m = reference_matrix()
+        stacked = simulate_path(m, 2, 6, np.array([4, 9, 4], dtype=np.uint64))
+        assert stacked.shape == (3, 8)
+        assert stacked.tolist() == [list(simulate_path(m, 2, 6, s).states) for s in (4, 9, 4)]
+        assert simulate_path(m, 1, 6, []).shape == (0, 8)
+
+
+def bisect_walk(matrix, initial_state, horizon, seed):
+    """The walk one path at a time: ``bisect_right`` on the cumulative
+    outgoing distribution, clamped to the last state."""
+    cumulative = np.cumsum(matrix.entries, axis=0).T.tolist()
+    states = [initial_state]
+    for u in np.random.default_rng(seed).random(horizon).tolist():
+        nxt = bisect.bisect_right(cumulative[states[-1] - 1], u) + 1
+        states.append(min(nxt, matrix.n_states))
+    return states + states[-1:]
+
+
+# Row i is the outgoing distribution of state i + 1; zeros make repeated
+# cumulative values, and the last row of the four-state chain sums to
+# 1 - 1e-13 with a zero last entry, so a uniform above that sum reaches the
+# last state only through the clamp.
+WALK_CHAINS = {
+    "three-state": ((0.0, 0.4, 0.6), (0.5, 0.0, 0.5), (0.3, 0.7, 0.0)),
+    "four-state": (
+        (0.1, 0.0, 0.2, 0.7),
+        (0.0, 0.0, 1.0, 0.0),
+        (0.25, 0.25, 0.0, 0.5),
+        (0.4, 0.3, 0.3 - 1e-13, 0.0),
+    ),
+}
+#: Ties with the cumulative values, both ends of [0, 1) and a value above
+#: 1 - 1e-13.
+EDGE_UNIFORMS = np.array(
+    [0.0, 0.4, 1 - 1e-14, 0.1, 0.5, 1 - 1e-14, 0.7, 0.30000000000000004, 0.25, 1 - 1e-14, 0.6, 0.95]
+)
+
+
+class _RotatedEdgeUniforms:
+    """Stands in for ``default_rng(seed)``: ``EDGE_UNIFORMS`` rotated by the seed."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def random(self, n):
+        return np.roll(EDGE_UNIFORMS, -self.seed)[:n]
+
+
+class TestStackedWalk:
+    """All paths stepped together equal per-seed calls and the bisect walk."""
+
+    @staticmethod
+    def assert_walks_agree(matrix, horizon, seeds):
+        for initial in range(1, matrix.n_states + 1):
+            stacked = simulate_path(matrix, initial, horizon, seeds)
+            singles = [list(simulate_path(matrix, initial, horizon, s).states) for s in seeds]
+            reference = [bisect_walk(matrix, initial, horizon, s) for s in seeds]
+            assert stacked.tolist() == singles == reference
+
+    @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
+    def test_seeded_streams(self, rows):
+        seeds = list(range(200)) + [2**64 - 1]
+        self.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, seeds)
+
+    @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
+    def test_edge_uniforms(self, rows, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _RotatedEdgeUniforms)
+        matrix = TransitionMatrix.from_rows(rows)
+        seeds = list(range(len(EDGE_UNIFORMS)))
+        self.assert_walks_agree(matrix, len(EDGE_UNIFORMS), seeds)
+        if matrix.n_states == 4:
+            # 4 -> 4 has probability zero: only the clamp takes that step.
+            walks = simulate_path(matrix, 4, len(EDGE_UNIFORMS), seeds)[:, :-1]
+            assert np.any((walks[:, :-1] == 4) & (walks[:, 1:] == 4))

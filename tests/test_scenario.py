@@ -2,20 +2,23 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from riskflow.distributions import GaussianParams, WeibullParams, sample
-from riskflow.dynamic_risk import GAUSSIAN_MODULATED_CVAR_NOTE, CvarMode, RiskTrajectory
+from riskflow.dynamic_risk import GAUSSIAN_MODULATED_CVAR_NOTE, CvarMode
 from riskflow.errors import ConfigError, DataError, DomainError, NumericError
 from riskflow.scenario import (
     ExperimentConfig,
-    PathTrajectories,
+    ExperimentResult,
     ReferenceStudy,
+    RiskColumns,
     build_reference_experiment,
     bundled_returns_path,
     config_from_json,
@@ -26,7 +29,7 @@ from riskflow.scenario import (
     load_returns,
     run_experiment,
 )
-from riskflow.static_risk import MeasureKind, cvar_tail, var
+from riskflow.static_risk import cvar_tail, var
 
 REFERENCE_ROWS = ((0.25, 0.75), (0.35, 0.65))
 
@@ -316,8 +319,9 @@ class TestRunExperiment:
         cfg = build_reference_experiment("gaussian_msci")
         paths, stats = run_experiment(cfg)
         assert len(paths) == 1
+        assert paths.states.shape == (1, 12) and paths.returns.shape == (1, 11)
         res = paths[0]
-        assert res.states == REFERENCE_STATES
+        assert res.states.tolist() == list(REFERENCE_STATES)
         assert len(res.returns) == 11
         # Static columns recompute from the realized states.
         for t in range(11):
@@ -337,7 +341,7 @@ class TestRunExperiment:
 
     def test_reference_weibull_run(self):
         paths, stats = run_experiment(build_reference_experiment("weibull_bbgex"))
-        assert paths[0].states == REFERENCE_STATES  # chain seed is shared
+        assert paths[0].states.tolist() == list(REFERENCE_STATES)  # chain seed is shared
         assert stats.notes == ()
         assert stats.fraction_dynamic_le_static["modulated_cvar"] == pytest.approx(8 / 11)
 
@@ -364,11 +368,55 @@ class TestRunExperiment:
         _, stats = run_experiment(cfg)
         assert stats.recursive_var_alternation is True
 
+    @staticmethod
+    def arrays(result):
+        """Every array of a run result, by field name."""
+        return {
+            "chain_seeds": result.chain_seeds,
+            "returns_seeds": result.returns_seeds,
+            "states": result.states,
+            "returns": result.returns,
+            **result.columns(),
+        }
+
     def test_deterministic_per_seed(self):
         cfg = small_config(n_paths=3)
-        assert run_experiment(cfg) == run_experiment(cfg)
-        other = dataclasses.replace(cfg, seed=12)
-        assert run_experiment(other)[0] != run_experiment(cfg)[0]
+        (first, first_stats), (again, again_stats) = run_experiment(cfg), run_experiment(cfg)
+        assert first_stats == again_stats
+        a, b = self.arrays(first), self.arrays(again)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), name
+        other = run_experiment(dataclasses.replace(cfg, seed=12))[0]
+        assert not np.array_equal(other.returns, first.returns)
+
+    def test_views_hold_the_rows(self):
+        result, _ = run_experiment(small_config(n_paths=3))
+        views = list(result)
+        assert [v.path_id for v in views] == [0, 1, 2]
+        assert result[-1].path_id == 2
+        with pytest.raises(IndexError):
+            result[3]
+        for i, view in enumerate(views):
+            assert view.chain_seed == int(result.chain_seeds[i])
+            assert np.array_equal(view.states, result.states[i])
+            assert np.array_equal(view.returns, result.returns[i])
+            for kind in ("var", "cvar"):
+                for series in ("static", "recursive", "modulated"):
+                    column = getattr(getattr(result, kind), series)
+                    assert np.array_equal(getattr(getattr(view, kind), series), column[i])
+
+    @pytest.mark.parametrize("study", ["gaussian_msci", "weibull_bbgex"])
+    def test_overflow_is_a_numeric_error(self, study):
+        # The piecewise tail branch multiplies the carried value by 199 per
+        # hit; past about 130 steps the reference run leaves the floats.
+        cfg = dataclasses.replace(build_reference_experiment(study), horizon=150)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+            with pytest.raises(
+                NumericError, match=r"\[seed 1729\] recursive_cvar is (inf|nan) at path 0, t=\d+"
+            ):
+                run_experiment(cfg)
 
     def test_var_only_run(self):
         paths, stats = run_experiment(small_config(measures=("var",)))
@@ -447,60 +495,87 @@ class TestEmitTrajectories:
         assert records[2]["static_var"] == paths[0].var.static[2]
 
     @staticmethod
-    def hand_built_path(path_id, var_cols, cvar_cols):
-        """A path whose trajectories carry the given (static, recursive, modulated) columns."""
-        def trajectory(kind, cols):
-            if cols is None:
+    def hand_built(var_rows, cvar_rows):
+        """A result whose measures hold the given per-path (static, recursive,
+        modulated) rows; ``None`` leaves a measure out."""
+        def measure(rows):
+            if rows is None:
                 return None
-            static, recursive, modulated = cols
-            return RiskTrajectory(kind, 0.9, tuple(range(len(static))), static, recursive, modulated)
+            return RiskColumns(*(np.array(series, dtype=float) for series in zip(*rows)))
 
-        return PathTrajectories(
-            path_id=path_id, chain_seed=0, returns_seed=0, states=(), returns=(),
-            var=trajectory(MeasureKind.VAR, var_cols), cvar=trajectory(MeasureKind.CVAR, cvar_cols),
+        n_paths, width = len(var_rows or cvar_rows), len((var_rows or cvar_rows)[0][0])
+        return ExperimentResult(
+            chain_seeds=np.zeros(n_paths, dtype=np.uint64),
+            returns_seeds=np.zeros(n_paths, dtype=np.uint64),
+            states=np.ones((n_paths, width + 1), dtype=int),
+            returns=np.zeros((n_paths, width)),
+            var=measure(var_rows),
+            cvar=measure(cvar_rows),
         )
 
     @staticmethod
-    def csv_module_text(paths):
-        """The table as ``csv.writer`` renders it, built from the trajectories directly."""
+    def csv_module_text(result):
+        """The table as ``csv.writer`` renders it, built from the per-path views."""
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        prefix = ["path"] if len(paths) > 1 else []
+        prefix = ["path"] if len(result) > 1 else []
         writer.writerow(prefix + ["t", "static_var", "recursive_var", "modulated_var",
                                   "static_cvar", "recursive_cvar", "modulated_cvar"])
-        for res in paths:
-            for t in (res.var or res.cvar).times:
+        for res in result:
+            for t in range(len(res.returns)):
                 row = [res.path_id] if prefix else []
                 row.append(t)
-                for traj in (res.var, res.cvar):
+                for measure in (res.var, res.cvar):
                     for name in ("static", "recursive", "modulated"):
-                        col = None if traj is None else getattr(traj, name)
-                        row.append(None if col is None else col[t])
+                        row.append(None if measure is None else float(getattr(measure, name)[t]))
                 writer.writerow(row)
         return out.getvalue()
 
     def test_csv_bytes_match_the_csv_module(self, tmp_path):
         # Signed zeros share one column in both orders, values repeat across
-        # paths and columns, paths carry var only, cvar only or both (one
-        # only a static column), and the float 3.0 precedes the path id 3.
-        both = self.hand_built_path(
-            0,
-            ((1.25, 1.25, 1.25), (1.25, -0.0, 0.0), (0.1, 0.30000000000000004, 1e-300)),
-            ((2.5, 2.5, 2.5), (0.0, -0.0, 2.5), (3.0, -7.5, 1.25)),
-        )
-        var_only = self.hand_built_path(
-            1, ((1.25, 1.25, 1.25), (-0.0, 0.0, -0.0), (0.1, 0.1, -1.25)), None
-        )
-        cvar_only = self.hand_built_path(
-            2, None, ((2.5, 2.5, 2.5), (-0.0, 2.5, 0.0), (1.25, 0.30000000000000004, -0.0))
-        )
-        partial = self.hand_built_path(3, None, ((2.5, 0.0, -0.0), None, None))
-        cases = [[both], [var_only], [cvar_only], [both, var_only, cvar_only, partial],
-                 [cvar_only, var_only, both]]
-        for paths in cases:
+        # paths and columns, tables carry var only, cvar only or both, and
+        # the float 3.0 precedes the path id 3.
+        var_a = ((1.25, 1.25, 1.25), (1.25, -0.0, 0.0), (0.1, 0.30000000000000004, 1e-300))
+        var_b = ((1.25, 1.25, 1.25), (-0.0, 0.0, -0.0), (0.1, 0.1, -1.25))
+        var_c = ((2.5, 0.0, -0.0), (3.0, 3.0, -0.0), (0.0, 1e-300, 1.25))
+        var_d = ((1.25, 1.25, 1.25), (0.0, -0.0, 0.0), (-0.0, 0.1, 3.0))
+        cvar_a = ((2.5, 2.5, 2.5), (0.0, -0.0, 2.5), (3.0, -7.5, 1.25))
+        cvar_b = ((2.5, 2.5, 2.5), (-0.0, 2.5, 0.0), (1.25, 0.30000000000000004, -0.0))
+        cvar_c = ((-7.5, 0.1, 0.1), (0.0, 0.0, -0.0), (2.5, 3.0, 1.25))
+        cvar_d = ((2.5, 0.0, -0.0), (-0.0, 1.25, 1.25), (0.1, 0.1, 3.0))
+        cases = [
+            self.hand_built([var_a], [cvar_a]),
+            self.hand_built([var_b], None),
+            self.hand_built(None, [cvar_b]),
+            self.hand_built([var_a, var_b, var_c, var_d], [cvar_a, cvar_b, cvar_c, cvar_d]),
+            self.hand_built([var_d, var_c, var_b, var_a], None),
+            self.hand_built(None, [cvar_c, cvar_b, cvar_a]),
+        ]
+        for result in cases:
             out = tmp_path / "traj.csv"
-            emit_trajectories(paths, "csv", out)
-            assert out.read_bytes() == self.csv_module_text(paths).encode()
+            emit_trajectories(result, "csv", out)
+            assert out.read_bytes() == self.csv_module_text(result).encode()
+
+    #: sha256 of the JSON tables, recorded while the runner still built one
+    #: object per path; the engine digests cover the CSV only.
+    JSON_DIGESTS = {
+        ("gaussian_msci", 1, ("var", "cvar")): "34da598fdd6f695a5c68140835da984db471da348418f02aaa513c32d2fe3375",
+        ("gaussian_msci", 3, ("var", "cvar")): "bd111032357190120229ff4748ae7f4e529bb91e535ced083a5837bb260cf281",
+        ("weibull_bbgex", 1, ("var", "cvar")): "e500472f179b289326b32331997c466735bd0dd30ecd9acaa18f4651ec327daa",
+        ("weibull_bbgex", 3, ("var", "cvar")): "7fd506ae0f0327cdfbd889bf983064440a986bd12c88b2acb4dfcbe166f5ecba",
+        ("weibull_bbgex", 3, ("var",)): "8ea0cbcab900ef796127717ca5b9b15df94a1e9b6a60bfab7b85bd5157740290",
+        ("gaussian_msci", 2, ("cvar",)): "8964d8dc9fd5f4a0f0446b697ce81f6095e9e5d5b5c95f52276db1a6ba5d1cfd",
+    }
+
+    @pytest.mark.parametrize("study,n_paths,measures", JSON_DIGESTS)
+    def test_json_bytes_are_pinned(self, tmp_path, study, n_paths, measures):
+        cfg = dataclasses.replace(
+            build_reference_experiment(study), n_paths=n_paths, measures=measures
+        )
+        out = tmp_path / "traj.json"
+        emit_trajectories(run_experiment(cfg)[0], "json", out)
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.JSON_DIGESTS[study, n_paths, measures]
 
     def test_format_and_target_validated(self, tmp_path):
         paths = self.run_small()
