@@ -104,6 +104,11 @@ class ChainPath:
             )
         object.__setattr__(self, "states", states)
 
+    @property
+    def horizon(self) -> int:
+        """The number of evaluation periods ``T`` (path length minus 2)."""
+        return len(self.states) - 2
+
 
 def one_step_linked_expectation(
     matrix: TransitionMatrix, values: Sequence[float] | np.ndarray, state: int | np.ndarray

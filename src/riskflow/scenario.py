@@ -82,14 +82,8 @@ __all__ = [
 ]
 
 _MEASURE_NAMES = ("var", "cvar")
-_CSV_COLUMNS = (
-    "static_var",
-    "recursive_var",
-    "modulated_var",
-    "static_cvar",
-    "recursive_cvar",
-    "modulated_cvar",
-)
+_SERIES = ("static", "recursive", "modulated")
+_CSV_COLUMNS = tuple(f"{series}_{kind}" for kind in _MEASURE_NAMES for series in _SERIES)
 
 
 class ReferenceStudy(str, Enum):
@@ -502,7 +496,8 @@ class ExperimentResult:
     ``states`` ``(n_paths, T + 2)`` holds the 1-based chain paths,
     ``returns`` ``(n_paths, T + 1)`` the realized returns, and ``var`` and
     ``cvar`` the measure columns (``None`` when not requested).
-    ``result[i]`` and iteration give per-path views, built on request.
+    ``result[i]`` and iteration give per-path views, built on request, whose
+    rows share these arrays; :func:`run_experiment` makes them read-only.
     """
 
     chain_seeds: np.ndarray
@@ -533,9 +528,9 @@ class ExperimentResult:
         """The columns present, by table name (``static_var`` ...), in table order."""
         return {
             f"{series}_{kind}": getattr(m, series)
-            for kind, m in (("var", self.var), ("cvar", self.cvar))
+            for kind, m in zip(_MEASURE_NAMES, (self.var, self.cvar))
             if m is not None
-            for series in ("static", "recursive", "modulated")
+            for series in _SERIES
         }
 
 
@@ -575,14 +570,10 @@ class SummaryStats:
 
 def _summarize(config: ExperimentConfig, columns: Mapping[str, np.ndarray]) -> SummaryStats:
     fractions = {
-        dyn: float(np.mean(columns[dyn] <= columns[stat]))
-        for dyn, stat in (
-            ("recursive_var", "static_var"),
-            ("modulated_var", "static_var"),
-            ("recursive_cvar", "static_cvar"),
-            ("modulated_cvar", "static_cvar"),
-        )
-        if dyn in columns
+        f"{dyn}_{kind}": float(np.mean(columns[f"{dyn}_{kind}"] <= columns[f"static_{kind}"]))
+        for kind in _MEASURE_NAMES
+        if f"static_{kind}" in columns
+        for dyn in ("recursive", "modulated")
     }
     stats = {
         name: {
@@ -616,7 +607,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
     streams; everything after that runs on ``(n_paths, T + 1)`` arrays, with
     the static measures, means and one-step predictions evaluated once per
     chain state.  A non-finite value in any column (the piecewise CVaR
-    recursions overflow on long horizons) raises :class:`NumericError`.
+    recursions overflow on long horizons) raises :class:`NumericError`
+    naming the earliest such cell.  The returned arrays are read-only.
     """
     matrix = config.chain()
     T, p, family = config.horizon, config.p, config.family
@@ -666,13 +658,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
     result = ExperimentResult(chain_seeds, returns_seeds, states, realized, **measures)
     columns = result.columns()
     stacked = np.stack(list(columns.values()))
-    bad = np.argwhere(~np.isfinite(stacked))
+    # Ordered by t, then path, then column: the first bad cell is the earliest.
+    bad = np.argwhere(~np.isfinite(stacked).transpose(2, 1, 0))
     if bad.size:
-        k, i, t = bad[0].tolist()
+        t, i, k = bad[0].tolist()
         raise NumericError(
             f"[seed {config.seed}] {list(columns)[k]} is {float(stacked[k, i, t])!r} "
-            f"at path {i}, t={t}: the recursion overflows"
+            f"at path {i}, t={t}"
         )
+    for array in (chain_seeds, returns_seeds, states, realized, *columns.values()):
+        array.flags.writeable = False
     return result, _summarize(config, columns)
 
 

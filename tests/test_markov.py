@@ -69,6 +69,10 @@ class TestTransitionMatrix:
 
 
 class TestChainPath:
+    def test_horizon_counts_periods(self):
+        path = ChainPath((1, 2, 2, 1, 1))
+        assert path.horizon == 3
+
     def test_requires_frozen_terminal_state(self):
         with pytest.raises(DomainError):
             ChainPath((1, 2, 1))
@@ -132,6 +136,7 @@ class TestSimulatePath:
         assert len(path.states) == 12
         assert path.states[0] == 1
         assert path.states[-1] == path.states[-2]
+        assert path.horizon == 10
         assert path.seed == 7
 
     def test_deterministic_per_seed(self):

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from riskflow import scenario
 from riskflow.distributions import GaussianParams, WeibullParams, sample
 from riskflow.dynamic_risk import GAUSSIAN_MODULATED_CVAR_NOTE, CvarMode
 from riskflow.errors import ConfigError, DataError, DomainError, NumericError
@@ -417,6 +418,28 @@ class TestRunExperiment:
                 NumericError, match=r"\[seed 1729\] recursive_cvar is (inf|nan) at path 0, t=\d+"
             ):
                 run_experiment(cfg)
+
+    def test_the_earliest_non_finite_cell_is_named(self, monkeypatch):
+        # A bad cell of an earlier column at a later t must not hide this one.
+        def column_with(cell, value):
+            def column(*args):  # T is the last argument of both
+                values = np.zeros((3, args[-1] + 1))
+                values[cell] = value
+                return values
+            return column
+
+        monkeypatch.setattr(scenario, "recursive_var_gaussian_closed", column_with((0, 3), np.inf))
+        monkeypatch.setattr(scenario, "modulated_var_trajectory", column_with((2, 1), np.nan))
+        with pytest.raises(NumericError, match=r"modulated_var is nan at path 2, t=1$"):
+            run_experiment(small_config(n_paths=3, measures=("var",)))
+
+    def test_result_arrays_are_read_only(self):
+        result, _ = run_experiment(small_config(n_paths=3))
+        arrays = [result.chain_seeds, result.returns_seeds, result.states, result.returns]
+        arrays += [*result.columns().values(), result[1].states, result[1].var.static]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_var_only_run(self):
         paths, stats = run_experiment(small_config(measures=("var",)))
