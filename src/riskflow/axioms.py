@@ -46,7 +46,7 @@ import numpy as np
 
 from .distributions import EmpiricalSample
 from .errors import DataError, DomainError, NumericError
-from .markov import TransitionMatrix
+from .markov import TransitionMatrix, _require_non_negative_int
 from .static_risk import (
     MeasureKind,
     Orientation,
@@ -466,6 +466,7 @@ def check_static_axiom(
     axiom = StaticAxiom(axiom)
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials!r}")
+    _require_non_negative_int("seed", seed)
     rng = np.random.default_rng(seed)
     lower = spec.orientation is Orientation.LOWER_TAIL
     detail = _static_detail(axiom, spec)
@@ -580,6 +581,7 @@ def check_dynamic_axiom(
     """
     axiom = DynamicAxiom(axiom)
     pairs = _require_pairs(pairs)
+    _require_non_negative_int("seed", seed)
     rng = np.random.default_rng(seed)
     lower = measure.orientation is Orientation.LOWER_TAIL
     T = pairs[0][0].horizon
@@ -791,6 +793,7 @@ def bundled_pair_processes(
     orientation.  Other axioms get generic random pairs.
     """
     axiom = DynamicAxiom(axiom)
+    _require_non_negative_int("seed", seed)
     rng = np.random.default_rng(seed)
     if n_atoms < 1 or not (n_atoms & (n_atoms - 1)) == 0 or n_atoms > _MAX_ATOMS:
         raise DomainError(f"n_atoms must be a power of two up to {_MAX_ATOMS}")

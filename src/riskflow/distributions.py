@@ -23,6 +23,10 @@ Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
 :func:`sample` are the module-level entry points that validate their
 arguments before calling the methods.
+
+Importing this module loads no SciPy.  ``scipy.special`` is loaded by the
+first Gaussian ``quantile`` and ``scipy.integrate`` by the first Weibull
+``exceedance`` above the location, the only two formulas that use them.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from enum import Enum
 from typing import ClassVar, Mapping, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
 
 from .errors import DataError, DomainError, NumericError
 
@@ -121,6 +123,8 @@ class GaussianParams:
         return _normal_cdf((float(x) - self.mu) / self.sigma)
 
     def quantile(self, p: float) -> float:
+        from scipy.special import ndtri  # imported here so start-up loads no SciPy
+
         return self.mu + self.sigma * float(ndtri(_require_probability(p)))
 
     def mean(self) -> float:
@@ -192,12 +196,18 @@ class WeibullParams:
         """
         if a <= self.theta:
             return self.mean() - a
+        from scipy.integrate import quad  # imported here so start-up loads no SciPy
+
         lam, alpha, theta = self.lam, self.alpha, self.theta
 
         def survival(x: float) -> float:
             return math.exp(-(((x - theta) / lam) ** alpha))
 
-        value, abserr = quad(survival, a, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
+        # full_output=1 hands a failure back as a message, not a warning on
+        # stderr; the abserr check below judges it.
+        value, abserr = quad(
+            survival, a, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1
+        )[:2]
         if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
             raise NumericError(
                 f"exceedance quadrature failed for weibull{(lam, alpha, theta)!r} at a={a!r}"

@@ -140,6 +140,13 @@ def one_step_linked_expectation(
     return table[states - 1]
 
 
+def _require_non_negative_int(name: str, value: object) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a non-negative integer
+    that is not a bool (the rule for counts and seeds)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def simulate_path(
     matrix: TransitionMatrix,
     initial_state: int,
@@ -159,8 +166,7 @@ def simulate_path(
     seeds = [seed] if single else list(seed)
     checked = [("initial_state", initial_state), ("horizon", horizon)]
     for name, value in checked + [("seed", s) for s in seeds]:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+        _require_non_negative_int(name, value)
     start = matrix.require_state(initial_state)
     draws = [np.random.default_rng(s).random(horizon) for s in seeds]
     uniforms = np.array(draws).reshape(len(seeds), horizon)

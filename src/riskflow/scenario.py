@@ -10,9 +10,10 @@ static, recursive, and modulated trajectories for all paths at once on
 ``(n_paths, T + 1)`` arrays, and returns them as one
 :class:`ExperimentResult` (per-path views are built only on request) with
 its summary statistics; :func:`emit_trajectories` writes the fixed-schema
-CSV/JSON tables straight from those arrays.  The CSV is streamed line by
-line and formats each distinct float once; its bytes equal the ``csv``
-module's.  Reruns of the same config are byte-identical.
+CSV/JSON tables straight from those arrays.  Both format each distinct
+float once.  The CSV is streamed line by line and its bytes equal the
+``csv`` module's; the JSON's equal ``json.dump(..., indent=2)``'s.  Reruns
+of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
 cover a Gaussian index-level study and a Weibull daily-increment study: base
@@ -688,27 +689,27 @@ def _rows(result: ExperimentResult) -> Iterator[tuple[object, ...]]:
     return zip(*path_ids, list(range(width)) * n_paths, *columns)
 
 
-def _csv_cell_text() -> Callable[[object], str]:
-    """The text of one table's CSV cells, formatting each distinct float once.
+def _cell_text(null: str, number: Callable[[float], str]) -> Callable[[object], str]:
+    """The text of one table's cells, formatting each distinct float once.
 
-    A run writes few distinct numbers into many cells, so each float's
-    ``repr`` is kept for its later cells.  Zeros bypass that store:
-    ``0.0 == -0.0`` with one hash, and ``recursive_var`` writes ``-0.0``.
-    Cells are floats, ints (``path``, ``t``) or ``None``; none needs quoting,
-    so the text equals what ``csv.writer`` writes.
+    ``None`` is written as ``null`` and floats by ``number``.  A run writes
+    few distinct numbers into many cells, so each float's text is kept for
+    its later cells.  Zeros bypass that store: ``0.0 == -0.0`` with one
+    hash, and ``recursive_var`` writes ``-0.0``.  Cells are floats, ints
+    (``path``, ``t``) or ``None``.
     """
     texts: dict[float, str] = {}
 
     def cell(value: object) -> str:
         if value is None:
-            return ""
+            return null
         if type(value) is int:
             return str(value)
         if not value:
-            return repr(value)
+            return number(value)
         text = texts.get(value)
         if text is None:
-            text = texts[value] = repr(value)
+            text = texts[value] = number(value)
         return text
 
     return cell
@@ -728,14 +729,17 @@ def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> N
     header = (("path",) if len(result) > 1 else ()) + ("t",) + _CSV_COLUMNS
     try:
         if fmt == "csv":
-            cell = _csv_cell_text()
+            # No cell needs quoting, so this is what ``csv.writer`` writes.
+            cell = _cell_text("", repr)
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(",".join(header) + "\n")
                 handle.writelines(",".join(map(cell, row)) + "\n" for row in _rows(result))
         else:
-            records = [dict(zip(header, row)) for row in _rows(result)]
+            # The layout of ``json.dump(records, indent=2)``, one record per row.
+            cell = _cell_text("null", json.dumps)
+            record = "  {" + ",".join(f"\n    {json.dumps(k)}: %s" for k in header) + "\n  }"
+            body = ",\n".join(record % tuple(map(cell, row)) for row in _rows(result))
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(records, handle, indent=2)
-                handle.write("\n")
+                handle.write(f"[\n{body}\n]\n" if body else "[]\n")
     except OSError as exc:
         raise DataError(f"cannot write trajectories to {path}: {exc}") from exc

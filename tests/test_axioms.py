@@ -369,3 +369,30 @@ class TestBundledPairs:
     def test_atom_count_must_be_power_of_two(self):
         with pytest.raises(DomainError):
             bundled_pair_processes(DynamicAxiom.D1, n_atoms=5)
+
+
+class TestSeedValidation:
+    """Every checker takes the seed rule of ``simulate_path``: a non-negative
+    integer that is not a bool."""
+
+    BAD_SEEDS = [-1, 1.5, True, "3"]
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_static_checker(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            check_static_axiom(StaticAxiom.P1, VAR_LOWER, trials=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_dynamic_checker(self, seed):
+        pairs = bundled_pair_processes(DynamicAxiom.D1, n_pairs=1, n_atoms=2, T=1)
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            check_dynamic_axiom(DynamicAxiom.D1, RecursiveFiniteMeasure(VAR_LOWER), pairs, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bundled_pairs(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            bundled_pair_processes(DynamicAxiom.D1, seed=seed)
+
+    def test_numpy_integers_are_seeds(self):
+        a = check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=np.int64(7))
+        assert a == check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=7)

@@ -137,6 +137,22 @@ class TestRisk:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("ERROR gaussian params must be numbers")
 
+    def test_failed_quadrature_exits_3_with_one_stderr_line(self):
+        # A shape this heavy-tailed defeats the exceedance quadrature; SciPy's
+        # warning must not reach stderr ahead of the error line.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "riskflow.cli", "risk", "--family", "weibull",
+                "--params", '{"lambda": 1, "alpha": 0.15}', "--measure", "cvar", "--p", "0.99",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("ERROR numerical failure: exceedance quadrature failed")
+
     def test_bad_level_exit_2(self):
         code = run(
             [
@@ -272,6 +288,18 @@ class TestAxioms:
         reports = self.read_reports(capsys)
         assert [r["axiom"] for r in reports] == ["D1", "D2", "D4", "D5"]
         assert all(r["verdict"] == "holds" for r in reports)
+
+
+    @pytest.mark.parametrize("measure", ["var", "recursive-var"])
+    def test_negative_seed_is_one_line_exit_2(self, measure):
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskflow.cli", "axioms", "--measure", measure, "--seed", "-1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "ERROR seed must be a non-negative integer, got -1\n"
 
 
 class TestParsing:

@@ -537,13 +537,12 @@ class TestEmitTrajectories:
         )
 
     @staticmethod
-    def csv_module_text(result):
-        """The table as ``csv.writer`` renders it, built from the per-path views."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+    def reference_table(result):
+        """The header and rows of the table, built from the per-path views."""
         prefix = ["path"] if len(result) > 1 else []
-        writer.writerow(prefix + ["t", "static_var", "recursive_var", "modulated_var",
-                                  "static_cvar", "recursive_cvar", "modulated_cvar"])
+        header = prefix + ["t", "static_var", "recursive_var", "modulated_var",
+                           "static_cvar", "recursive_cvar", "modulated_cvar"]
+        rows = []
         for res in result:
             for t in range(len(res.returns)):
                 row = [res.path_id] if prefix else []
@@ -551,8 +550,26 @@ class TestEmitTrajectories:
                 for measure in (res.var, res.cvar):
                     for name in ("static", "recursive", "modulated"):
                         row.append(None if measure is None else float(getattr(measure, name)[t]))
-                writer.writerow(row)
+                rows.append(row)
+        return header, rows
+
+    @classmethod
+    def csv_module_text(cls, result):
+        """The table as ``csv.writer`` renders it."""
+        header, rows = cls.reference_table(result)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
         return out.getvalue()
+
+    @classmethod
+    def json_module_text(cls, result):
+        """The table's records as ``json.dump(..., indent=2)`` renders them."""
+        header, rows = cls.reference_table(result)
+        out = io.StringIO()
+        json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
+        return out.getvalue() + "\n"
 
     def test_csv_bytes_match_the_csv_module(self, tmp_path):
         # Signed zeros share one column in both orders, values repeat across
@@ -578,6 +595,37 @@ class TestEmitTrajectories:
             out = tmp_path / "traj.csv"
             emit_trajectories(result, "csv", out)
             assert out.read_bytes() == self.csv_module_text(result).encode()
+
+    def test_json_bytes_match_the_json_module(self, tmp_path):
+        # Signed zeros share one column in both orders, tables carry var
+        # only, cvar only or both on 0, 1 and 3 paths, and non-finite cells
+        # are written as json writes them.
+        var_a = ((1.25, 1.25, 1.25), (1.25, -0.0, 0.0), (0.1, 0.30000000000000004, 1e-300))
+        var_b = ((1.25, 1.25, 1.25), (-0.0, 0.0, -0.0), (0.1, 0.1, -1.25))
+        var_nan = ((2.5, math.nan, -0.0), (math.inf, 3.0, -math.inf), (0.0, math.nan, 1.25))
+        cvar_a = ((2.5, 2.5, 2.5), (0.0, -0.0, 2.5), (3.0, -7.5, 1.25))
+        cvar_b = ((2.5, 2.5, 2.5), (-0.0, 2.5, 0.0), (1.25, 0.30000000000000004, -0.0))
+        cases = [
+            self.hand_built([var_a], [cvar_a]),
+            self.hand_built([var_b], None),
+            self.hand_built(None, [cvar_b]),
+            self.hand_built([var_nan], None),
+            self.hand_built([var_a, var_b, var_nan], [cvar_a, cvar_b, cvar_a]),
+            self.hand_built([var_b, var_a, var_b], None),
+            self.hand_built(None, [cvar_b, cvar_a, cvar_b]),
+            dataclasses.replace(  # no paths: json writes "[]"
+                self.hand_built([var_a], None),
+                chain_seeds=np.zeros(0, dtype=np.uint64),
+                returns_seeds=np.zeros(0, dtype=np.uint64),
+                states=np.ones((0, 4), dtype=int),
+                returns=np.zeros((0, 3)),
+                var=RiskColumns(*[np.zeros((0, 3))] * 3),
+            ),
+        ]
+        for result in cases:
+            out = tmp_path / "traj.json"
+            emit_trajectories(result, "json", out)
+            assert out.read_bytes() == self.json_module_text(result).encode()
 
     #: sha256 of the JSON tables, recorded while the runner still built one
     #: object per path; the engine digests cover the CSV only.
