@@ -387,6 +387,7 @@ class ModulatedFiniteMeasure:
 
     def chain_paths(self, horizon: int) -> list[tuple[tuple[int, ...], float]]:
         """All positive-probability state paths ``Z_0 .. Z_T`` from the start."""
+        _require_non_negative_int("horizon", horizon)
         paths: list[tuple[tuple[int, ...], float]] = [((self.initial_state,), 1.0)]
         for _ in range(horizon):
             grown: list[tuple[tuple[int, ...], float]] = []
@@ -411,24 +412,19 @@ class ModulatedFiniteMeasure:
             )
         matrix = process.payoff_matrix()
         probs = np.array(process.probs)
+        # The components share one spec (VectorialMeasure), so one recursion serves all.
+        component = RecursiveFiniteMeasure(self.measure.specs[0])
         out = np.empty((process.n_atoms, len(paths)))
         for cell in partition:
             idx = list(cell)
             weights = probs[idx] / probs[idx].sum()
+            value = component._cell_value(matrix[idx], weights, t)
             if t == 0:
-                value = _weighted_static(matrix[idx][:, 0], weights, self.measure.specs[0])
                 out[idx, :] = value
                 continue
-            components = np.array(
-                [
-                    RecursiveFiniteMeasure(spec)._cell_value(matrix[idx], weights, t)
-                    for spec in self.measure.specs
-                ]
-            )
+            components = np.full(self.measure.n_states, value)
             for k, (states, _prob) in enumerate(paths):
-                out[idx, k] = float(
-                    np.dot(components, self.matrix.column(states[t]))
-                )
+                out[idx, k] = float(np.dot(components, self.matrix.column(states[t])))
         return out
 
 
@@ -464,6 +460,7 @@ def check_static_axiom(
     exactly enumerated witness instead of depending on random luck.
     """
     axiom = StaticAxiom(axiom)
+    _require_non_negative_int("trials", trials)
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials!r}")
     _require_non_negative_int("seed", seed)
@@ -793,7 +790,10 @@ def bundled_pair_processes(
     orientation.  Other axioms get generic random pairs.
     """
     axiom = DynamicAxiom(axiom)
-    _require_non_negative_int("seed", seed)
+    for name, value in (("n_pairs", n_pairs), ("n_atoms", n_atoms), ("T", T), ("seed", seed)):
+        _require_non_negative_int(name, value)
+    if n_pairs < 1:
+        raise DomainError(f"n_pairs must be positive, got {n_pairs!r}")
     rng = np.random.default_rng(seed)
     if n_atoms < 1 or not (n_atoms & (n_atoms - 1)) == 0 or n_atoms > _MAX_ATOMS:
         raise DomainError(f"n_atoms must be a power of two up to {_MAX_ATOMS}")

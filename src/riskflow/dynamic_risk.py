@@ -8,9 +8,10 @@ where ``R`` is any translation-invariant static measure.  Under upper-tail
 orientation the shift is ``-R_{t-1}`` (so ``R_t = R(X_t) - R_{t-1}``); under
 lower-tail orientation the measure itself is monetary and the literal form
 ``R(X_t + R_{t-1})`` yields the same difference.  Iterating gives the
-alternating sum ``R_t = sum_k (-1)**(t-k) * R(X_k)``, which the
-``*_closed`` functions evaluate directly — a numerically independent route
-used to cross-check the step-by-step recursion.
+alternating sum ``R_t = sum_k (-1)**(t-k) * R(X_k)``, which the engine
+evaluates directly (the ``*_closed`` value-at-risk forms and ``exact``
+recursive CVaR); :func:`recursive_risk_generic` steps the recursion itself,
+as the independent check of those sums.
 
 Markov modulation gives each chain state one return model (the modulated
 functions take them as a sequence, state ``j`` at index ``j - 1``) and
@@ -21,12 +22,12 @@ per-state parameters or static values over the outgoing distribution.  Time
 0 is the exception everywhere: the value is the plain static measure of
 ``X_0`` with its realized parameters.
 
-The conditional value-at-risk recursion ships in two modes.  ``exact``
-evaluates the static measure of the shifted position at every step, which is
-deterministic.  ``piecewise`` follows the branch form: against a realized
-return path, each step picks between a shifted-quantile expression and a
-tail-average expression depending on whether the realized return stays below
-a threshold.  The modulated branch forms differ by family on purpose:
+The conditional value-at-risk recursion ships in two modes.  ``exact`` is
+the telescoped form, the alternating sum of the static CVaR of each period.
+``piecewise`` follows the branch form: against a realized return path, each
+step picks between a shifted-quantile expression and a tail-average
+expression depending on whether the realized return stays below a
+threshold.  The modulated branch forms differ by family on purpose:
 Gaussian branches carry no dependence on the previous step (they are
 memoryless), while Weibull branches keep the previous value with alternating
 sign.  That asymmetry is surfaced as output metadata rather than papered
@@ -84,7 +85,7 @@ GAUSSIAN_MODULATED_CVAR_NOTE = (
 
 
 class CvarMode(str, Enum):
-    """Evaluation mode for the conditional value-at-risk recursion."""
+    """Recursive CVaR mode: ``EXACT`` telescopes static values, ``PIECEWISE`` branches."""
 
     EXACT = "exact"
     PIECEWISE = "piecewise"
@@ -243,8 +244,9 @@ def recursive_cvar(
 ) -> list[float] | np.ndarray:
     """Recursive conditional value-at-risk ``C_0 .. C_T`` (upper tail).
 
-    ``exact`` mode evaluates ``C_t = cvar(X_t shifted by -C_{t-1})`` — the
-    static measure of the carried position, deterministic per step.
+    ``exact`` mode is ``C_t = cvar(X_t shifted by -C_{t-1})``, evaluated in
+    its telescoped form ``sum_k (-1)**(t-k) cvar(X_k)`` (translation
+    invariance; within a few ulp of :func:`recursive_risk_generic`).
 
     ``piecewise`` mode follows the branch form against a realized return
     path of length ``T + 1``: when the realized ``X_t`` stays at or below
@@ -279,19 +281,15 @@ def recursive_cvar(
     if realized_path is not None:
         realized = _path_array("realized path", realized_path, T, n_paths=len(states))
 
+    cvar_table = np.array([cvar_tail(m, p) for m in models])
+    if mode is CvarMode.EXACT:
+        return _as_given(_alternating_sum(cvar_table[states]), batched)
+    var_table = np.array([var(m, p) for m in models])
+    mean_table = np.array([m.mean() for m in models])
     out = np.empty(states.shape)
-    out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 0]]
-    if mode is CvarMode.PIECEWISE:
-        var_table = np.array([var(m, p) for m in models])
-        mean_table = np.array([m.mean() for m in models])
+    out[:, 0] = cvar_table[states[:, 0]]
     for t in range(1, T + 1):
         prev = out[:, t - 1]
-        if mode is CvarMode.EXACT:
-            out[:, t] = [
-                cvar_tail(models[k].shift(-c), p)
-                for k, c in zip(states[:, t].tolist(), prev.tolist())
-            ]
-            continue
         v_t = var_table[states[:, t]]
         mean_t = mean_table[states[:, t]]
         out[:, t] = np.where(
@@ -317,10 +315,10 @@ def _path_states(
     )
     if states.ndim != 2 or states.shape[1] != T + 2 or states.shape[0] == 0:
         raise DomainError(f"chain paths must have shape (n_paths, {T + 2}), got {states.shape}")
+    if states.dtype.kind not in "iu" or not 1 <= states.min() <= states.max() <= matrix.n_states:
+        raise DomainError(f"state indices must be integers in [1, {matrix.n_states}]")
     if not np.array_equal(states[:, -1], states[:, -2]):
         raise DomainError("the last two states of each chain path must be equal")
-    if not 1 <= states.min() <= states.max() <= matrix.n_states:
-        raise DomainError(f"state indices must lie in [1, {matrix.n_states}]")
     return states
 
 

@@ -69,16 +69,16 @@ class TransitionMatrix:
 
     def column(self, state: int) -> np.ndarray:
         """Outgoing distribution of the given 1-based state."""
-        self.require_state(state)
-        return self.entries[:, state - 1]
+        return self.entries[:, self.require_state(state) - 1]
 
     def require_state(self, state: int) -> int:
-        state = int(state)
+        """``state`` as an ``int``; it must be an integer in ``[1, n_states]``."""
+        _require_non_negative_int("state index", state)
         if not 1 <= state <= self.n_states:
             raise DomainError(
                 f"state index must lie in [1, {self.n_states}], got {state!r}"
             )
-        return state
+        return int(state)
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,8 @@ class ChainPath:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for s in self.states:
+            _require_non_negative_int("chain path state", s)
         states = tuple(int(s) for s in self.states)
         if len(states) < 2:
             raise DomainError("a chain path needs at least two entries (Z_0 and Z_1)")
@@ -134,8 +136,8 @@ def one_step_linked_expectation(
     if np.ndim(state) == 0:
         return predict(state)
     states = np.asarray(state)
-    if states.size and not 1 <= states.min() <= states.max() <= matrix.n_states:
-        raise DomainError(f"state indices must lie in [1, {matrix.n_states}]")
+    if states.dtype.kind not in "iu" or np.any((states < 1) | (states > matrix.n_states)):
+        raise DomainError(f"state indices must be integers in [1, {matrix.n_states}]")
     table = np.array([predict(s) for s in range(1, matrix.n_states + 1)])
     return table[states - 1]
 
@@ -164,10 +166,9 @@ def simulate_path(
     """
     single = isinstance(seed, (str, bytes)) or not isinstance(seed, (Sequence, np.ndarray))
     seeds = [seed] if single else list(seed)
-    checked = [("initial_state", initial_state), ("horizon", horizon)]
-    for name, value in checked + [("seed", s) for s in seeds]:
-        _require_non_negative_int(name, value)
     start = matrix.require_state(initial_state)
+    for name, value in [("horizon", horizon)] + [("seed", s) for s in seeds]:
+        _require_non_negative_int(name, value)
     draws = [np.random.default_rng(s).random(horizon) for s in seeds]
     uniforms = np.array(draws).reshape(len(seeds), horizon)
     # Row i: the cumulative outgoing distribution of state i + 1, its last

@@ -163,14 +163,13 @@ def ru_objective(
     return eta + excess / (1.0 - p)
 
 
-def _golden_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rel_width: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, float]:
+#: Golden-section stopping rule: the bracket width relative to the scale of
+#: its ends, and the iteration budget.
+_GOLDEN_REL_WIDTH = 1e-10
+_GOLDEN_MAX_ITER = 200
+
+
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Golden-section minimum of a convex function on ``[lo, hi]``.
 
     Returns ``(x_best, f_best)`` over all evaluated points.  Convexity makes
@@ -178,7 +177,7 @@ def _golden_min(
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise NumericError(f"invalid minimization bracket [{lo!r}, {hi!r}]")
-    if hi - lo <= rel_width * (1.0 + abs(lo) + abs(hi)):
+    if hi - lo <= _GOLDEN_REL_WIDTH * (1.0 + abs(lo) + abs(hi)):
         x = 0.5 * (lo + hi)
         return x, f(x)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -186,8 +185,8 @@ def _golden_min(
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(max_iter):
-        if hi - lo <= rel_width * (1.0 + abs(best_x)):
+    for _ in range(_GOLDEN_MAX_ITER):
+        if hi - lo <= _GOLDEN_REL_WIDTH * (1.0 + abs(best_x)):
             return best_x, best_f
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
@@ -203,7 +202,7 @@ def _golden_min(
                 best_x, best_f = x2, f2
     raise NumericError(
         f"golden-section search did not converge on [{lo!r}, {hi!r}] "
-        f"after {max_iter} iterations"
+        f"after {_GOLDEN_MAX_ITER} iterations"
     )
 
 

@@ -14,6 +14,9 @@ configurations two (every path there has its own derived seeds already).
 Regenerate the table from the repository root with::
 
     PYTHONPATH=src python tests/engine_digests.py > tests/engine_digests.json
+
+It reports on stderr how many keys differ from the table committed at git
+``HEAD`` and names the first five.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import itertools
 import json
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -114,6 +118,29 @@ def main() -> None:
         table = {key: digest(config, Path(tmp)) for key, config in grid()}
     json.dump(table, sys.stdout, indent=1)
     sys.stdout.write("\n")
+    report_changes(table)
+
+
+def report_changes(table: dict[str, str]) -> None:
+    """Count on stderr the keys whose digest differs from the committed table.
+
+    The committed table is read from git, because the redirection shown in
+    the module docstring empties the working copy before this script starts.
+    """
+    committed = subprocess.run(
+        ["git", "show", f"HEAD:./{DIGESTS_PATH.name}"],
+        cwd=DIGESTS_PATH.parent,
+        capture_output=True,
+        text=True,
+    )
+    if committed.returncode != 0:
+        print(f"no committed {DIGESTS_PATH.name} to compare with", file=sys.stderr)
+        return
+    recorded = json.loads(committed.stdout)
+    changed = [key for key in table if recorded.get(key) != table[key]]
+    print(f"{len(changed)} of {len(table)} keys changed", file=sys.stderr)
+    for key in changed[:5]:
+        print(f"  {key}", file=sys.stderr)
 
 
 if __name__ == "__main__":

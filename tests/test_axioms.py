@@ -371,6 +371,39 @@ class TestBundledPairs:
             bundled_pair_processes(DynamicAxiom.D1, n_atoms=5)
 
 
+class TestCountValidation:
+    """Counts are non-negative integers that are not bools (the seed rule);
+    trial and pair counts are also positive."""
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_static_trials(self, trials):
+        with pytest.raises(DomainError, match="trials must be"):
+            check_static_axiom(StaticAxiom.P1, VAR_LOWER, trials=trials)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_pairs", 0), ("n_pairs", 2.0), ("n_atoms", True), ("n_atoms", 4.0),
+        ("T", -1), ("T", 1.5),
+    ])
+    def test_bundled_pair_counts(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            bundled_pair_processes(DynamicAxiom.D1, **{name: value})
+
+    @pytest.mark.parametrize("horizon", [-1, 1.5, True])
+    def test_chain_path_horizon(self, horizon):
+        measure = ModulatedFiniteMeasure(
+            VectorialMeasure((VAR_LOWER, VAR_LOWER)), REFERENCE_MATRIX, initial_state=1
+        )
+        with pytest.raises(DomainError, match="horizon must be"):
+            measure.chain_paths(horizon)
+
+    @pytest.mark.parametrize("state", [1.9, 1.0, True])
+    def test_modulated_initial_state(self, state):
+        with pytest.raises(DomainError, match="state index must be"):
+            ModulatedFiniteMeasure(
+                VectorialMeasure((VAR_LOWER, VAR_LOWER)), REFERENCE_MATRIX, initial_state=state
+            )
+
+
 class TestSeedValidation:
     """Every checker takes the seed rule of ``simulate_path``: a non-negative
     integer that is not a bool."""

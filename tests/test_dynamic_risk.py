@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm, weibull_min
 
+from riskflow import dynamic_risk
 from riskflow.distributions import EmpiricalSample, GaussianParams, WeibullParams
 from riskflow.dynamic_risk import (
     GAUSSIAN_MODULATED_CVAR_NOTE,
@@ -196,6 +197,24 @@ class TestRecursiveCvar:
         # Point masses make every step arithmetic: cvar of an atom is the atom.
         models = [EmpiricalSample((5.0,)), EmpiricalSample((3.0,)), EmpiricalSample((4.0,))]
         assert recursive_cvar(models, 0.9, 2, CvarMode.EXACT) == [5.0, -2.0, 6.0]
+
+    @pytest.mark.parametrize("n_paths, T", [(1, 0), (1, 10), (50, 3), (200, 10)])
+    def test_exact_mode_evaluates_cvar_once_per_model(self, monkeypatch, n_paths, T):
+        models = [GaussianParams(1.0, 0.5), WeibullParams(2.0, 1.1, 0.5)]
+        evaluated = []
+
+        def counting_cvar_tail(model, p):
+            evaluated.append(model)
+            return cvar_tail(model, p)
+
+        monkeypatch.setattr(dynamic_risk, "cvar_tail", counting_cvar_tail)
+        states = np.random.default_rng(T).integers(0, 2, (n_paths, T + 1))
+        recursive_cvar(models, 0.95, T, CvarMode.EXACT, states=states)
+        assert evaluated == models
+        evaluated.clear()
+        path_models = [models[k] for k in states[0]]
+        recursive_cvar(path_models, 0.95, T, CvarMode.EXACT)
+        assert evaluated == path_models
 
     def test_piecewise_branch_below_threshold(self):
         p = 0.95
@@ -486,6 +505,10 @@ class TestStackedPaths:
             modulated_var_trajectory(models, REFERENCE_MATRIX, bad, 0.9, self.T)
         with pytest.raises(DomainError):
             modulated_cvar_trajectory(models, REFERENCE_MATRIX, states, returns[:-1], 0.9, self.T)
+        with pytest.raises(DomainError, match="must be integers"):
+            modulated_cvar_trajectory(
+                models, REFERENCE_MATRIX, states.astype(float), returns, 0.9, self.T
+            )
         with pytest.raises(DomainError):
             recursive_cvar(
                 [GaussianParams(0.0, 1.0)], 0.9, self.T, CvarMode.PIECEWISE, returns,

@@ -85,6 +85,38 @@ class TestChainPath:
         with pytest.raises(DomainError):
             ChainPath((1, 0, 0))
 
+    @pytest.mark.parametrize("states", [(1.5, 1, 1), (1, 2.0, 2.0), (True, 1, 1)])
+    def test_rejects_non_integer_states(self, states):
+        with pytest.raises(DomainError, match="chain path state must be"):
+            ChainPath(states)
+
+
+class TestStateIndices:
+    """A chain state is an integer: floats and bools are rejected, never truncated."""
+
+    @pytest.mark.parametrize("state", [2.9, 1.9, 1.0, True, np.float64(2.0), "1"])
+    def test_scalar_states_must_be_integers(self, state):
+        m = reference_matrix()
+        with pytest.raises(DomainError, match="state index must be a non-negative integer"):
+            m.require_state(state)
+        with pytest.raises(DomainError, match="state index must be a non-negative integer"):
+            m.column(state)
+        with pytest.raises(DomainError, match="state index must be a non-negative integer"):
+            one_step_linked_expectation(m, [1.0, 2.0], state)
+
+    def test_numpy_integers_are_states(self):
+        m = reference_matrix()
+        state = m.require_state(np.int64(2))
+        assert state == 2 and type(state) is int
+        np.testing.assert_array_equal(m.column(np.int64(2)), m.column(2))
+
+    @pytest.mark.parametrize(
+        "states", [np.array([1.0, 2.0]), np.array([[1.5, 2.0]]), np.array([True, False])]
+    )
+    def test_state_arrays_need_an_integer_dtype(self, states):
+        with pytest.raises(DomainError, match="state indices must be integers"):
+            one_step_linked_expectation(reference_matrix(), [1.0, 2.0], states)
+
 
 class TestLinkedParams:
     def test_one_step_expectation_reference_value(self):
