@@ -44,9 +44,9 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .distributions import EmpiricalSample
+from .distributions import EmpiricalSample, _require_member, _require_non_negative_int
 from .errors import DataError, DomainError, NumericError
-from .markov import TransitionMatrix, _require_non_negative_int
+from .markov import TransitionMatrix
 from .static_risk import (
     MeasureKind,
     Orientation,
@@ -331,27 +331,22 @@ class RecursiveFiniteMeasure:
     def orientation(self) -> Orientation:
         return self.spec.orientation
 
-    def _cell_value(
-        self, matrix: np.ndarray, weights: np.ndarray, t: int
-    ) -> float:
-        sign = 1.0 if self.spec.orientation is Orientation.LOWER_TAIL else -1.0
-        value = _weighted_static(matrix[:, 0], weights, self.spec)
-        for s in range(1, t + 1):
-            value = _weighted_static(matrix[:, s] + sign * value, weights, self.spec)
-        return value
-
     def atom_values(
         self, process: FiniteProcess, t: int, partition: Sequence[tuple[int, ...]]
     ) -> np.ndarray:
         if not 0 <= t <= process.horizon:
             raise DomainError(f"time {t!r} outside the process horizon {process.horizon}")
+        sign = 1.0 if self.spec.orientation is Orientation.LOWER_TAIL else -1.0
         matrix = process.payoff_matrix()
         probs = np.array(process.probs)
         out = np.empty(process.n_atoms)
         for cell in partition:
             idx = list(cell)
             weights = probs[idx] / probs[idx].sum()
-            out[idx] = self._cell_value(matrix[idx], weights, t)
+            value = _weighted_static(matrix[idx, 0], weights, self.spec)
+            for s in range(1, t + 1):
+                value = _weighted_static(matrix[idx, s] + sign * value, weights, self.spec)
+            out[idx] = value
         return out
 
 
@@ -402,30 +397,18 @@ class ModulatedFiniteMeasure:
     def atom_values(
         self, process: FiniteProcess, t: int, partition: Sequence[tuple[int, ...]]
     ) -> np.ndarray:
-        if not 0 <= t <= process.horizon:
-            raise DomainError(f"time {t!r} outside the process horizon {process.horizon}")
+        # The components share one spec (VectorialMeasure), so one recursion
+        # serves all, and averaging equal components over the outgoing
+        # distribution of the state at t scales the value by that column's mass.
+        values = RecursiveFiniteMeasure(self.measure.specs[0]).atom_values(process, t, partition)
         paths = self.chain_paths(process.horizon)
         if process.n_atoms * len(paths) > _MAX_ATOMS:
             raise DataError(
                 f"joint space too large: {process.n_atoms} atoms x "
                 f"{len(paths)} chain paths exceeds {_MAX_ATOMS}"
             )
-        matrix = process.payoff_matrix()
-        probs = np.array(process.probs)
-        # The components share one spec (VectorialMeasure), so one recursion serves all.
-        component = RecursiveFiniteMeasure(self.measure.specs[0])
-        out = np.empty((process.n_atoms, len(paths)))
-        for cell in partition:
-            idx = list(cell)
-            weights = probs[idx] / probs[idx].sum()
-            value = component._cell_value(matrix[idx], weights, t)
-            if t == 0:
-                out[idx, :] = value
-                continue
-            components = np.full(self.measure.n_states, value)
-            for k, (states, _prob) in enumerate(paths):
-                out[idx, k] = float(np.dot(components, self.matrix.column(states[t])))
-        return out
+        mass = [1.0 if t == 0 else self.matrix.column(states[t]).sum() for states, _ in paths]
+        return np.outer(values, mass)
 
 
 # --------------------------------------------------------------------------
@@ -459,7 +442,7 @@ def check_static_axiom(
     witness is examined first, so the expected violation is reported with an
     exactly enumerated witness instead of depending on random luck.
     """
-    axiom = StaticAxiom(axiom)
+    axiom = _require_member(StaticAxiom, axiom)
     _require_non_negative_int("trials", trials)
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials!r}")
@@ -576,7 +559,7 @@ def check_dynamic_axiom(
     fail are skipped, and the verdict covers the pairs where they hold.  All
     comparisons run atom by atom on the common filtration of the pair.
     """
-    axiom = DynamicAxiom(axiom)
+    axiom = _require_member(DynamicAxiom, axiom)
     pairs = _require_pairs(pairs)
     _require_non_negative_int("seed", seed)
     rng = np.random.default_rng(seed)
@@ -789,7 +772,7 @@ def bundled_pair_processes(
     ordered so the antecedent holds at every time under the given
     orientation.  Other axioms get generic random pairs.
     """
-    axiom = DynamicAxiom(axiom)
+    axiom = _require_member(DynamicAxiom, axiom)
     for name, value in (("n_pairs", n_pairs), ("n_atoms", n_atoms), ("T", T), ("seed", seed)):
         _require_non_negative_int(name, value)
     if n_pairs < 1:

@@ -37,7 +37,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Mapping, Union
+from typing import ClassVar, Mapping, TypeVar, Union
 
 import numpy as np
 
@@ -84,6 +84,26 @@ def _require_number(value: object, complaint: str) -> float:
         return float(value)
     except OverflowError as exc:
         raise DataError(f"{complaint}: {value!r} is too large for a float") from exc
+
+
+def _require_non_negative_int(name: str, value: object) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a non-negative integer
+    that is not a bool (the rule for counts and seeds)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+E = TypeVar("E", bound=Enum)
+
+
+def _require_member(kind: type[E], value: object) -> E:
+    """``value`` as a member of the enum ``kind``: a member or its value.
+    Anything else raises :class:`DomainError` naming the choices."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        choices = [member.value for member in kind]
+        raise DomainError(f"unknown {kind.__name__} {value!r}; choose from {choices}") from exc
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -300,11 +320,15 @@ def expected_positive_part(model: ReturnModel, a: float) -> float:
 def sample(model: ReturnModel, n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. returns from the model, deterministically per seed.
 
-    ``seed`` may be an integer or an existing :class:`numpy.random.Generator`
-    (used as-is, so callers can thread one stream through several draws).
+    ``n`` is a positive integer.  ``seed`` may be a non-negative integer or
+    an existing :class:`numpy.random.Generator` (used as-is, so callers can
+    thread one stream through several draws).
     """
-    if n <= 0:
-        raise DomainError(f"sample size must be positive, got {n!r}")
+    _require_non_negative_int("sample size", n)
+    if n == 0:
+        raise DomainError("sample size must be positive, got 0")
+    if not isinstance(seed, np.random.Generator):
+        _require_non_negative_int("seed", seed)
     return model.draw(np.random.default_rng(seed), n)
 
 

@@ -36,10 +36,12 @@ over.
 Every trajectory function takes one path or a stack of paths: parameter
 sequences and realized returns of shape ``(T + 1,)`` or ``(n_paths, T + 1)``,
 and one :class:`ChainPath` or an ``(n_paths, T + 2)`` array of chain states.
-One path gives a ``list[float]``; a stack gives an ``(n_paths, T + 1)``
-array.  The recursions step through time for all paths at once, and the
-static values, means and one-step predictions they need are evaluated once
-per chain state (or per listed model), not once per step.
+The horizon ``T`` is read off these shapes, never passed; inputs that
+disagree on the ``(n_paths, T + 1)`` shape raise :class:`DomainError`.  One
+path gives a ``list[float]``; a stack gives an ``(n_paths, T + 1)`` array.
+The recursions step through time for all paths at once, and the static
+values, means and one-step predictions they need are evaluated once per
+chain state (or per listed model), not once per step.
 """
 
 from __future__ import annotations
@@ -51,13 +53,18 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .distributions import STANDARD_MODELS, ModelFamily, ReturnModel, _require_probability
+from .distributions import (
+    STANDARD_MODELS,
+    ModelFamily,
+    ReturnModel,
+    _require_member,
+    _require_probability,
+)
 from .errors import DomainError
 from .markov import ChainPath, TransitionMatrix, one_step_linked_expectation
 from .static_risk import (
     Orientation,
     RiskMeasureSpec,
-    _require_orientation,
     cvar_tail,
     evaluate,
     var,
@@ -124,25 +131,24 @@ def _shift_sign(orientation: Orientation | str) -> float:
     # Upper tail: R(X + c) = R(X) + c, so realizing R(X_t) - R_prev needs a
     # -R_prev shift.  Lower tail: the measure is monetary, R(X + c) = R(X) - c,
     # and the literal +R_prev shift produces the same difference.
-    return -1.0 if _require_orientation(orientation) is Orientation.UPPER_TAIL else 1.0
+    return -1.0 if _require_member(Orientation, orientation) is Orientation.UPPER_TAIL else 1.0
 
 
 def recursive_risk_generic(
     models: Sequence[ReturnModel],
     measure: MeasureLike,
-    T: int,
     *,
     orientation: Orientation = Orientation.UPPER_TAIL,
 ) -> list[float]:
     """Run the backward recursion step by step and return ``R_0 .. R_T``.
 
+    ``models`` are the period models ``X_0 .. X_T``, at least one.
     ``measure`` is either a :class:`RiskMeasureSpec` (its orientation is then
     used) or a plain ``model -> value`` callable, in which case
     ``orientation`` must state the translation convention the callable obeys.
     """
-    _require_horizon(T)
-    if len(models) != T + 1:
-        raise DomainError(f"need {T + 1} period models, got {len(models)}")
+    if len(models) == 0:
+        raise DomainError("need at least one period model")
     if isinstance(measure, RiskMeasureSpec):
         orientation = measure.orientation
         fn: Callable[[ReturnModel], float] = lambda m: evaluate(m, measure)
@@ -150,14 +156,9 @@ def recursive_risk_generic(
         fn = measure
     sign = _shift_sign(orientation)
     out = [fn(models[0])]
-    for t in range(1, T + 1):
-        out.append(fn(models[t].shift(sign * out[-1])))
+    for model in models[1:]:
+        out.append(fn(model.shift(sign * out[-1])))
     return out
-
-
-def _require_horizon(T: int) -> None:
-    if T < 0:
-        raise DomainError(f"horizon must be non-negative, got {T!r}")
 
 
 def _as_given(out: np.ndarray, batched: bool) -> list[float] | np.ndarray:
@@ -173,27 +174,28 @@ def _alternating_sum(values: np.ndarray) -> np.ndarray:
 
 
 def _path_array(
-    name: str,
-    values: Sequence[float] | np.ndarray,
-    T: int,
-    *,
-    positive: bool = False,
-    n_paths: int | None = None,
+    name: str, values: Sequence[float] | np.ndarray, *, positive: bool = False
 ) -> np.ndarray:
     """Per-period values of one path ``(T + 1,)`` or of several ``(n, T + 1)``, as 2-D."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != T + 1:
-        raise DomainError(f"{name} must have length {T + 1} per path, got shape {arr.shape}")
-    if n_paths is not None and len(np.atleast_2d(arr)) != n_paths:
-        raise DomainError(f"{name} must have one row per path ({n_paths}), got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise DomainError(f"{name} must be a non-empty path or stack of paths, got {arr.shape}")
     if not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):
         kind = "positive and finite" if positive else "finite"
         raise DomainError(f"{name} entries must be {kind}")
     return np.atleast_2d(arr)
 
 
+def _require_same_shape(named: dict[str, np.ndarray]) -> None:
+    """All inputs cover the same ``(n_paths, T + 1)`` grid of paths and periods."""
+    (first, shape), *rest = ((name, arr.shape) for name, arr in named.items())
+    for name, other in rest:
+        if other != shape:
+            raise DomainError(f"{first} {shape} and {name} {other} differ in shape")
+
+
 def recursive_var_gaussian_closed(
-    mus: Sequence[float] | np.ndarray, sigmas: Sequence[float] | np.ndarray, p: float, T: int
+    mus: Sequence[float] | np.ndarray, sigmas: Sequence[float] | np.ndarray, p: float
 ) -> list[float] | np.ndarray:
     """Closed-form recursive value-at-risk for Gaussian period returns.
 
@@ -201,11 +203,9 @@ def recursive_var_gaussian_closed(
     from the parameter sequences (length ``T + 1``, or ``(n_paths, T + 1)``).
     """
     p = _require_probability(p)
-    _require_horizon(T)
-    mu = _path_array("mus", mus, T)
-    sigma = _path_array("sigmas", sigmas, T, positive=True)
-    if mu.shape != sigma.shape:
-        raise DomainError(f"mus {mu.shape} and sigmas {sigma.shape} differ in shape")
+    mu = _path_array("mus", mus)
+    sigma = _path_array("sigmas", sigmas, positive=True)
+    _require_same_shape({"mus": mu, "sigmas": sigma})
     q = STANDARD_MODELS[ModelFamily.GAUSSIAN].quantile(p)
     return _as_given(_alternating_sum(mu + sigma * q), np.ndim(mus) == 2)
 
@@ -215,7 +215,6 @@ def recursive_var_weibull_closed(
     alphas: Sequence[float] | np.ndarray,
     thetas: Sequence[float] | np.ndarray,
     p: float,
-    T: int,
 ) -> list[float] | np.ndarray:
     """Closed-form recursive value-at-risk for Weibull period returns.
 
@@ -223,12 +222,10 @@ def recursive_var_weibull_closed(
     from sequences of length ``T + 1`` or arrays of shape ``(n_paths, T + 1)``.
     """
     p = _require_probability(p)
-    _require_horizon(T)
-    lam = _path_array("lambdas", lambdas, T, positive=True)
-    alpha = _path_array("alphas", alphas, T, positive=True)
-    theta = _path_array("thetas", thetas, T)
-    if not lam.shape == alpha.shape == theta.shape:
-        raise DomainError("lambdas, alphas and thetas differ in shape")
+    lam = _path_array("lambdas", lambdas, positive=True)
+    alpha = _path_array("alphas", alphas, positive=True)
+    theta = _path_array("thetas", thetas)
+    _require_same_shape({"lambdas": lam, "alphas": alpha, "thetas": theta})
     c = (-math.log1p(-p)) ** (1.0 / alpha)
     return _as_given(_alternating_sum(theta + lam * c), np.ndim(lambdas) == 2)
 
@@ -236,7 +233,6 @@ def recursive_var_weibull_closed(
 def recursive_cvar(
     models: Sequence[ReturnModel],
     p: float,
-    T: int,
     mode: CvarMode = CvarMode.EXACT,
     realized_path: Sequence[float] | np.ndarray | None = None,
     *,
@@ -249,7 +245,7 @@ def recursive_cvar(
     invariance; within a few ulp of :func:`recursive_risk_generic`).
 
     ``piecewise`` mode follows the branch form against a realized return
-    path of length ``T + 1``: when the realized ``X_t`` stays at or below
+    path, one return per period: when the realized ``X_t`` stays at or below
     ``var_t - 2*C_{t-1}`` the step value is ``var_t - C_{t-1}``; otherwise it
     is ``var_t - C_{t-1} + (mean_t - var_t + 2*C_{t-1})/(1-p)`` (the
     tail-average expression, equivalent to the per-family spelled-out
@@ -258,28 +254,23 @@ def recursive_cvar(
     ``models`` are the period models ``X_0 .. X_T`` of one path.  For
     several paths, pass ``states``, an ``(n_paths, T + 1)`` array of 0-based
     indices into ``models``: path ``i`` prices period ``t`` with
-    ``models[states[i, t]]``, ``realized_path`` has shape ``(n_paths, T + 1)``
+    ``models[states[i, t]]``, ``realized_path`` has the shape of ``states``
     and the result is an ``(n_paths, T + 1)`` array.  The static values and
     means are evaluated once per entry of ``models``.
     """
     p = _require_probability(p)
-    mode = CvarMode(mode)
-    _require_horizon(T)
+    mode = _require_member(CvarMode, mode)
     batched = states is not None
-    if batched:
-        states = np.asarray(states)
-        if states.ndim != 2 or states.shape[1] != T + 1 or states.size == 0:
-            raise DomainError(f"states must have shape (n_paths, {T + 1}), got {states.shape}")
-        if not 0 <= states.min() <= states.max() < len(models):
-            raise DomainError(f"states must index the {len(models)} models")
-    else:
-        if len(models) != T + 1:
-            raise DomainError(f"need {T + 1} period models, got {len(models)}")
-        states = np.arange(T + 1)[np.newaxis, :]
+    states = np.asarray(states) if batched else np.arange(len(models))[np.newaxis, :]
+    if states.ndim != 2 or states.size == 0:
+        raise DomainError(f"need a non-empty (n_paths, T + 1) grid of periods, got {states.shape}")
+    if not 0 <= states.min() <= states.max() < len(models):
+        raise DomainError(f"states must index the {len(models)} models")
     if mode is CvarMode.PIECEWISE and realized_path is None:
         raise DomainError("piecewise mode needs a realized return path")
     if realized_path is not None:
-        realized = _path_array("realized path", realized_path, T, n_paths=len(states))
+        realized = _path_array("realized_path", realized_path)
+        _require_same_shape({"states" if batched else "models": states, "realized_path": realized})
 
     cvar_table = np.array([cvar_tail(m, p) for m in models])
     if mode is CvarMode.EXACT:
@@ -288,7 +279,7 @@ def recursive_cvar(
     mean_table = np.array([m.mean() for m in models])
     out = np.empty(states.shape)
     out[:, 0] = cvar_table[states[:, 0]]
-    for t in range(1, T + 1):
+    for t in range(1, states.shape[1]):
         prev = out[:, t - 1]
         v_t = var_table[states[:, t]]
         mean_t = mean_table[states[:, t]]
@@ -305,16 +296,13 @@ def recursive_cvar(
 # --------------------------------------------------------------------------
 
 
-def _path_states(
-    chain_path: ChainPath | np.ndarray, matrix: TransitionMatrix, T: int
-) -> np.ndarray:
+def _path_states(chain_path: ChainPath | np.ndarray, matrix: TransitionMatrix) -> np.ndarray:
     """One chain path, or an ``(n_paths, T + 2)`` stack of them, as a 2-D array."""
-    _require_horizon(T)
     states = np.atleast_2d(
         chain_path.states if isinstance(chain_path, ChainPath) else chain_path
     )
-    if states.ndim != 2 or states.shape[1] != T + 2 or states.shape[0] == 0:
-        raise DomainError(f"chain paths must have shape (n_paths, {T + 2}), got {states.shape}")
+    if states.ndim != 2 or states.shape[1] < 2 or states.shape[0] == 0:
+        raise DomainError(f"chain paths must have shape (n_paths, T + 2), got {states.shape}")
     if states.dtype.kind not in "iu" or not 1 <= states.min() <= states.max() <= matrix.n_states:
         raise DomainError(f"state indices must be integers in [1, {matrix.n_states}]")
     if not np.array_equal(states[:, -1], states[:, -2]):
@@ -355,7 +343,6 @@ def modulated_var_trajectory(
     matrix: TransitionMatrix,
     chain_path: ChainPath | np.ndarray,
     p: float,
-    T: int,
 ) -> list[float] | np.ndarray:
     """Value-at-risk recursion along a realized chain path.
 
@@ -372,8 +359,8 @@ def modulated_var_trajectory(
     """
     p = _require_probability(p)
     family = _state_family(models, matrix)
-    states = _path_states(chain_path, matrix, T)
-    priced = states[:, 1 : T + 1]
+    states = _path_states(chain_path, matrix)
+    priced = states[:, 1:-1]
     if family is ModelFamily.GAUSSIAN:
         per_state = np.array([var(m, p) for m in models])
         predicted = one_step_linked_expectation(matrix, per_state, priced)
@@ -389,7 +376,6 @@ def modulated_cvar_trajectory(
     chain_path: ChainPath | np.ndarray,
     realized_returns: Sequence[float] | np.ndarray,
     p: float,
-    T: int,
 ) -> list[float] | np.ndarray:
     """Conditional value-at-risk branch recursion along a realized chain path.
 
@@ -408,9 +394,10 @@ def modulated_cvar_trajectory(
     """
     p = _require_probability(p)
     family = _state_family(models, matrix)
-    states = _path_states(chain_path, matrix, T)
-    realized = _path_array("realized returns", realized_returns, T, n_paths=len(states))
-    priced = states[:, 1 : T + 1]
+    states = _path_states(chain_path, matrix)
+    realized = _path_array("realized_returns", realized_returns)
+    _require_same_shape({"chain_path periods": states[:, 1:], "realized_returns": realized})
+    priced = states[:, 1:-1]
     out = np.empty(realized.shape)
     out[:, 0] = np.array([cvar_tail(m, p) for m in models])[states[:, 1] - 1]
     if family is ModelFamily.GAUSSIAN:
@@ -426,7 +413,7 @@ def modulated_cvar_trajectory(
     else:
         _, varbar = _weibull_quantiles(models, matrix, priced, p)
         meanbar = one_step_linked_expectation(matrix, [m.mean() for m in models], priced)
-        for t in range(1, T + 1):
+        for t in range(1, out.shape[1]):
             prev = out[:, t - 1]
             v_t = varbar[:, t - 1]
             out[:, t] = np.where(

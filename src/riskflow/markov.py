@@ -15,12 +15,12 @@ terminal state is frozen.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .distributions import _require_non_negative_int
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -140,13 +140,6 @@ def one_step_linked_expectation(
         raise DomainError(f"state indices must be integers in [1, {matrix.n_states}]")
     table = np.array([predict(s) for s in range(1, matrix.n_states + 1)])
     return table[states - 1]
-
-
-def _require_non_negative_int(name: str, value: object) -> None:
-    """Raise :class:`DomainError` unless ``value`` is a non-negative integer
-    that is not a bool (the rule for counts and seeds)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def simulate_path(

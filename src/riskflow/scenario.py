@@ -47,6 +47,7 @@ from .distributions import (
     ModelFamily,
     ReturnModel,
     WeibullParams,
+    _require_member,
     _require_number,
     model_from_params,
     sample,
@@ -259,8 +260,15 @@ def fit_gaussian(returns: Sequence[float]) -> GaussianParams:
     if any(not math.isfinite(v) for v in xs):
         raise DataError("gaussian fit: observations must be finite")
     n = len(xs)
-    mean = math.fsum(xs) / n
-    ss = math.fsum((v - mean) ** 2 for v in xs)
+    try:
+        mean = math.fsum(xs) / n
+        ss = math.fsum((v - mean) ** 2 for v in xs)
+    except OverflowError:
+        ss = math.inf
+    if not math.isfinite(ss):
+        raise NumericError(
+            f"gaussian fit: the sample variance of {n} observations overflows a float"
+        )
     if ss == 0.0:
         raise DataError("gaussian fit: zero sample variance (all observations equal)")
     return GaussianParams(mean, math.sqrt(ss / (n - 1)))
@@ -429,7 +437,7 @@ def build_reference_experiment(study: ReferenceStudy | str) -> ExperimentConfig:
     (state 2), except the Weibull shape which is constant; the products are
     carried at full float precision.
     """
-    study = ReferenceStudy(study)
+    study = _require_member(ReferenceStudy, study)
     if study is ReferenceStudy.GAUSSIAN_MSCI:
         family = ModelFamily.GAUSSIAN
         params = {
@@ -638,21 +646,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
                 measures["var"] = RiskColumns(
                     static=np.array([var(m, p) for m in models])[period],
                     recursive=(
-                        recursive_var_gaussian_closed(params["mu"], params["sigma"], p, T)
+                        recursive_var_gaussian_closed(params["mu"], params["sigma"], p)
                         if family is ModelFamily.GAUSSIAN
                         else recursive_var_weibull_closed(
-                            params["lambda"], params["alpha"], params["theta"], p, T
+                            params["lambda"], params["alpha"], params["theta"], p
                         )
                     ),
-                    modulated=modulated_var_trajectory(models, matrix, states, p, T),
+                    modulated=modulated_var_trajectory(models, matrix, states, p),
                 )
             if "cvar" in config.measures:
                 measures["cvar"] = RiskColumns(
                     static=np.array([cvar_tail(m, p) for m in models])[period],
-                    recursive=recursive_cvar(
-                        models, p, T, config.cvar_mode, realized, states=period
-                    ),
-                    modulated=modulated_cvar_trajectory(models, matrix, states, realized, p, T),
+                    recursive=recursive_cvar(models, p, config.cvar_mode, realized, states=period),
+                    modulated=modulated_cvar_trajectory(models, matrix, states, realized, p),
                 )
     except NumericError as exc:
         raise NumericError(f"[seed {config.seed}] {exc}") from exc

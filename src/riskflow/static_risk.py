@@ -36,6 +36,7 @@ from .distributions import (
     ReturnModel,
     WeibullParams,
     _normal_pdf,
+    _require_member,
     _require_probability,
     expected_positive_part,
 )
@@ -62,13 +63,6 @@ class MeasureKind(str, Enum):
 class Orientation(str, Enum):
     UPPER_TAIL = "upper_tail"
     LOWER_TAIL = "lower_tail"
-
-
-def _require_orientation(orientation: Orientation | str) -> Orientation:
-    try:
-        return Orientation(orientation)
-    except ValueError as exc:
-        raise DomainError(f"unknown orientation {orientation!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ def var(
     ``q_p(-X) = -q_{1-p}(X)``, exact on its continuous support).
     """
     p = _require_probability(p)
-    if _require_orientation(orientation) is Orientation.UPPER_TAIL:
+    if _require_member(Orientation, orientation) is Orientation.UPPER_TAIL:
         return model.quantile(p)
     if isinstance(model, WeibullParams):
         return -model.quantile(1.0 - p)
@@ -118,7 +112,7 @@ def cvar_tail(
     (weak inequality), matching the sample quantile convention.
     """
     p = _require_probability(p)
-    if _require_orientation(orientation) is Orientation.LOWER_TAIL:
+    if _require_member(Orientation, orientation) is Orientation.LOWER_TAIL:
         if isinstance(model, WeibullParams):
             # E[-X | -X >= q_p(-X)] spelled through upper-tail primitives:
             # with q = q_{1-p}(X), the lower tail mean of X below q is
@@ -156,7 +150,7 @@ def ru_objective(
     eta = float(eta)
     if not math.isfinite(eta):
         raise DomainError(f"threshold must be finite, got {eta!r}")
-    if _require_orientation(orientation) is Orientation.UPPER_TAIL:
+    if _require_member(Orientation, orientation) is Orientation.UPPER_TAIL:
         excess = expected_positive_part(model, eta)
     else:
         excess = expected_positive_part(model, -eta) - model.mean() - eta

@@ -75,7 +75,7 @@ def random_sequences(rng, family, T):
         mus = rng.normal(0.0, 10.0, T + 1)
         sigmas = rng.uniform(0.1, 5.0, T + 1)
         models = [GaussianParams(float(m), float(s)) for m, s in zip(mus, sigmas)]
-        closed = recursive_var_gaussian_closed(mus, sigmas, 0.99, T)
+        closed = recursive_var_gaussian_closed(mus, sigmas, 0.99)
     else:
         lams = rng.uniform(0.2, 10.0, T + 1)
         alphas = rng.uniform(0.3, 4.0, T + 1)
@@ -84,7 +84,7 @@ def random_sequences(rng, family, T):
             WeibullParams(float(l), float(a), float(th))
             for l, a, th in zip(lams, alphas, thetas)
         ]
-        closed = recursive_var_weibull_closed(lams, alphas, thetas, 0.99, T)
+        closed = recursive_var_weibull_closed(lams, alphas, thetas, 0.99)
     return models, closed
 
 
@@ -96,7 +96,7 @@ def test_closed_form_matches_stepwise_recursion():
         for _ in range(1000):
             T = int(rng.integers(1, 51))
             models, closed = random_sequences(rng, family, T)
-            generic = recursive_risk_generic(models, VAR_99, T)
+            generic = recursive_risk_generic(models, VAR_99)
             for a, b in zip(closed, generic):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
     assert time.perf_counter() - start < 10.0
@@ -109,7 +109,7 @@ def test_recursion_telescopes_to_static_quantile():
         for _ in range(200):
             T = int(rng.integers(1, 31))
             models, _ = random_sequences(rng, family, T)
-            out = recursive_risk_generic(models, VAR_99, T)
+            out = recursive_risk_generic(models, VAR_99)
             for t in range(1, T + 1):
                 assert abs(out[t] + out[t - 1] - var(models[t], 0.99)) <= 1e-10
 

@@ -404,6 +404,23 @@ class TestCountValidation:
             )
 
 
+class TestEnumArguments:
+    """Axiom names are members or their values; anything else is a DomainError."""
+
+    def test_static_axiom(self):
+        with pytest.raises(DomainError, match="unknown StaticAxiom 'P9'"):
+            check_static_axiom("P9", VAR_LOWER, trials=10)
+
+    def test_dynamic_axiom(self):
+        pairs = bundled_pair_processes(DynamicAxiom.D1, n_pairs=1, n_atoms=2, T=1)
+        with pytest.raises(DomainError, match="unknown DynamicAxiom 'D9'"):
+            check_dynamic_axiom("D9", RecursiveFiniteMeasure(VAR_LOWER), pairs)
+
+    def test_bundled_pairs(self):
+        with pytest.raises(DomainError, match="unknown DynamicAxiom 'D8'"):
+            bundled_pair_processes("D8")
+
+
 class TestSeedValidation:
     """Every checker takes the seed rule of ``simulate_path``: a non-negative
     integer that is not a bool."""

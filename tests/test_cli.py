@@ -76,6 +76,22 @@ class TestFit:
         path = write_series(tmp_path, [100.0, 101.0, 102.0, 103.0])
         assert run(["fit", "--input", str(path), "--family", "weibull"]) == 3
 
+    def test_overflowing_gaussian_fit_is_one_error_line_exit_3(self, tmp_path):
+        path = write_series(tmp_path, [1e200, -1e200, 1e200, -1e200])
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "riskflow.cli", "fit",
+                "--input", str(path), "--family", "gaussian",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        errors = [line for line in proc.stderr.splitlines() if not line.startswith("INFO ")]
+        assert len(errors) == 1
+        assert errors[0].startswith("ERROR numerical failure: gaussian fit")
+
 
 class TestRisk:
     def run_value(self, capsys, *argv):

@@ -256,6 +256,16 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample(GaussianParams(0.0, 1.0), 0, seed=1)
 
+    @pytest.mark.parametrize("n", [2.5, True, -1, "3"])
+    def test_count_is_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="sample size must be"):
+            sample(GaussianParams(0.0, 1.0), n, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_integer_seed_is_non_negative(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            sample(GaussianParams(0.0, 1.0), 3, seed=seed)
+
 
 class TestModelPlumbing:
     def test_shift_model(self):

@@ -1,5 +1,6 @@
 """Multi-period recursion, closed forms, and chain-modulated trajectories."""
 
+import inspect
 import math
 
 import numpy as np
@@ -58,7 +59,7 @@ def random_weibull_sequence(rng, T):
 class TestRecursiveVar:
     def test_two_period_example(self):
         models = [GaussianParams(0.0, 1.0), GaussianParams(1.0, 2.0)]
-        out = recursive_risk_generic(models, VAR_99, 1)
+        out = recursive_risk_generic(models, VAR_99)
         assert out[0] == pytest.approx(Z_99, rel=1e-12)
         # R_1 = var(X_1) - R_0 = (1 + 2q) - q = 1 + q.
         assert out[1] == pytest.approx(1.0 + Z_99, rel=1e-12)
@@ -70,7 +71,7 @@ class TestRecursiveVar:
             GaussianParams(float(m), float(s))
             for m, s in zip(rng.normal(0, 5, 7), rng.uniform(0.5, 3, 7))
         ]
-        out = recursive_risk_generic(models, VAR_99, 6)
+        out = recursive_risk_generic(models, VAR_99)
         statics = [var(m, 0.99) for m in models]
         for t in range(7):
             expected = sum((-1.0) ** (t - k) * statics[k] for k in range(t + 1))
@@ -84,7 +85,7 @@ class TestRecursiveVar:
                 rng.uniform(0.5, 6, 9), rng.uniform(0.4, 3, 9), rng.normal(0, 1, 9)
             )
         ]
-        out = recursive_risk_generic(models, VAR_99, 8)
+        out = recursive_risk_generic(models, VAR_99)
         for t in range(1, 9):
             assert out[t] + out[t - 1] == pytest.approx(var(models[t], 0.99), abs=1e-10)
 
@@ -94,8 +95,8 @@ class TestRecursiveVar:
         # route re-derives each static value from a shifted model and only
         # promises float-level agreement.
         models = [GaussianParams(2.0, 1.5)] * 9
-        closed = recursive_var_gaussian_closed([2.0] * 9, [1.5] * 9, 0.99, 8)
-        generic = recursive_risk_generic(models, VAR_99, 8)
+        closed = recursive_var_gaussian_closed([2.0] * 9, [1.5] * 9, 0.99)
+        generic = recursive_risk_generic(models, VAR_99)
         v = var(models[0], 0.99)
         for t in range(9):
             if t % 2 == 0:
@@ -107,7 +108,7 @@ class TestRecursiveVar:
     def test_lower_tail_orientation_same_alternating_sum(self):
         spec = RiskMeasureSpec(MeasureKind.VAR, 0.95, Orientation.LOWER_TAIL)
         models = [GaussianParams(1.0, 2.0), GaussianParams(-0.5, 1.0), GaussianParams(0.0, 3.0)]
-        out = recursive_risk_generic(models, spec, 2)
+        out = recursive_risk_generic(models, spec)
         statics = [var(m, 0.95, Orientation.LOWER_TAIL) for m in models]
         assert out[0] == pytest.approx(statics[0])
         assert out[1] == pytest.approx(statics[1] - statics[0], abs=1e-9)
@@ -116,14 +117,8 @@ class TestRecursiveVar:
     def test_callable_measure(self):
         # Any translation-additive functional recurses the same way.
         models = [EmpiricalSample((0.0, 2.0)), EmpiricalSample((1.0, 3.0))]
-        out = recursive_risk_generic(models, lambda model: model.mean(), 1)
+        out = recursive_risk_generic(models, lambda model: model.mean())
         assert out == [1.0, 1.0]  # mean(X_1) - mean(X_0) = 2 - 1
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            recursive_risk_generic([GaussianParams(0.0, 1.0)], VAR_99, 1)
-        with pytest.raises(DomainError):
-            recursive_risk_generic([], VAR_99, -1)
 
 
 class TestClosedForms:
@@ -132,9 +127,9 @@ class TestClosedForms:
         for _ in range(50):
             T = int(rng.integers(0, 13))
             mus, sigmas = random_gaussian_sequence(rng, T)
-            closed = recursive_var_gaussian_closed(mus, sigmas, 0.99, T)
+            closed = recursive_var_gaussian_closed(mus, sigmas, 0.99)
             models = [GaussianParams(float(m), float(s)) for m, s in zip(mus, sigmas)]
-            generic = recursive_risk_generic(models, VAR_99, T)
+            generic = recursive_risk_generic(models, VAR_99)
             scale = max(1.0, max(abs(v) for v in generic))
             assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(closed, generic))
 
@@ -143,13 +138,13 @@ class TestClosedForms:
         for _ in range(50):
             T = int(rng.integers(0, 13))
             lams, alphas, thetas = random_weibull_sequence(rng, T)
-            closed = recursive_var_weibull_closed(lams, alphas, thetas, 0.95, T)
+            closed = recursive_var_weibull_closed(lams, alphas, thetas, 0.95)
             models = [
                 WeibullParams(float(l), float(a), float(th))
                 for l, a, th in zip(lams, alphas, thetas)
             ]
             spec = RiskMeasureSpec(MeasureKind.VAR, 0.95)
-            generic = recursive_risk_generic(models, spec, T)
+            generic = recursive_risk_generic(models, spec)
             scale = max(1.0, max(abs(v) for v in generic))
             assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(closed, generic))
 
@@ -161,7 +156,7 @@ class TestClosedForms:
     def test_gaussian_closed_is_alternating_sum(self, mus, p):
         sigmas = [1.0] * len(mus)
         T = len(mus) - 1
-        closed = recursive_var_gaussian_closed(mus, sigmas, p, T)
+        closed = recursive_var_gaussian_closed(mus, sigmas, p)
         q = float(ndtri(p))
         for t in range(T + 1):
             expected = sum((-1.0) ** (t - k) * (mus[k] + q) for k in range(t + 1))
@@ -169,17 +164,17 @@ class TestClosedForms:
 
     def test_closed_forms_validate_input(self):
         with pytest.raises(DomainError):
-            recursive_var_gaussian_closed([0.0], [-1.0], 0.99, 0)
+            recursive_var_gaussian_closed([0.0], [-1.0], 0.99)
         with pytest.raises(DomainError):
-            recursive_var_gaussian_closed([0.0, 1.0], [1.0], 0.99, 1)
+            recursive_var_gaussian_closed([0.0, 1.0], [1.0], 0.99)
         with pytest.raises(DomainError):
-            recursive_var_weibull_closed([1.0], [0.0], [0.0], 0.99, 0)
+            recursive_var_weibull_closed([1.0], [0.0], [0.0], 0.99)
 
 
 class TestRecursiveCvar:
     def test_two_period_exact_example(self):
         models = [GaussianParams(0.0, 1.0), GaussianParams(1.0, 2.0)]
-        out = recursive_cvar(models, 0.99, 1, CvarMode.EXACT)
+        out = recursive_cvar(models, 0.99, CvarMode.EXACT)
         assert out[0] == pytest.approx(STD_NORMAL_CVAR_99, rel=1e-12)
         assert out[1] == pytest.approx(3.665214220345806, rel=1e-12)
 
@@ -189,14 +184,14 @@ class TestRecursiveCvar:
             GaussianParams(float(m), float(s))
             for m, s in zip(rng.normal(0, 3, 6), rng.uniform(0.2, 2, 6))
         ]
-        out = recursive_cvar(models, 0.95, 5, CvarMode.EXACT)
+        out = recursive_cvar(models, 0.95, CvarMode.EXACT)
         for t in range(1, 6):
             assert out[t] + out[t - 1] == pytest.approx(cvar_tail(models[t], 0.95), abs=1e-10)
 
     def test_exact_mode_point_mass(self):
         # Point masses make every step arithmetic: cvar of an atom is the atom.
         models = [EmpiricalSample((5.0,)), EmpiricalSample((3.0,)), EmpiricalSample((4.0,))]
-        assert recursive_cvar(models, 0.9, 2, CvarMode.EXACT) == [5.0, -2.0, 6.0]
+        assert recursive_cvar(models, 0.9, CvarMode.EXACT) == [5.0, -2.0, 6.0]
 
     @pytest.mark.parametrize("n_paths, T", [(1, 0), (1, 10), (50, 3), (200, 10)])
     def test_exact_mode_evaluates_cvar_once_per_model(self, monkeypatch, n_paths, T):
@@ -209,11 +204,11 @@ class TestRecursiveCvar:
 
         monkeypatch.setattr(dynamic_risk, "cvar_tail", counting_cvar_tail)
         states = np.random.default_rng(T).integers(0, 2, (n_paths, T + 1))
-        recursive_cvar(models, 0.95, T, CvarMode.EXACT, states=states)
+        recursive_cvar(models, 0.95, CvarMode.EXACT, states=states)
         assert evaluated == models
         evaluated.clear()
         path_models = [models[k] for k in states[0]]
-        recursive_cvar(path_models, 0.95, T, CvarMode.EXACT)
+        recursive_cvar(path_models, 0.95, CvarMode.EXACT)
         assert evaluated == path_models
 
     def test_piecewise_branch_below_threshold(self):
@@ -222,14 +217,14 @@ class TestRecursiveCvar:
         c0 = cvar_tail(models[0], p)
         v1 = var(models[1], p)
         # Realized return far below var - 2*C_0 lands in the shifted-quantile branch.
-        out = recursive_cvar(models, p, 1, CvarMode.PIECEWISE, realized_path=[0.0, -50.0])
+        out = recursive_cvar(models, p, CvarMode.PIECEWISE, realized_path=[0.0, -50.0])
         assert out == [c0, v1 - c0]
 
     def test_piecewise_branch_above_threshold(self):
         p = 0.95
         models = [GaussianParams(0.0, 1.0), GaussianParams(2.0, 3.0)]
         c0 = cvar_tail(models[0], p)
-        out = recursive_cvar(models, p, 1, CvarMode.PIECEWISE, realized_path=[0.0, 50.0])
+        out = recursive_cvar(models, p, CvarMode.PIECEWISE, realized_path=[0.0, 50.0])
         v1, m1 = var(models[1], p), 2.0
         expected = v1 - c0 + (m1 - v1 + 2.0 * c0) / (1.0 - p)
         assert out[1] == pytest.approx(expected, rel=1e-12)
@@ -242,7 +237,7 @@ class TestRecursiveCvar:
         p = 0.9
         models = [WeibullParams(2.0, 1.3), WeibullParams(1.5, 0.8)]
         c0 = cvar_tail(models[0], p)
-        out = recursive_cvar(models, p, 1, CvarMode.PIECEWISE, realized_path=[0.0, 1e6])
+        out = recursive_cvar(models, p, CvarMode.PIECEWISE, realized_path=[0.0, 1e6])
         v1, m1 = var(models[1], p), weibull_min.mean(0.8, scale=1.5)
         family_form = m1 / (1.0 - p) - (p / (1.0 - p)) * v1 + ((1.0 + p) / (1.0 - p)) * c0
         assert out[1] == pytest.approx(family_form, rel=1e-12)
@@ -255,7 +250,7 @@ class TestRecursiveCvar:
         p = 0.99
         models = [GaussianParams(0.0, 1.0)] * 4
         path = [1e9] * 4
-        out = recursive_cvar(models, p, 3, CvarMode.PIECEWISE, realized_path=path)
+        out = recursive_cvar(models, p, CvarMode.PIECEWISE, realized_path=path)
         assert out[3] > 1e4 * out[0]
         ratios = [out[t] / out[t - 1] for t in (2, 3)]
         assert all(150.0 < r < 200.0 for r in ratios)
@@ -263,17 +258,19 @@ class TestRecursiveCvar:
     def test_piecewise_requires_realized_path(self):
         models = [GaussianParams(0.0, 1.0)] * 2
         with pytest.raises(DomainError):
-            recursive_cvar(models, 0.99, 1, CvarMode.PIECEWISE)
+            recursive_cvar(models, 0.99, CvarMode.PIECEWISE)
         with pytest.raises(DomainError):
-            recursive_cvar(models, 0.99, 1, CvarMode.PIECEWISE, realized_path=[0.0])
+            recursive_cvar(models, 0.99, CvarMode.PIECEWISE, realized_path=[0.0])
 
     def test_mode_accepts_plain_strings(self):
         models = [GaussianParams(0.0, 1.0)]
-        assert recursive_cvar(models, 0.99, 0, "exact") == recursive_cvar(
-            models, 0.99, 0, CvarMode.EXACT
+        assert recursive_cvar(models, 0.99, "exact") == recursive_cvar(
+            models, 0.99, CvarMode.EXACT
         )
-        with pytest.raises(ValueError):
-            recursive_cvar(models, 0.99, 0, "approximate")
+        with pytest.raises(DomainError):
+            recursive_cvar(models, 0.99, "approximate")
+        with pytest.raises(DomainError):  # a stray horizon lands on the mode
+            recursive_cvar(models, 0.99, 0, "exact")
 
 
 class TestVectorialMeasure:
@@ -298,7 +295,7 @@ class TestModulatedVarTrajectory:
         p = 0.99
         models = [GaussianParams(1.0, 2.0), GaussianParams(-2.0, 3.0)]
         path = ChainPath((1, 2, 1, 1))
-        out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p, 2)
+        out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p)
         q = float(ndtri(p))
         per_state = np.array([1.0 + 2.0 * q, -2.0 + 3.0 * q])
         v0 = per_state[1]  # X_0 parameters link to the state at Z_1 = 2
@@ -318,7 +315,7 @@ class TestModulatedVarTrajectory:
         theta = np.array([0.5, -0.25])
         models = [WeibullParams(*params) for params in zip(lam, alpha, theta)]
         path = ChainPath((1, 1, 2, 2))
-        out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p, 2)
+        out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p)
         c = (-math.log1p(-p)) ** (1.0 / alpha)
         col1 = REFERENCE_MATRIX.column(1)
         v0 = theta[0] + lam[0] * c[0]
@@ -337,15 +334,9 @@ class TestModulatedVarTrajectory:
         identity = TransitionMatrix.from_rows(((1.0, 0.0), (0.0, 1.0)))
         models = [GaussianParams(3.0, 1.5), GaussianParams(99.0, 1.0)]
         path = ChainPath((1,) * 7)
-        out = modulated_var_trajectory(models, identity, path, 0.99, 5)
-        closed = recursive_var_gaussian_closed([3.0] * 6, [1.5] * 6, 0.99, 5)
+        out = modulated_var_trajectory(models, identity, path, 0.99)
+        closed = recursive_var_gaussian_closed([3.0] * 6, [1.5] * 6, 0.99)
         assert out == pytest.approx(closed, rel=1e-12)
-
-    def test_path_horizon_must_match(self):
-        with pytest.raises(DomainError):
-            modulated_var_trajectory(
-                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, ChainPath((1, 2, 2)), 0.99, 5
-            )
 
     @pytest.mark.parametrize("models", [
         [STANDARD_GAUSSIAN],
@@ -358,9 +349,9 @@ class TestModulatedVarTrajectory:
         # One model per chain state, all of one parametric family.
         path = ChainPath((1, 2, 2))
         with pytest.raises(DomainError):
-            modulated_var_trajectory(models, REFERENCE_MATRIX, path, 0.99, 1)
+            modulated_var_trajectory(models, REFERENCE_MATRIX, path, 0.99)
         with pytest.raises(DomainError):
-            modulated_cvar_trajectory(models, REFERENCE_MATRIX, path, [0.0, 0.0], 0.99, 1)
+            modulated_cvar_trajectory(models, REFERENCE_MATRIX, path, [0.0, 0.0], 0.99)
 
 
 class TestModulatedCvarTrajectory:
@@ -373,10 +364,10 @@ class TestModulatedCvarTrajectory:
         sigbar_2 = float(np.array([1.0, 2.0]) @ REFERENCE_MATRIX.column(1))
         # t=1 threshold: realized-parameter quantile of X_1 (state Z_2 = 1).
         below = modulated_cvar_trajectory(
-            models, REFERENCE_MATRIX, path, [0.0, q - 0.01, 0.0], p, 2
+            models, REFERENCE_MATRIX, path, [0.0, q - 0.01, 0.0], p
         )
         above = modulated_cvar_trajectory(
-            models, REFERENCE_MATRIX, path, [0.0, q + 0.01, 0.0], p, 2
+            models, REFERENCE_MATRIX, path, [0.0, q + 0.01, 0.0], p
         )
         assert below[0] == above[0] == pytest.approx(2.0 * norm.pdf(q) / (1.0 - p))
         assert below[1] == pytest.approx(sigbar_1 * q, rel=1e-12)
@@ -400,10 +391,10 @@ class TestModulatedCvarTrajectory:
         # Threshold at t=1 is vbar + 2*C_0 (prediction plus carried value).
         eps = 1e-9
         below = modulated_cvar_trajectory(
-            models, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 - eps], p, 1
+            models, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 - eps], p
         )
         above = modulated_cvar_trajectory(
-            models, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 + eps], p, 1
+            models, REFERENCE_MATRIX, path, [0.0, vbar + 2 * c0 + eps], p
         )
         assert below[0] == above[0] == pytest.approx(c0, rel=1e-12)
         assert below[1] == pytest.approx(vbar - c0, rel=1e-12)
@@ -425,20 +416,16 @@ class TestModulatedCvarTrajectory:
         T = 4
         path = ChainPath((1,) * (T + 2))
         big = [1e9] * (T + 1)
-        modulated = modulated_cvar_trajectory(models, identity, path, big, p, T)
+        modulated = modulated_cvar_trajectory(models, identity, path, big, p)
         plain = recursive_cvar(
-            [WeibullParams(6.7679, 0.8016)] * (T + 1),
-            p,
-            T,
-            CvarMode.PIECEWISE,
-            realized_path=big,
+            [WeibullParams(6.7679, 0.8016)] * (T + 1), p, CvarMode.PIECEWISE, realized_path=big
         )
         assert modulated == pytest.approx(plain, rel=1e-12)
 
     def test_returns_length_validated(self):
         with pytest.raises(DomainError):
             modulated_cvar_trajectory(
-                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0], 0.99, 1
+                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0], 0.99
             )
 
 
@@ -460,40 +447,36 @@ class TestStackedPaths:
     ])
     def test_modulated_rows_match_single_paths(self, models):
         paths, states, returns = self.stack()
-        var_rows = modulated_var_trajectory(models, REFERENCE_MATRIX, states, self.P, self.T)
+        var_rows = modulated_var_trajectory(models, REFERENCE_MATRIX, states, self.P)
         cvar_rows = modulated_cvar_trajectory(
-            models, REFERENCE_MATRIX, states, returns, self.P, self.T
+            models, REFERENCE_MATRIX, states, returns, self.P
         )
         assert var_rows.shape == cvar_rows.shape == (len(paths), self.T + 1)
         for i, path in enumerate(paths):
             args = (models, REFERENCE_MATRIX, path)
-            assert var_rows[i].tolist() == modulated_var_trajectory(*args, self.P, self.T)
-            assert cvar_rows[i].tolist() == modulated_cvar_trajectory(
-                *args, returns[i], self.P, self.T
-            )
+            assert var_rows[i].tolist() == modulated_var_trajectory(*args, self.P)
+            assert cvar_rows[i].tolist() == modulated_cvar_trajectory(*args, returns[i], self.P)
 
     @pytest.mark.parametrize("mode", [CvarMode.PIECEWISE, CvarMode.EXACT])
     def test_recursive_cvar_rows_match_single_paths(self, mode):
         _, states, returns = self.stack()
         models = [GaussianParams(1.0, 0.5), GaussianParams(-2.0, 2.0)]
         index = states[:, 1:] - 1
-        rows = recursive_cvar(models, self.P, self.T, mode, returns, states=index)
+        rows = recursive_cvar(models, self.P, mode, returns, states=index)
         for i in range(len(states)):
-            single = recursive_cvar(
-                [models[k] for k in index[i]], self.P, self.T, mode, returns[i]
-            )
+            single = recursive_cvar([models[k] for k in index[i]], self.P, mode, returns[i])
             assert rows[i].tolist() == single
 
     def test_closed_form_rows_match_single_paths(self):
         rng = np.random.default_rng(4)
         mus, sigmas = rng.normal(0.0, 5.0, (3, 5)), rng.uniform(0.5, 2.0, (3, 5))
-        rows = recursive_var_gaussian_closed(mus, sigmas, self.P, 4)
+        rows = recursive_var_gaussian_closed(mus, sigmas, self.P)
         lams, alphas, thetas = rng.uniform(1.0, 3.0, (3, 3, 5))
-        weibull_rows = recursive_var_weibull_closed(lams, alphas, thetas, self.P, 4)
+        weibull_rows = recursive_var_weibull_closed(lams, alphas, thetas, self.P)
         for i in range(3):
-            assert rows[i].tolist() == recursive_var_gaussian_closed(mus[i], sigmas[i], self.P, 4)
+            assert rows[i].tolist() == recursive_var_gaussian_closed(mus[i], sigmas[i], self.P)
             assert weibull_rows[i].tolist() == recursive_var_weibull_closed(
-                lams[i], alphas[i], thetas[i], self.P, 4
+                lams[i], alphas[i], thetas[i], self.P
             )
 
     def test_stacks_are_validated(self):
@@ -502,16 +485,115 @@ class TestStackedPaths:
         bad = states.copy()
         bad[0, -1] = 3 - bad[0, -2]
         with pytest.raises(DomainError):
-            modulated_var_trajectory(models, REFERENCE_MATRIX, bad, 0.9, self.T)
+            modulated_var_trajectory(models, REFERENCE_MATRIX, bad, 0.9)
         with pytest.raises(DomainError):
-            modulated_cvar_trajectory(models, REFERENCE_MATRIX, states, returns[:-1], 0.9, self.T)
+            modulated_cvar_trajectory(models, REFERENCE_MATRIX, states, returns[:-1], 0.9)
         with pytest.raises(DomainError, match="must be integers"):
             modulated_cvar_trajectory(
-                models, REFERENCE_MATRIX, states.astype(float), returns, 0.9, self.T
+                models, REFERENCE_MATRIX, states.astype(float), returns, 0.9
             )
         with pytest.raises(DomainError):
             recursive_cvar(
-                [GaussianParams(0.0, 1.0)], 0.9, self.T, CvarMode.PIECEWISE, returns,
+                [GaussianParams(0.0, 1.0)], 0.9, CvarMode.PIECEWISE, returns,
                 states=states[:, 1:] - 1,
             )
 
+
+GAUSSIAN_PAIR = [GaussianParams(1.0, 0.5), GaussianParams(-2.0, 2.0)]
+
+#: Each trajectory function on one path of ``T + 1`` periods, given ``T``
+#: and that many realized returns.
+TRAJECTORIES = {
+    recursive_risk_generic: lambda T, r: recursive_risk_generic(
+        [STANDARD_GAUSSIAN] * (T + 1), VAR_99
+    ),
+    recursive_var_gaussian_closed: lambda T, r: recursive_var_gaussian_closed(
+        r, np.ones(T + 1), 0.99
+    ),
+    recursive_var_weibull_closed: lambda T, r: recursive_var_weibull_closed(
+        np.ones(T + 1), np.ones(T + 1), r, 0.99
+    ),
+    recursive_cvar: lambda T, r: recursive_cvar(
+        [STANDARD_GAUSSIAN] * (T + 1), 0.99, CvarMode.PIECEWISE, r
+    ),
+    modulated_var_trajectory: lambda T, r: modulated_var_trajectory(
+        GAUSSIAN_PAIR, REFERENCE_MATRIX, simulate_path(REFERENCE_MATRIX, 1, T, seed=T), 0.99
+    ),
+    modulated_cvar_trajectory: lambda T, r: modulated_cvar_trajectory(
+        GAUSSIAN_PAIR, REFERENCE_MATRIX, simulate_path(REFERENCE_MATRIX, 1, T, seed=T), r, 0.99
+    ),
+}
+
+STACK = np.array([simulate_path(REFERENCE_MATRIX, 1, 6, seed=s).states for s in range(5)])
+
+#: Inputs that disagree on the ``(n_paths, T + 1)`` shape, with both shapes.
+MISMATCHED = {
+    "mus against sigmas": (
+        lambda: recursive_var_gaussian_closed([0.0, 1.0, 2.0], [1.0, 1.0], 0.99),
+        "(1, 3)", "(1, 2)",
+    ),
+    "thetas against lambdas": (
+        lambda: recursive_var_weibull_closed(
+            np.ones((2, 3)), np.ones((2, 3)), np.zeros((3, 3)), 0.99
+        ),
+        "(2, 3)", "(3, 3)",
+    ),
+    "realized against models": (
+        lambda: recursive_cvar([STANDARD_GAUSSIAN] * 3, 0.99, CvarMode.PIECEWISE, [0.0, 0.0]),
+        "(1, 3)", "(1, 2)",
+    ),
+    "realized against states": (
+        lambda: recursive_cvar(
+            GAUSSIAN_PAIR, 0.99, CvarMode.PIECEWISE, np.zeros((4, 3)),
+            states=np.zeros((4, 4), dtype=int),
+        ),
+        "(4, 4)", "(4, 3)",
+    ),
+    "chain path against returns": (
+        lambda: modulated_cvar_trajectory(
+            GAUSSIAN_PAIR, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0, 0.0, 0.0], 0.99
+        ),
+        "(1, 2)", "(1, 3)",
+    ),
+    "chain stack against returns": (
+        lambda: modulated_cvar_trajectory(
+            GAUSSIAN_PAIR, REFERENCE_MATRIX, STACK, np.zeros((4, 7)), 0.99
+        ),
+        "(5, 7)", "(4, 7)",
+    ),
+}
+
+
+class TestShapesCarryTheHorizon:
+    """No trajectory function takes the horizon: it is read off the inputs."""
+
+    @pytest.mark.parametrize("T", [0, 1, 5])
+    @pytest.mark.parametrize("fn", list(TRAJECTORIES), ids=lambda fn: fn.__name__)
+    def test_one_value_per_period(self, fn, T):
+        assert not {"T", "horizon"} & set(inspect.signature(fn).parameters)
+        returns = np.random.default_rng(T).normal(0.0, 3.0, T + 1)
+        out = TRAJECTORIES[fn](T, returns)
+        assert isinstance(out, list) and len(out) == T + 1
+
+    @pytest.mark.parametrize("case", list(MISMATCHED))
+    def test_disagreeing_shapes_name_both(self, case):
+        call, first, second = MISMATCHED[case]
+        with pytest.raises(DomainError, match="differ in shape") as excinfo:
+            call()
+        assert first in str(excinfo.value) and second in str(excinfo.value)
+
+    @pytest.mark.parametrize("call", [
+        lambda: recursive_risk_generic([], VAR_99),
+        lambda: recursive_var_gaussian_closed([], [], 0.99),
+        lambda: recursive_var_weibull_closed([], [], [], 0.99),
+        lambda: recursive_cvar([], 0.99),
+        lambda: modulated_var_trajectory(
+            GAUSSIAN_PAIR, REFERENCE_MATRIX, np.ones((3, 1), dtype=int), 0.99
+        ),
+        lambda: modulated_cvar_trajectory(
+            GAUSSIAN_PAIR, REFERENCE_MATRIX, np.ones((3, 1), dtype=int), np.zeros((3, 0)), 0.99
+        ),
+    ])
+    def test_no_periods_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()

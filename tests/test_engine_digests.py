@@ -55,7 +55,7 @@ def test_exact_recursive_cvar_is_the_telescoped_static_column(config_key):
         models = [config.state_model(s) for s in range(1, config.n_states + 1)]
         spec = RiskMeasureSpec(MeasureKind.CVAR, config.p)
         oracle = np.array([
-            recursive_risk_generic([models[s - 1] for s in path[1:]], spec, config.horizon)
+            recursive_risk_generic([models[s - 1] for s in path[1:]], spec)
             for path in result.states.tolist()
         ])
         assert np.all(np.abs(column - oracle) <= 1e-12 * np.maximum(1.0, np.abs(column)))

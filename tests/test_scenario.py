@@ -75,6 +75,10 @@ class TestExperimentConfig:
         assert cfg.params["alpha"] == (0.8016, 0.8016)
         assert cfg.params["theta"] == (0.0, 0.0)
 
+    def test_unknown_reference_study(self):
+        with pytest.raises(DomainError, match="unknown ReferenceStudy 'nope'"):
+            build_reference_experiment("nope")
+
     def test_state_models(self):
         cfg = small_config()
         assert cfg.state_model(1) == GaussianParams(1.0, 0.5)
@@ -212,6 +216,14 @@ class TestFitGaussian:
             fit_gaussian([2.0, 2.0, 2.0])
         with pytest.raises(DataError):
             fit_gaussian([1.0, float("inf")])
+
+    @pytest.mark.parametrize("xs", [
+        [2e200, -2e200, 2e200],  # the squared deviations overflow
+        [1.7e308] * 3,  # the sum overflows
+    ])
+    def test_overflow_is_a_numeric_error(self, xs):
+        with pytest.raises(NumericError, match="gaussian fit"):
+            fit_gaussian(xs)
 
 
 class TestFitWeibull:
@@ -421,9 +433,11 @@ class TestRunExperiment:
 
     def test_the_earliest_non_finite_cell_is_named(self, monkeypatch):
         # A bad cell of an earlier column at a later t must not hide this one.
+        config = small_config(n_paths=3, measures=("var",))
+
         def column_with(cell, value):
-            def column(*args):  # T is the last argument of both
-                values = np.zeros((3, args[-1] + 1))
+            def column(*args):
+                values = np.zeros((config.n_paths, config.horizon + 1))
                 values[cell] = value
                 return values
             return column
@@ -431,7 +445,7 @@ class TestRunExperiment:
         monkeypatch.setattr(scenario, "recursive_var_gaussian_closed", column_with((0, 3), np.inf))
         monkeypatch.setattr(scenario, "modulated_var_trajectory", column_with((2, 1), np.nan))
         with pytest.raises(NumericError, match=r"modulated_var is nan at path 2, t=1$"):
-            run_experiment(small_config(n_paths=3, measures=("var",)))
+            run_experiment(config)
 
     def test_result_arrays_are_read_only(self):
         result, _ = run_experiment(small_config(n_paths=3))

@@ -266,7 +266,7 @@ ORIENTED = {
     "cvar_ru": lambda m, o: cvar_ru(m, 0.9, o),
     "argmin_contains_var": lambda m, o: argmin_contains_var(m, 0.9, o),
     "recursive_risk_generic": lambda m, o: recursive_risk_generic(
-        [m, m.shift(1.0), m], lambda x: var(x, 0.9, Orientation(o)), 2, orientation=o
+        [m, m.shift(1.0), m], lambda x: var(x, 0.9, Orientation(o)), orientation=o
     ),
 }
 
