@@ -15,8 +15,9 @@ terminal state is frozen.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,10 @@ __all__ = [
     "one_step_linked_expectation",
     "simulate_path",
 ]
+
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +147,84 @@ def one_step_linked_expectation(
     return table[states - 1]
 
 
+@functools.lru_cache(maxsize=8)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The ``n + 1`` successive values of a ``SeedSequence`` hash constant,
+    as a read-only ``uint32`` column: it starts at ``init`` and is
+    multiplied by ``mult`` after each hash, whatever the data."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, dtype=np.uint32)[:, np.newaxis]
+    column.flags.writeable = False
+    return column
+
+
+# 0-d uint32 arrays: numpy combines them with small arrays faster than ints.
+_SHIFT, _MIX_L, _MIX_R = (np.array(c, dtype=np.uint32) for c in (16, 0xCA01F9DD, 0x4973F715))
+#: The pool rows that each pool row is mixed into, in order.
+_OTHER_ROWS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``hashmix`` of ``uint32`` words: output row ``k``
+    hashes row ``k`` of ``words`` (or all of a 1-d ``words``) with
+    ``consts[k]`` and ``consts[k + 1]``."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ (words >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> _SHIFT)
+
+
+def _pcg64_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """Yield, for each non-negative integer seed in turn, one reused
+    :class:`numpy.random.Generator` whose state equals
+    ``np.random.default_rng(seed)``'s; draw from it before taking the next.
+
+    ``default_rng(seed)`` is ``PCG64(SeedSequence(seed))``.  The
+    ``SeedSequence`` pool of 4 ``uint32`` words is hashed here for all seeds
+    at once, one row per pool word and one column per seed; a seed's
+    entropy is its 32-bit words, least significant first, and zero-padding
+    it to the pool size hashes the same.  Words past the pool (seeds of
+    ``2**128`` and above) are mixed in only for the seeds that have them.
+    PCG64's 128-bit seeding step then runs in Python ints.
+    """
+    seeds = [int(s) for s in seeds]
+    width = max(4, -(-max(seeds, default=0).bit_length() // 32))
+    entropy = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    words = np.frombuffer(entropy, dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * width)
+    pool = _hashmix(words[:4], consts[:5])
+    # Each pool word, in turn, is hashed into each of the other three.
+    for src, dst in enumerate(_OTHER_ROWS):
+        k = 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+    for src in range(4, width):
+        # A seed has word src when it or a later word is non-zero.
+        mixed = _mix(pool, _hashmix(words[src], consts[4 * src : 4 * src + 5]))
+        pool = np.where(np.any(words[src:] != 0, axis=0), mixed, pool)
+    # generate_state(4, uint64): 8 words hashed from the pool in turn, paired
+    # little-endian into the 64-bit words (seed_hi, seed_lo, inc_hi, inc_lo).
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    state = state[1::2].astype(np.uint64) << np.uint64(32) | state[0::2]
+    generator = np.random.Generator(np.random.PCG64(0))
+    # PCG64's srandom: inc = 2 * initseq + 1, then two LCG steps around
+    # adding initstate to the zero state.
+    for seed_hi, seed_lo, inc_hi, inc_lo in state.T.tolist():
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        pcg_state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg_state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator
+
+
 def simulate_path(
     matrix: TransitionMatrix,
     initial_state: int,
@@ -153,7 +236,9 @@ def simulate_path(
     ``horizon`` is ``T >= 0``.  One seed gives a :class:`ChainPath`; a
     sequence of seeds gives an ``(n_seeds, T + 2)`` array of 1-based states,
     row ``i`` the path of ``seed[i]``.  Deterministic per seed: each path's
-    ``T`` uniforms come from one draw of its own seeded stream.  All paths
+    ``T`` uniforms come from one draw of its own stream, a PCG64 state equal
+    to ``np.random.default_rng(seed)``'s, seeded for all paths in one batch
+    (:func:`_pcg64_streams`).  All paths
     step together; each step takes the first state whose cumulative
     transition probability exceeds the uniform, or else the last state.
     """
@@ -162,7 +247,7 @@ def simulate_path(
     start = matrix.require_state(initial_state)
     for name, value in [("horizon", horizon)] + [("seed", s) for s in seeds]:
         _require_non_negative_int(name, value)
-    draws = [np.random.default_rng(s).random(horizon) for s in seeds]
+    draws = [stream.random(horizon) for stream in _pcg64_streams(seeds)]
     uniforms = np.array(draws).reshape(len(seeds), horizon)
     # Row i: the cumulative outgoing distribution of state i + 1, its last
     # entry raised to infinity so that the count of entries <= u (which is

@@ -62,7 +62,7 @@ from .dynamic_risk import (
     recursive_var_weibull_closed,
 )
 from .errors import ConfigError, DataError, DomainError, NumericError
-from .markov import TransitionMatrix, simulate_path
+from .markov import TransitionMatrix, _pcg64_streams, simulate_path
 from .static_risk import cvar_tail, var
 
 __all__ = [
@@ -613,11 +613,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
 
     Paths draw independent chain/returns seed pairs from one root sequence.
     Each path walks its chain and draws its standard returns from its own
-    streams; everything after that runs on ``(n_paths, T + 1)`` arrays, with
-    the static measures, means and one-step predictions evaluated once per
-    chain state.  A non-finite value in any column (the piecewise CVaR
-    recursions overflow on long horizons) raises :class:`NumericError`
-    naming the earliest such cell.  The returned arrays are read-only.
+    streams, PCG64 states equal to ``np.random.default_rng(seed)``'s and
+    seeded for all paths in one batch; everything after that runs on
+    ``(n_paths, T + 1)`` arrays, with the static measures, means and
+    one-step predictions evaluated once per chain state.  A non-finite value
+    in any column (the piecewise CVaR recursions overflow on long horizons)
+    raises :class:`NumericError` naming the earliest such cell.  The
+    returned arrays are read-only.
     """
     matrix = config.chain()
     T, p, family = config.horizon, config.p, config.family
@@ -630,8 +632,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
     period = states[:, 1:] - 1
     models = [config.state_model(s) for s in range(1, config.n_states + 1)]
     standard = np.array([
-        sample(STANDARD_MODELS[family], T + 1, np.random.default_rng(s))
-        for s in returns_seeds.tolist()
+        sample(STANDARD_MODELS[family], T + 1, stream)
+        for stream in _pcg64_streams(returns_seeds.tolist())
     ])
     realized = np.empty(standard.shape)
     for s, model in enumerate(models):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskflow import markov
 from riskflow.errors import ConfigError, DomainError
 from riskflow.markov import (
     ChainPath,
@@ -235,12 +236,12 @@ class TestSimulatePath:
         assert simulate_path(m, 1, 6, []).shape == (0, 8)
 
 
-def bisect_walk(matrix, initial_state, horizon, seed):
+def bisect_walk(matrix, initial_state, uniforms):
     """The walk one path at a time: ``bisect_right`` on the cumulative
     outgoing distribution, clamped to the last state."""
     cumulative = np.cumsum(matrix.entries, axis=0).T.tolist()
     states = [initial_state]
-    for u in np.random.default_rng(seed).random(horizon).tolist():
+    for u in uniforms.tolist():
         nxt = bisect.bisect_right(cumulative[states[-1] - 1], u) + 1
         states.append(min(nxt, matrix.n_states))
     return states + states[-1:]
@@ -267,7 +268,7 @@ EDGE_UNIFORMS = np.array(
 
 
 class _RotatedEdgeUniforms:
-    """Stands in for ``default_rng(seed)``: ``EDGE_UNIFORMS`` rotated by the seed."""
+    """Stands in for the stream of ``seed``: ``EDGE_UNIFORMS`` rotated by the seed."""
 
     def __init__(self, seed):
         self.seed = seed
@@ -280,11 +281,11 @@ class TestStackedWalk:
     """All paths stepped together equal per-seed calls and the bisect walk."""
 
     @staticmethod
-    def assert_walks_agree(matrix, horizon, seeds):
+    def assert_walks_agree(matrix, horizon, seeds, stream=np.random.default_rng):
         for initial in range(1, matrix.n_states + 1):
             stacked = simulate_path(matrix, initial, horizon, seeds)
             singles = [list(simulate_path(matrix, initial, horizon, s).states) for s in seeds]
-            reference = [bisect_walk(matrix, initial, horizon, s) for s in seeds]
+            reference = [bisect_walk(matrix, initial, stream(s).random(horizon)) for s in seeds]
             assert stacked.tolist() == singles == reference
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
@@ -294,11 +295,46 @@ class TestStackedWalk:
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_edge_uniforms(self, rows, monkeypatch):
-        monkeypatch.setattr(np.random, "default_rng", _RotatedEdgeUniforms)
+        monkeypatch.setattr(markov, "_pcg64_streams", lambda seeds: map(_RotatedEdgeUniforms, seeds))
         matrix = TransitionMatrix.from_rows(rows)
         seeds = list(range(len(EDGE_UNIFORMS)))
-        self.assert_walks_agree(matrix, len(EDGE_UNIFORMS), seeds)
+        self.assert_walks_agree(matrix, len(EDGE_UNIFORMS), seeds, stream=_RotatedEdgeUniforms)
         if matrix.n_states == 4:
             # 4 -> 4 has probability zero: only the clamp takes that step.
             walks = simulate_path(matrix, 4, len(EDGE_UNIFORMS), seeds)[:, :-1]
             assert np.any((walks[:, :-1] == 4) & (walks[:, 1:] == 4))
+
+
+class TestBatchSeededStreams:
+    """The batch-seeded streams are ``default_rng(seed)``'s, state and bytes."""
+
+    SMALL = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @staticmethod
+    def assert_streams_match(seeds, n=17):
+        assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64), (
+            "default_rng no longer builds PCG64: markov._pcg64_streams must follow it"
+        )
+        for seed, stream in zip(seeds, markov._pcg64_streams(seeds), strict=True):
+            reference = np.random.default_rng(seed)
+            assert stream.bit_generator.state == reference.bit_generator.state, seed
+            assert stream.random(n).tobytes() == reference.random(n).tobytes(), seed
+            assert stream.standard_normal(n).tobytes() == reference.standard_normal(n).tobytes()
+
+    def test_full_range_uint64_seeds(self):
+        rng = np.random.default_rng(11)
+        seeds = self.SMALL + rng.integers(0, 2**64, 5000, dtype=np.uint64).tolist()
+        self.assert_streams_match(seeds)
+
+    def test_seeds_below_2_to_32(self):
+        rng = np.random.default_rng(12)
+        self.assert_streams_match(self.SMALL + rng.integers(0, 2**32, 1000).tolist())
+
+    def test_seeds_past_the_pool(self):
+        # Entropy words past the pool of four: only the seeds that have them mix them in.
+        big = [2**96, 2**128 - 1, 2**128, 2**130, 2**130 + 5, 3 * 2**160 + 7, 2**200]
+        self.assert_streams_match(big + self.SMALL + big[::-1])
+
+    @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
+    def test_large_seeds_through_simulate_path(self, rows):
+        TestStackedWalk.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, [2**64, 2**130, 3])

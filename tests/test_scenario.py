@@ -403,6 +403,18 @@ class TestRunExperiment:
         other = run_experiment(dataclasses.replace(cfg, seed=12))[0]
         assert not np.array_equal(other.returns, first.returns)
 
+    @pytest.mark.parametrize("mode", ["piecewise", "exact"])
+    @pytest.mark.parametrize("study", ["gaussian_msci", "weibull_bbgex"])
+    def test_prefix_stability(self, study, mode):
+        # Path i depends only on the root seed and i: the first 10 paths of a
+        # 1000-path run are a 10-path run, bit for bit.
+        cfg = dataclasses.replace(build_reference_experiment(study), cvar_mode=mode)
+        full = self.arrays(run_experiment(dataclasses.replace(cfg, n_paths=1000))[0])
+        prefix = self.arrays(run_experiment(dataclasses.replace(cfg, n_paths=10))[0])
+        assert full.keys() == prefix.keys() and len(full) == 10  # 2 seeds, states, returns, 6 columns
+        for name in full:
+            assert full[name][:10].tobytes() == prefix[name].tobytes(), name
+
     def test_views_hold_the_rows(self):
         result, _ = run_experiment(small_config(n_paths=3))
         views = list(result)
