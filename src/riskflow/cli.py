@@ -107,7 +107,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
 
 
 def _emit_format(path: str) -> str:
-    return "json" if path.endswith(".json") else "csv"
+    return "json" if Path(path).suffix.lower() == ".json" else "csv"
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

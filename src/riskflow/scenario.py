@@ -10,10 +10,11 @@ static, recursive, and modulated trajectories for all paths at once on
 ``(n_paths, T + 1)`` arrays, and returns them as one
 :class:`ExperimentResult` (per-path views are built only on request) with
 its summary statistics; :func:`emit_trajectories` writes the fixed-schema
-CSV/JSON tables straight from those arrays.  Both format each distinct
-float once.  The CSV is streamed line by line and its bytes equal the
-``csv`` module's; the JSON's equal ``json.dump(..., indent=2)``'s.  Reruns
-of the same config are byte-identical.
+CSV/JSON tables straight from those arrays.  It formats one text per
+distinct bit pattern of the stacked columns, looks the cells up through
+the inverse index and streams the rows in chunks; the CSV's bytes equal the
+``csv`` module's and the JSON's equal ``json.dump(..., indent=2)``'s.
+Reruns of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
 cover a Gaussian index-level study and a Weibull daily-increment study: base
@@ -27,7 +28,6 @@ the Weibull shape is held constant across states.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -685,42 +685,34 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
 # --------------------------------------------------------------------------
 
 
-def _rows(result: ExperimentResult) -> Iterator[tuple[object, ...]]:
-    """Table rows in output order: ``[path,] t`` and the six measure columns."""
-    n_paths, width = result.returns.shape
-    present = result.columns()
-    columns = [
-        present[name].ravel().tolist() if name in present else itertools.repeat(None)
-        for name in _CSV_COLUMNS
-    ]
-    path_ids = [np.repeat(np.arange(n_paths), width).tolist()] if n_paths > 1 else []
-    return zip(*path_ids, list(range(width)) * n_paths, *columns)
+#: Rows per step of :func:`_lines`: one chunk's cell texts are held at a time.
+_CHUNK_ROWS = 1024
 
 
-def _cell_text(null: str, number: Callable[[float], str]) -> Callable[[object], str]:
-    """The text of one table's cells, formatting each distinct float once.
+def _lines(
+    result: ExperimentResult, number: Callable[[float], str], template: str
+) -> Iterator[str]:
+    """``template % row`` for each table row, in output order.
 
-    ``None`` is written as ``null`` and floats by ``number``.  A run writes
-    few distinct numbers into many cells, so each float's text is kept for
-    its later cells.  Zeros bypass that store: ``0.0 == -0.0`` with one
-    hash, and ``recursive_var`` writes ``-0.0``.  Cells are floats, ints
-    (``path``, ``t``) or ``None``.
+    A row holds the texts of ``[path,] t`` and of the columns present.
+    Floats are keyed on their bits, so ``-0.0`` keeps its sign, and each
+    distinct one is formatted once by ``number``; each integer id is
+    formatted once too.  Rows are formatted ``_CHUNK_ROWS`` at a time.
     """
-    texts: dict[float, str] = {}
-
-    def cell(value: object) -> str:
-        if value is None:
-            return null
-        if type(value) is int:
-            return str(value)
-        if not value:
-            return number(value)
-        text = texts.get(value)
-        if text is None:
-            text = texts[value] = number(value)
-        return text
-
-    return cell
+    n_paths, width = result.returns.shape
+    columns = list(result.columns().values())
+    floats = np.array(columns, dtype=np.float64).reshape(len(columns), n_paths * width)
+    keys, inverse = np.unique(floats.view(np.uint64), return_inverse=True)
+    n_ids = max(n_paths, width)
+    texts = np.array(
+        [*map(str, range(n_ids)), *map(number, keys.view(np.float64).tolist())], dtype=object
+    )
+    path, t = np.divmod(np.arange(n_paths * width), width)
+    ids = [path, t] if n_paths > 1 else [t]
+    index = np.vstack([*ids, n_ids + inverse.reshape(floats.shape)])
+    for start in range(0, n_paths * width, _CHUNK_ROWS):
+        cells = texts[index[:, start : start + _CHUNK_ROWS]].tolist()
+        yield from map(template.__mod__, zip(*cells))
 
 
 def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> None:
@@ -735,19 +727,27 @@ def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> N
     if fmt not in ("csv", "json"):
         raise DomainError(f'format must be "csv" or "json", got {fmt!r}')
     header = (("path",) if len(result) > 1 else ()) + ("t",) + _CSV_COLUMNS
+    present = result.columns().keys() | {"path", "t"}
+    null = "" if fmt == "csv" else "null"
+    slots = ["%s" if name in present else null for name in header]
     try:
         if fmt == "csv":
             # No cell needs quoting, so this is what ``csv.writer`` writes.
-            cell = _cell_text("", repr)
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(",".join(header) + "\n")
-                handle.writelines(",".join(map(cell, row)) + "\n" for row in _rows(result))
+                handle.writelines(_lines(result, repr, ",".join(slots) + "\n"))
         else:
-            # The layout of ``json.dump(records, indent=2)``, one record per row.
-            cell = _cell_text("null", json.dumps)
-            record = "  {" + ",".join(f"\n    {json.dumps(k)}: %s" for k in header) + "\n  }"
-            body = ",\n".join(record % tuple(map(cell, row)) for row in _rows(result))
+            # The layout of ``json.dump(records, indent=2)``: each record
+            # follows its separator, which the first drops.
+            fields = ",".join(f"\n    {json.dumps(k)}: {s}" for k, s in zip(header, slots))
+            lines = _lines(result, json.dumps, ",\n  {" + fields + "\n  }")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(f"[\n{body}\n]\n" if body else "[]\n")
+                first = next(lines, None)
+                if first is None:
+                    handle.write("[]\n")
+                else:
+                    handle.write("[" + first[1:])
+                    handle.writelines(lines)
+                    handle.write("\n]\n")
     except OSError as exc:
         raise DataError(f"cannot write trajectories to {path}: {exc}") from exc

@@ -255,6 +255,13 @@ class TestReproduce:
         assert len(records) == 11
         assert set(records[0]) >= {"t", "static_var", "modulated_cvar"}
 
+    @pytest.mark.parametrize("name", ["study.JSON", "study.Json"])
+    def test_json_suffix_in_any_case_writes_json(self, tmp_path, capsys, name):
+        out = tmp_path / name
+        assert run(["reproduce", "--study", "gaussian", "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert len(json.loads(out.read_text())) == 11
+
     def test_default_output_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["reproduce", "--study", "weibull"]) == 0

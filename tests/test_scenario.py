@@ -415,6 +415,38 @@ class TestRunExperiment:
         for name in full:
             assert full[name][:10].tobytes() == prefix[name].tobytes(), name
 
+    @pytest.mark.parametrize("mode", ["piecewise", "exact"])
+    @pytest.mark.parametrize("study", ["gaussian_msci", "weibull_bbgex"])
+    def test_positive_homogeneity(self, study, mode):
+        # Doubling every state's location and scale doubles the returns and
+        # all six columns bit for bit: scaling by a power of two is exact in
+        # floating point and leaves every branch choice unchanged.
+        cfg = dataclasses.replace(
+            build_reference_experiment(study), cvar_mode=mode, n_paths=200
+        )
+        scaled = {"mu", "sigma", "lambda", "theta"}
+        doubled = dataclasses.replace(cfg, params={
+            k: tuple(2 * x for x in v) if k in scaled else v for k, v in cfg.params.items()
+        })
+        base, twice = run_experiment(cfg)[0], run_experiment(doubled)[0]
+        assert np.array_equal(twice.returns, 2 * base.returns)
+        assert len(base.columns()) == 6
+        for name, column in base.columns().items():
+            assert np.array_equal(twice.columns()[name], 2 * column), name
+
+    @pytest.mark.parametrize("study", ["gaussian_msci", "weibull_bbgex"])
+    def test_one_state_collapse(self, study):
+        # When every chain state carries the first state's model, the chain
+        # cannot change the one-step prediction: modulated VaR is recursive VaR.
+        cfg = dataclasses.replace(
+            build_reference_experiment(study), n_paths=200, measures=("var",)
+        )
+        two_state = run_experiment(cfg)[0].var
+        assert not np.array_equal(two_state.modulated, two_state.recursive)
+        one_model = {k: (v[0],) * len(v) for k, v in cfg.params.items()}
+        collapsed = run_experiment(dataclasses.replace(cfg, params=one_model))[0].var
+        np.testing.assert_array_max_ulp(collapsed.modulated, collapsed.recursive, maxulp=4)
+
     def test_views_hold_the_rows(self):
         result, _ = run_experiment(small_config(n_paths=3))
         views = list(result)
@@ -597,10 +629,11 @@ class TestEmitTrajectories:
         json.dump([dict(zip(header, row)) for row in rows], out, indent=2)
         return out.getvalue() + "\n"
 
-    def test_csv_bytes_match_the_csv_module(self, tmp_path):
-        # Signed zeros share one column in both orders, values repeat across
-        # paths and columns, tables carry var only, cvar only or both, and
-        # the float 3.0 precedes the path id 3.
+    @classmethod
+    def csv_cases(cls):
+        """Hand-built tables: signed zeros share one column in both orders,
+        values repeat across paths and columns, tables carry var only, cvar
+        only or both, and the float 3.0 precedes the path id 3."""
         var_a = ((1.25, 1.25, 1.25), (1.25, -0.0, 0.0), (0.1, 0.30000000000000004, 1e-300))
         var_b = ((1.25, 1.25, 1.25), (-0.0, 0.0, -0.0), (0.1, 0.1, -1.25))
         var_c = ((2.5, 0.0, -0.0), (3.0, 3.0, -0.0), (0.0, 1e-300, 1.25))
@@ -609,38 +642,45 @@ class TestEmitTrajectories:
         cvar_b = ((2.5, 2.5, 2.5), (-0.0, 2.5, 0.0), (1.25, 0.30000000000000004, -0.0))
         cvar_c = ((-7.5, 0.1, 0.1), (0.0, 0.0, -0.0), (2.5, 3.0, 1.25))
         cvar_d = ((2.5, 0.0, -0.0), (-0.0, 1.25, 1.25), (0.1, 0.1, 3.0))
-        cases = [
-            self.hand_built([var_a], [cvar_a]),
-            self.hand_built([var_b], None),
-            self.hand_built(None, [cvar_b]),
-            self.hand_built([var_a, var_b, var_c, var_d], [cvar_a, cvar_b, cvar_c, cvar_d]),
-            self.hand_built([var_d, var_c, var_b, var_a], None),
-            self.hand_built(None, [cvar_c, cvar_b, cvar_a]),
+        return [
+            cls.hand_built([var_a], [cvar_a]),
+            cls.hand_built([var_b], None),
+            cls.hand_built(None, [cvar_b]),
+            cls.hand_built([var_a, var_b, var_c, var_d], [cvar_a, cvar_b, cvar_c, cvar_d]),
+            cls.hand_built([var_d, var_c, var_b, var_a], None),
+            cls.hand_built(None, [cvar_c, cvar_b, cvar_a]),
         ]
-        for result in cases:
+
+    @classmethod
+    def assert_csv_bytes(cls, results, tmp_path):
+        for result in results:
             out = tmp_path / "traj.csv"
             emit_trajectories(result, "csv", out)
-            assert out.read_bytes() == self.csv_module_text(result).encode()
+            assert out.read_bytes() == cls.csv_module_text(result).encode()
 
-    def test_json_bytes_match_the_json_module(self, tmp_path):
-        # Signed zeros share one column in both orders, tables carry var
-        # only, cvar only or both on 0, 1 and 3 paths, and non-finite cells
-        # are written as json writes them.
+    def test_csv_bytes_match_the_csv_module(self, tmp_path):
+        self.assert_csv_bytes(self.csv_cases(), tmp_path)
+
+    @classmethod
+    def json_cases(cls):
+        """Hand-built tables: signed zeros share one column in both orders,
+        tables carry var only, cvar only or both on 0, 1 and 3 paths, and
+        non-finite cells are written as json writes them."""
         var_a = ((1.25, 1.25, 1.25), (1.25, -0.0, 0.0), (0.1, 0.30000000000000004, 1e-300))
         var_b = ((1.25, 1.25, 1.25), (-0.0, 0.0, -0.0), (0.1, 0.1, -1.25))
         var_nan = ((2.5, math.nan, -0.0), (math.inf, 3.0, -math.inf), (0.0, math.nan, 1.25))
         cvar_a = ((2.5, 2.5, 2.5), (0.0, -0.0, 2.5), (3.0, -7.5, 1.25))
         cvar_b = ((2.5, 2.5, 2.5), (-0.0, 2.5, 0.0), (1.25, 0.30000000000000004, -0.0))
-        cases = [
-            self.hand_built([var_a], [cvar_a]),
-            self.hand_built([var_b], None),
-            self.hand_built(None, [cvar_b]),
-            self.hand_built([var_nan], None),
-            self.hand_built([var_a, var_b, var_nan], [cvar_a, cvar_b, cvar_a]),
-            self.hand_built([var_b, var_a, var_b], None),
-            self.hand_built(None, [cvar_b, cvar_a, cvar_b]),
+        return [
+            cls.hand_built([var_a], [cvar_a]),
+            cls.hand_built([var_b], None),
+            cls.hand_built(None, [cvar_b]),
+            cls.hand_built([var_nan], None),
+            cls.hand_built([var_a, var_b, var_nan], [cvar_a, cvar_b, cvar_a]),
+            cls.hand_built([var_b, var_a, var_b], None),
+            cls.hand_built(None, [cvar_b, cvar_a, cvar_b]),
             dataclasses.replace(  # no paths: json writes "[]"
-                self.hand_built([var_a], None),
+                cls.hand_built([var_a], None),
                 chain_seeds=np.zeros(0, dtype=np.uint64),
                 returns_seeds=np.zeros(0, dtype=np.uint64),
                 states=np.ones((0, 4), dtype=int),
@@ -648,10 +688,25 @@ class TestEmitTrajectories:
                 var=RiskColumns(*[np.zeros((0, 3))] * 3),
             ),
         ]
-        for result in cases:
+
+    @classmethod
+    def assert_json_bytes(cls, results, tmp_path):
+        for result in results:
             out = tmp_path / "traj.json"
             emit_trajectories(result, "json", out)
-            assert out.read_bytes() == self.json_module_text(result).encode()
+            assert out.read_bytes() == cls.json_module_text(result).encode()
+
+    def test_json_bytes_match_the_json_module(self, tmp_path):
+        self.assert_json_bytes(self.json_cases(), tmp_path)
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    def test_bytes_match_across_chunk_edges(self, tmp_path, monkeypatch, chunk):
+        # Rows are formatted a chunk at a time.  With chunks of 2 and 3 rows,
+        # tables of 0, 3, 9 and 12 rows end on partial and full chunks, and
+        # multi-path tables put ``path`` and ``t`` ids on both sides of edges.
+        monkeypatch.setattr(scenario, "_CHUNK_ROWS", chunk)
+        self.assert_csv_bytes([*self.csv_cases(), self.json_cases()[-1]], tmp_path)
+        self.assert_json_bytes(self.json_cases(), tmp_path)
 
     #: sha256 of the JSON tables, recorded while the runner still built one
     #: object per path; the engine digests cover the CSV only.
