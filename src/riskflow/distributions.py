@@ -24,20 +24,21 @@ written against this surface.  :func:`expected_positive_part` and
 :func:`sample` are the module-level entry points that validate their
 arguments before calling the methods.
 
-Importing this module loads no SciPy.  ``scipy.special`` is loaded by the
-first Gaussian ``quantile`` and ``scipy.integrate`` by the first Weibull
-``exceedance`` above the location, the only two formulas that use them.
+Importing this module loads no SciPy.  ``scipy.special``, the only SciPy
+module the package loads, comes in with the first Gaussian ``quantile`` or
+Weibull ``exceedance`` above the location, the only two formulas that use it.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Mapping, TypeVar, Union
+from typing import Callable, ClassVar, Mapping, TypeVar, Union
 
 import numpy as np
 
@@ -94,6 +95,7 @@ def _require_non_negative_int(name: str, value: object) -> None:
 
 
 E = TypeVar("E", bound=Enum)
+F = TypeVar("F", bound=Callable[..., float])
 
 
 def _require_member(kind: type[E], value: object) -> E:
@@ -111,6 +113,25 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _overflow_is_numeric_error(method: F) -> F:
+    """Make a Weibull formula whose value overflows a float raise
+    :class:`NumericError` naming the model and the argument."""
+
+    @functools.wraps(method)
+    def checked(self: WeibullParams, *args: float) -> float:
+        try:
+            value = method(self, *args)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        at = ", ".join(map(repr, args))
+        model = (self.lam, self.alpha, self.theta)
+        raise NumericError(f"weibull {method.__name__}({at}) overflows a float for {model!r}")
+
+    return checked  # type: ignore[return-value]
 
 
 def _normal_pdf(z: float) -> float:
@@ -199,40 +220,32 @@ class WeibullParams:
             return 0.0
         return -math.expm1(-(((x - self.theta) / self.lam) ** self.alpha))
 
+    @_overflow_is_numeric_error
     def quantile(self, p: float) -> float:
         """``theta + lam * (-ln(1 - p))**(1/alpha)``; ``-log1p(-p)`` keeps accuracy near 1."""
         p = _require_probability(p)
         return self.theta + self.lam * (-math.log1p(-p)) ** (1.0 / self.alpha)
 
+    @_overflow_is_numeric_error
     def mean(self) -> float:
         return self.theta + self.lam * math.gamma(1.0 + 1.0 / self.alpha)
 
+    @_overflow_is_numeric_error
     def exceedance(self, a: float) -> float:
-        """Exact ``mean - a`` below the support, otherwise adaptive quadrature.
-
-        Integrates the survival function ``S(x) = exp(-((x - theta)/lam)**alpha)``
-        over ``[a, inf)``, which equals the exceedance by parts and has a
-        smooth integrand.
-        """
+        """Exact ``mean - a`` below the support, otherwise the survival function
+        integrated over ``[a, inf)``: ``lam * Gamma(1 + 1/alpha) * Q(1/alpha, z)``
+        with ``z = ((a - theta)/lam)**alpha`` and ``Q`` SciPy's ``gammaincc``,
+        the regularised upper incomplete gamma function."""
         if a <= self.theta:
             return self.mean() - a
-        from scipy.integrate import quad  # imported here so start-up loads no SciPy
+        from scipy.special import gammaincc  # imported here so start-up loads no SciPy
 
-        lam, alpha, theta = self.lam, self.alpha, self.theta
-
-        def survival(x: float) -> float:
-            return math.exp(-(((x - theta) / lam) ** alpha))
-
-        # full_output=1 hands a failure back as a message, not a warning on
-        # stderr; the abserr check below judges it.
-        value, abserr = quad(
-            survival, a, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1
-        )[:2]
-        if not math.isfinite(value) or abserr > 1e-6 * max(1.0, abs(value)):
-            raise NumericError(
-                f"exceedance quadrature failed for weibull{(lam, alpha, theta)!r} at a={a!r}"
-            )
-        return max(value, 0.0)
+        try:
+            z = ((a - self.theta) / self.lam) ** self.alpha
+        except OverflowError:  # then alpha > 1, and Q(1/alpha, z) <= exp(-z)
+            return 0.0
+        s = 1.0 / self.alpha
+        return self.lam * math.gamma(1.0 + s) * float(gammaincc(s, z))
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale(-np.log1p(-rng.random(n)))

@@ -16,7 +16,8 @@ Regenerate the table from the repository root with::
     PYTHONPATH=src python tests/engine_digests.py > tests/engine_digests.json
 
 It reports on stderr how many keys differ from the table committed at git
-``HEAD`` and names the first five.
+``HEAD``, and how many in each changed configuration group (family, mode,
+measures and chain, the key without its horizon, path count and seed).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from riskflow.scenario import ExperimentConfig, emit_trajectories, run_experiment
@@ -122,7 +124,8 @@ def main() -> None:
 
 
 def report_changes(table: dict[str, str]) -> None:
-    """Count on stderr the keys whose digest differs from the committed table.
+    """Count on stderr the keys whose digest differs from the committed table,
+    in total and per configuration group.
 
     The committed table is read from git, because the redirection shown in
     the module docstring empties the working copy before this script starts.
@@ -139,8 +142,9 @@ def report_changes(table: dict[str, str]) -> None:
     recorded = json.loads(committed.stdout)
     changed = [key for key in table if recorded.get(key) != table[key]]
     print(f"{len(changed)} of {len(table)} keys changed", file=sys.stderr)
-    for key in changed[:5]:
-        print(f"  {key}", file=sys.stderr)
+    sizes = Counter(key.rsplit("/", 3)[0] for key in table)
+    for group, count in Counter(key.rsplit("/", 3)[0] for key in changed).items():
+        print(f"  {count} of {sizes[group]}  {group}", file=sys.stderr)
 
 
 if __name__ == "__main__":

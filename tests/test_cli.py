@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import hashlib
+import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -27,6 +30,15 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 #: scalar reprs (``np.float64(61.3)``), which an earlier engine let through;
 #: they are compared as the float they wrap.
 NUMPY_REPR = re.compile(r"np\.float64\(([^)]*)\)")
+
+
+def json_leaves(value, path=""):
+    """``(path, leaf)`` pairs of a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        return [leaf for key, item in value.items() for leaf in json_leaves(item, f"{path}/{key}")]
+    if isinstance(value, list):
+        return [leaf for i, item in enumerate(value) for leaf in json_leaves(item, f"{path}/{i}")]
+    return [(path, value)]
 
 
 def write_series(tmp_path, levels, name="series.csv"):
@@ -153,21 +165,39 @@ class TestRisk:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("ERROR gaussian params must be numbers")
 
-    def test_failed_quadrature_exits_3_with_one_stderr_line(self):
-        # A shape this heavy-tailed defeats the exceedance quadrature; SciPy's
-        # warning must not reach stderr ahead of the error line.
-        proc = subprocess.run(
+    @staticmethod
+    def run_weibull_cvar(alpha):
+        return subprocess.run(
             [
                 sys.executable, "-m", "riskflow.cli", "risk", "--family", "weibull",
-                "--params", '{"lambda": 1, "alpha": 0.15}', "--measure", "cvar", "--p", "0.99",
+                "--params", f'{{"lambda": 1, "alpha": {alpha}}}', "--measure", "cvar",
+                "--p", "0.99",
             ],
             capture_output=True,
             text=True,
         )
+
+    @pytest.mark.parametrize(
+        "alpha,printed",
+        [("0.15", "228269.181"), ("0.1", "360035940.6"), ("0.05", "2.432901957e+20")],
+    )
+    def test_heavy_tailed_weibull_cvar(self, alpha, printed):
+        # Shapes this heavy-tailed defeated the adaptive quadrature that once
+        # gave the exceedance: it failed at 0.15 and reported 4.29e6 at 0.1
+        # and 1.84e13 at 0.05.  The printed values agree with 50-digit mpmath.
+        proc = self.run_weibull_cvar(alpha)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == printed + "\n"
+        assert proc.stderr == ""
+
+    def test_overflow_exits_3_with_one_stderr_line(self):
+        # Gamma(1 + 1/alpha) = 200! overflows a float.
+        proc = self.run_weibull_cvar("0.005")
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("ERROR numerical failure: exceedance quadrature failed")
+        assert proc.stderr.startswith("ERROR numerical failure: weibull exceedance(")
+        assert proc.stderr.rstrip().endswith("for (1.0, 0.005, 0.0)")
 
     def test_bad_level_exit_2(self):
         code = run(
@@ -268,14 +298,66 @@ class TestReproduce:
         capsys.readouterr()
         assert (tmp_path / "riskflow_weibull_trajectories.csv").is_file()
 
-    @pytest.mark.parametrize("study", ["gaussian", "weibull"])
-    def test_reference_bytes(self, tmp_path, capsys, study):
+    #: sha256 of ``reproduce``'s CSV and of its stdout, for the studies whose
+    #: output no longer equals ``perfbench/reference``.  The Weibull CVaR
+    #: columns moved by at most 6 ulp when the exceedance quadrature became a
+    #: closed form; ``test_weibull_reference_moved_only_cvar_within_8_ulp``
+    #: holds them to the recorded files.
+    MOVED_REFERENCE_SHA256 = {
+        "weibull": (
+            "de226811d5e8b094b46aa71825f74c7e0e1ca9e090da847044731f493a02b0aa",
+            "4b4cc80908bace265a9864432735d77c8eabec33a9539b47a78fd0f474c5a841",
+        ),
+    }
+
+    @staticmethod
+    def reproduce(tmp_path, capsys, study):
+        """``(csv bytes, stdout bytes)`` of ``reproduce --study <study>``."""
         out = tmp_path / "study.csv"
         assert run(["reproduce", "--study", study, "--output", str(out)]) == 0
-        summary = capsys.readouterr().out.encode()
-        assert summary == (REFERENCE_DIR / f"{study}.json").read_bytes()
-        recorded = (REFERENCE_DIR / f"{study}.csv").read_text(encoding="utf-8")
-        assert out.read_bytes() == NUMPY_REPR.sub(r"\1", recorded).encode()
+        return out.read_bytes(), capsys.readouterr().out.encode()
+
+    @staticmethod
+    def recorded(study):
+        """The recorded ``(csv text, summary text)`` of ``study``."""
+        table = (REFERENCE_DIR / f"{study}.csv").read_text(encoding="utf-8")
+        summary = (REFERENCE_DIR / f"{study}.json").read_text(encoding="utf-8")
+        return NUMPY_REPR.sub(r"\1", table), summary
+
+    @pytest.mark.parametrize("study", ["gaussian", "weibull"])
+    def test_reference_bytes(self, tmp_path, capsys, study):
+        table, summary = self.reproduce(tmp_path, capsys, study)
+        if study in self.MOVED_REFERENCE_SHA256:
+            digests = tuple(hashlib.sha256(data).hexdigest() for data in (table, summary))
+            assert digests == self.MOVED_REFERENCE_SHA256[study]
+        else:
+            recorded_table, recorded_summary = self.recorded(study)
+            assert summary == recorded_summary.encode()
+            assert table == recorded_table.encode()
+
+    def test_weibull_reference_moved_only_cvar_within_8_ulp(self, tmp_path, capsys):
+        table, summary = self.reproduce(tmp_path, capsys, "weibull")
+        recorded_table, recorded_summary = self.recorded("weibull")
+        got = list(csv.reader(io.StringIO(table.decode())))
+        want = list(csv.reader(io.StringIO(recorded_table)))
+        assert got[0] == want[0] and len(got) == len(want)
+        cells = [
+            (column, float(a), float(b))
+            for row_got, row_want in zip(got[1:], want[1:])
+            for column, a, b in zip(got[0], row_got, row_want)
+        ]
+        cells += [
+            (column, a, b)
+            for (column, a), (_, b) in zip(
+                json_leaves(json.loads(summary)), json_leaves(json.loads(recorded_summary)),
+                strict=True,
+            )
+        ]
+        for column, a, b in cells:
+            if "cvar" in column:
+                assert abs(a - b) <= 8 * math.ulp(b), (column, a, b)
+            else:
+                assert a == b, (column, a, b)
 
     @pytest.mark.parametrize("study", ["gaussian", "weibull"])
     def test_csv_cells_are_plain_floats(self, tmp_path, capsys, study):

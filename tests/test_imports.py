@@ -50,6 +50,10 @@ def test_fit_and_axioms_load_no_scipy(tmp_path):
     ) == set()
 
 
+def loads_integrate(loaded):
+    return any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in loaded)
+
+
 @pytest.mark.parametrize("measure", ["var", "cvar"])
 def test_gaussian_risk_loads_special_but_not_integrate(measure):
     loaded = scipy_modules_after(
@@ -57,5 +61,18 @@ def test_gaussian_risk_loads_special_but_not_integrate(measure):
          "--measure", measure, "--p", "0.99"]
     )
     assert "scipy.special" in loaded
-    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in loaded)
+    assert not loads_integrate(loaded)
+
+
+@pytest.mark.parametrize("command", ["risk", "reproduce"])
+def test_weibull_cvar_loads_special_but_not_integrate(command, tmp_path):
+    # The exceedance above the location is SciPy's gammaincc, not a quadrature.
+    argv = {
+        "risk": ["risk", "--family", "weibull", "--params", '{"lambda": 1, "alpha": 0.8}',
+                 "--measure", "cvar", "--p", "0.99"],
+        "reproduce": ["reproduce", "--study", "weibull", "--output", str(tmp_path / "w.csv")],
+    }[command]
+    loaded = scipy_modules_after(argv)
+    assert "scipy.special" in loaded
+    assert not loads_integrate(loaded)
 
