@@ -69,7 +69,6 @@ __all__ = [
     "ModulatedFiniteMeasure",
     "check_static_axiom",
     "check_dynamic_axiom",
-    "risk_from_acceptable_set",
     "bundled_pair_processes",
 ]
 
@@ -306,7 +305,11 @@ def filtration_partition(
 
 
 class DynamicFiniteMeasure(Protocol):
-    """What the dynamic-axiom checkers need from a measure."""
+    """What the dynamic-axiom checkers need from a measure.
+
+    ``atom_values`` returns one value per atom: an array of shape
+    ``(process.n_atoms,)``, constant on each cell of ``partition``.
+    """
 
     @property
     def orientation(self) -> Orientation: ...
@@ -350,15 +353,13 @@ class RecursiveFiniteMeasure:
         return out
 
 
-class ModulatedFiniteMeasure:
-    """Markov-modulated measure on the product of a process with a chain.
+class ModulatedFiniteMeasure(RecursiveFiniteMeasure):
+    """Markov-modulated measure on finite processes: one value per atom.
 
-    Components (one static measure per chain state) run the recursion on the
-    process's conditional laws; at each time ``t >= 1`` the value on an atom
-    is the component vector averaged over the outgoing distribution of the
-    chain state occupied at ``t``.  Time 0 is the plain static value of
-    ``X_0``.  Exhaustive over chain paths: values come back with shape
-    ``(n_atoms, n_paths)``, and the joint atom count is capped at 64.
+    The components of a :class:`VectorialMeasure` share one spec, and the
+    outgoing distribution of every chain state sums to 1, so averaging the
+    components over it leaves the recursive value of ``measure.specs[0]``.
+    The chain only has to match the measure and hold the initial state.
     """
 
     def __init__(
@@ -372,43 +373,8 @@ class ModulatedFiniteMeasure:
                 f"measure has {measure.n_states} components, chain has "
                 f"{matrix.n_states} states"
             )
-        self.measure = measure
-        self.matrix = matrix
-        self.initial_state = matrix.require_state(initial_state)
-
-    @property
-    def orientation(self) -> Orientation:
-        return self.measure.specs[0].orientation
-
-    def chain_paths(self, horizon: int) -> list[tuple[tuple[int, ...], float]]:
-        """All positive-probability state paths ``Z_0 .. Z_T`` from the start."""
-        _require_non_negative_int("horizon", horizon)
-        paths: list[tuple[tuple[int, ...], float]] = [((self.initial_state,), 1.0)]
-        for _ in range(horizon):
-            grown: list[tuple[tuple[int, ...], float]] = []
-            for states, prob in paths:
-                col = self.matrix.column(states[-1])
-                for j, pj in enumerate(col, start=1):
-                    if pj > 0.0:
-                        grown.append((states + (j,), prob * float(pj)))
-            paths = grown
-        return paths
-
-    def atom_values(
-        self, process: FiniteProcess, t: int, partition: Sequence[tuple[int, ...]]
-    ) -> np.ndarray:
-        # The components share one spec (VectorialMeasure), so one recursion
-        # serves all, and averaging equal components over the outgoing
-        # distribution of the state at t scales the value by that column's mass.
-        values = RecursiveFiniteMeasure(self.measure.specs[0]).atom_values(process, t, partition)
-        paths = self.chain_paths(process.horizon)
-        if process.n_atoms * len(paths) > _MAX_ATOMS:
-            raise DataError(
-                f"joint space too large: {process.n_atoms} atoms x "
-                f"{len(paths)} chain paths exceeds {_MAX_ATOMS}"
-            )
-        mass = [1.0 if t == 0 else self.matrix.column(states[t]).sum() for states, _ in paths]
-        return np.outer(values, mass)
+        matrix.require_state(initial_state)
+        super().__init__(measure.specs[0])
 
 
 # --------------------------------------------------------------------------
@@ -520,14 +486,16 @@ ProcessPair = tuple[FiniteProcess, FiniteProcess]
 def _require_pairs(pairs: Sequence[ProcessPair]) -> list[ProcessPair]:
     if not pairs:
         raise DataError("need at least one process pair")
-    checked: list[ProcessPair] = []
+    horizon = pairs[0][0].horizon
     for x, y in pairs:
         if x.probs != y.probs:
             raise DataError("paired processes must share one probability space")
-        if x.horizon != y.horizon:
-            raise DataError("paired processes must share one horizon")
-        checked.append((x, y))
-    return checked
+        if x.horizon != horizon or y.horizon != horizon:
+            raise DataError(
+                f"all processes must share one horizon, got {x.horizon} and "
+                f"{y.horizon} against {horizon}"
+            )
+    return list(pairs)
 
 
 def _events(cells: Sequence[tuple[int, ...]], rng: np.random.Generator) -> list[list[int]]:
@@ -565,8 +533,6 @@ def check_dynamic_axiom(
     rng = np.random.default_rng(seed)
     lower = measure.orientation is Orientation.LOWER_TAIL
     T = pairs[0][0].horizon
-    if any(x.horizon != T for x, _ in pairs):
-        raise DataError("all pairs must share one horizon")
 
     def values(proc: FiniteProcess, t: int, ref: Sequence[FiniteProcess]) -> np.ndarray:
         return measure.atom_values(proc, t, filtration_partition(ref, t))
@@ -614,7 +580,7 @@ def check_dynamic_axiom(
                 vy = values(y_proc, t, [x_proc, y_proc])
                 gap = vy - vx if lower else vx - vy
                 if np.max(gap) > _TOL:
-                    bad = int(np.argmax(np.max(gap, axis=-1)) if gap.ndim > 1 else np.argmax(gap))
+                    bad = int(np.argmax(gap))
                     return report(
                         {"pair": pair_index, "t": t, "atom": bad, "excess": float(np.max(gap))}
                     )
@@ -628,8 +594,7 @@ def check_dynamic_axiom(
                 shifted = x_proc.payoff_matrix()
                 shifted[:, t] += shift
                 lhs = measure.atom_values(x_proc.with_payoffs(shifted), t, partition)
-                base = measure.atom_values(x_proc, t, partition)
-                rhs = base + sign * (shift[:, None] if base.ndim > 1 else shift)
+                rhs = measure.atom_values(x_proc, t, partition) + sign * shift
                 if np.max(np.abs(lhs - rhs)) > _TOL * (1.0 + float(np.max(np.abs(rhs)))):
                     return report(
                         {"pair": pair_index, "t": t, "max_abs": float(np.max(np.abs(lhs - rhs)))}
@@ -648,8 +613,7 @@ def check_dynamic_axiom(
                     vz = measure.atom_values(
                         x_proc.with_payoffs(pasted_payoffs), t, partition
                     )
-                    sel = mask[:, None] if vz.ndim > 1 else mask
-                    expected = np.where(sel, vx, vy)
+                    expected = np.where(mask, vx, vy)
                     if np.max(np.abs(vz - expected)) > _TOL:
                         return report(
                             {
@@ -702,52 +666,6 @@ def check_dynamic_axiom(
                             }
                         )
     return report(None)
-
-
-# --------------------------------------------------------------------------
-# Acceptable-set correspondence
-# --------------------------------------------------------------------------
-
-
-def risk_from_acceptable_set(spec: RiskMeasureSpec, sample: EmpiricalSample) -> float:
-    """Smallest capital ``m`` making the position acceptable, by bisection.
-
-    Lower tail adds the capital to the position (``measure(X + m) <= 0``);
-    upper tail sets it against the exposure (``measure(X - m) <= 0``).  By
-    translation invariance the result reproduces ``measure(X)`` itself.
-    """
-    direction = 1.0 if spec.orientation is Orientation.LOWER_TAIL else -1.0
-
-    def g(m: float) -> float:
-        return evaluate(sample.shift(direction * m), spec)
-
-    anchor = evaluate(sample, spec)
-    lo, hi = anchor - 1.0, anchor + 1.0
-    step = 1.0
-    for _ in range(60):
-        if g(lo) > 0.0:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise NumericError("acceptability bracket: no positive side found")
-    step = 1.0
-    for _ in range(60):
-        if g(hi) <= 0.0:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise NumericError("acceptability bracket: no acceptable side found")
-    for _ in range(200):
-        if hi - lo <= 1e-10 * (1.0 + abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # --------------------------------------------------------------------------

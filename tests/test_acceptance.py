@@ -234,8 +234,8 @@ def test_axiom_profile():
         initial_state=1,
     )
     for axiom in dynamic_axioms:
-        # Recursive measure on 16-atom trees; modulated on the largest joint
-        # space the 64-atom cap allows at horizon 4 (4 atoms x 16 paths).
+        # Recursive measure on 16-atom trees; the modulated measure, whose
+        # values are the recursive ones, on 4-atom trees at the same horizon.
         pairs = bundled_pair_processes(axiom, n_pairs=4, n_atoms=16, T=4)
         report = check_dynamic_axiom(axiom, recursive, pairs)
         assert report.verdict is Verdict.HOLDS, (axiom, report.witness)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from riskflow import axioms
 from riskflow.axioms import (
     AxiomReport,
     DynamicAxiom,
@@ -18,7 +19,6 @@ from riskflow.axioms import (
     check_dynamic_axiom,
     check_static_axiom,
     filtration_partition,
-    risk_from_acceptable_set,
     subadditivity_margin,
     var_subadditivity_witness,
 )
@@ -67,6 +67,29 @@ class TestStaticAxioms:
     def test_cvar_satisfies_all_four(self, axiom, spec):
         report = check_static_axiom(axiom, spec, trials=300, seed=0)
         assert report.verdict is Verdict.HOLDS, report.witness
+
+    @pytest.mark.parametrize(
+        "axiom, broken, keys",
+        [
+            # Rises with the payoff, so dominance raises a lower-tail risk.
+            (StaticAxiom.P1, lambda sample, spec: float(np.mean(sample.values)),
+             {"trial", "x", "y", "r_x", "r_y"}),
+            # Ignores cash.
+            (StaticAxiom.P2, lambda sample, spec: 0.0, {"trial", "x", "m", "lhs", "rhs"}),
+            # R(X + Y) = -1 exceeds R(X) + R(Y) = -2.
+            (StaticAxiom.P3, lambda sample, spec: -1.0, {"trial", "x", "y", "lhs", "rhs"}),
+            # Ignores scale.
+            (StaticAxiom.P4, lambda sample, spec: 1.0, {"trial", "x", "k", "lhs", "rhs"}),
+        ],
+        ids=["P1", "P2", "P3", "P4"],
+    )
+    def test_every_trial_branch_reports_a_violation(self, monkeypatch, axiom, broken, keys):
+        # CVaR takes no constructed witness, so every verdict comes from a trial.
+        monkeypatch.setattr(axioms, "evaluate", broken)
+        report = check_static_axiom(axiom, CVAR_LOWER, trials=20, seed=0)
+        assert report.verdict is Verdict.VIOLATED
+        assert report.witness is not None and set(report.witness) == keys
+        assert report.witness["trial"] == 0
 
     def test_accepts_plain_strings_and_is_deterministic(self):
         a = check_static_axiom("P2", VAR_LOWER, trials=50, seed=7)
@@ -199,41 +222,27 @@ class TestModulatedFiniteMeasure:
             VectorialMeasure((spec, spec)), REFERENCE_MATRIX, initial_state=1
         )
 
-    def test_chain_paths_enumerate_exactly(self):
-        paths = dict(self.build().chain_paths(2))
-        assert paths == pytest.approx(
-            {
-                (1, 1, 1): 0.25 * 0.25,
-                (1, 1, 2): 0.25 * 0.75,
-                (1, 2, 1): 0.75 * 0.35,
-                (1, 2, 2): 0.75 * 0.65,
-            }
-        )
-        assert sum(paths.values()) == pytest.approx(1.0)
-
     def test_identical_components_collapse_to_recursion(self):
-        # Equal per-state specs make the path average trivial, so every
-        # chain path sees the plain recursive value.
+        # Equal per-state specs averaged over an outgoing distribution that
+        # sums to 1 leave the plain recursive value, one per atom.
         rng = np.random.default_rng(4)
         proc = uniform_process(rng.normal(0.0, 1.0, (4, 3)))
-        partition = filtration_partition([proc], 2)
-        modulated = self.build().atom_values(proc, 2, partition)
-        recursive = RecursiveFiniteMeasure(VAR_LOWER).atom_values(proc, 2, partition)
-        assert modulated.shape == (4, 2 ** 2)
-        np.testing.assert_allclose(modulated, np.tile(recursive[:, None], (1, 4)))
+        for spec in (VAR_LOWER, CVAR_UPPER):
+            modulated = self.build(spec)
+            assert modulated.orientation is spec.orientation
+            for t in range(3):
+                partition = filtration_partition([proc], t)
+                values = modulated.atom_values(proc, t, partition)
+                assert values.shape == (4,)
+                np.testing.assert_array_equal(
+                    values, RecursiveFiniteMeasure(spec).atom_values(proc, t, partition)
+                )
 
     def test_time_zero_is_static_value(self):
         proc = uniform_process([[1.0, 0.0], [4.0, 0.0]])
         vals = self.build().atom_values(proc, 0, filtration_partition([proc], 0))
         expected = evaluate(EmpiricalSample((1.0, 4.0)), VAR_LOWER)
         assert np.allclose(vals, expected)
-
-    def test_joint_space_cap(self):
-        rng = np.random.default_rng(5)
-        proc = uniform_process(rng.normal(0.0, 1.0, (8, 5)))  # 8 atoms, T=4
-        with pytest.raises(DataError):
-            # 8 atoms x 2**4 chain paths = 128 > 64
-            self.build().atom_values(proc, 1, filtration_partition([proc], 1))
 
     def test_component_count_must_match_chain(self):
         with pytest.raises(DomainError):
@@ -271,6 +280,50 @@ class _CellMeanMeasure:
         return out
 
 
+class _LowerCellMeanMeasure(_CellMeanMeasure):
+    """Deliberately broken: the cell mean rises with the payoff, yet is
+    declared lower-tail, so dominance raises the risk it should lower."""
+
+    orientation = Orientation.LOWER_TAIL
+
+
+class _PooledMeanMeasure:
+    """Deliberately broken: the mean of X_t over all atoms, ignoring the cell."""
+
+    orientation = Orientation.UPPER_TAIL
+
+    def atom_values(self, process, t, partition):
+        mean = float(np.dot(process.payoff_matrix()[:, t], process.probs))
+        return np.full(process.n_atoms, mean)
+
+
+class _AlternatingMeanMeasure(_CellMeanMeasure):
+    """Deliberately broken: ``(-1)**t`` times the cell mean flips orderings."""
+
+    def atom_values(self, process, t, partition):
+        return (-1.0) ** t * super().atom_values(process, t, partition)
+
+
+class _ConcaveMeasure(_CellMeanMeasure):
+    """Deliberately broken: minus the squared cell mean is strictly concave."""
+
+    def atom_values(self, process, t, partition):
+        return -super().atom_values(process, t, partition) ** 2
+
+
+#: One measure per dynamic axiom that breaks it, with the witness keys of
+#: the branch that must report the violation.
+BROKEN_DYNAMIC = {
+    DynamicAxiom.D1: (_ConstantMeasure(), {"pair", "t", "max_abs"}),
+    DynamicAxiom.D2: (_LowerCellMeanMeasure(), {"pair", "t", "atom", "excess"}),
+    DynamicAxiom.D3: (_ConstantMeasure(), {"pair", "t", "max_abs"}),
+    DynamicAxiom.D4: (_PooledMeanMeasure(), {"pair", "t", "event", "max_abs"}),
+    DynamicAxiom.D5: (_AlternatingMeanMeasure(), {"pair", "t", "s", "excess"}),
+    DynamicAxiom.D6: (_ConcaveMeasure(), {"pair", "t", "weight", "excess"}),
+    DynamicAxiom.D7: (_ConstantMeasure(), {"pair", "t", "k", "max_abs"}),
+}
+
+
 class TestDynamicChecker:
     @pytest.mark.parametrize(
         "axiom", [DynamicAxiom.D1, DynamicAxiom.D2, DynamicAxiom.D4, DynamicAxiom.D5]
@@ -306,6 +359,17 @@ class TestDynamicChecker:
         assert report.verdict is Verdict.VIOLATED
         assert report.witness is not None and report.witness["max_abs"] == 1.0
 
+    @pytest.mark.parametrize("axiom", list(DynamicAxiom))
+    def test_every_axiom_reports_a_violation(self, axiom):
+        measure, keys = BROKEN_DYNAMIC[axiom]
+        pairs = bundled_pair_processes(
+            axiom, orientation=measure.orientation, n_pairs=2, n_atoms=4, T=2
+        )
+        report = check_dynamic_axiom(axiom, measure, pairs)
+        assert report.verdict is Verdict.VIOLATED
+        assert report.witness is not None and set(report.witness) == keys
+        assert report.witness["pair"] == 0
+
     def test_linear_reference_measure_passes_pasting(self):
         pairs = bundled_pair_processes(DynamicAxiom.D4, n_pairs=2, n_atoms=4, T=2)
         report = check_dynamic_axiom(DynamicAxiom.D4, _CellMeanMeasure(), pairs)
@@ -329,17 +393,11 @@ class TestDynamicChecker:
             check_dynamic_axiom(
                 DynamicAxiom.D1, RecursiveFiniteMeasure(VAR_LOWER), [(x, bad)]
             )
-
-
-class TestAcceptableSetCorrespondence:
-    def test_reproduces_the_measure(self):
-        rng = np.random.default_rng(11)
-        for spec in (VAR_LOWER, VAR_UPPER, CVAR_LOWER, CVAR_UPPER):
-            for _ in range(10):
-                sample = EmpiricalSample(tuple(rng.normal(0.0, 3.0, int(rng.integers(3, 40)))))
-                direct = evaluate(sample, spec)
-                via_set = risk_from_acceptable_set(spec, sample)
-                assert abs(via_set - direct) < 1e-7 * (1.0 + abs(direct))
+        # Every process shares the first one's horizon, within a pair and across pairs.
+        longer = uniform_process([[1.0, 0.0], [2.0, 0.0]])
+        for pairs in ([(x, longer)], [(x, x), (longer, longer)]):
+            with pytest.raises(DataError, match="share one horizon"):
+                check_dynamic_axiom(DynamicAxiom.D1, RecursiveFiniteMeasure(VAR_LOWER), pairs)
 
 
 class TestBundledPairs:
@@ -387,14 +445,6 @@ class TestCountValidation:
     def test_bundled_pair_counts(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be"):
             bundled_pair_processes(DynamicAxiom.D1, **{name: value})
-
-    @pytest.mark.parametrize("horizon", [-1, 1.5, True])
-    def test_chain_path_horizon(self, horizon):
-        measure = ModulatedFiniteMeasure(
-            VectorialMeasure((VAR_LOWER, VAR_LOWER)), REFERENCE_MATRIX, initial_state=1
-        )
-        with pytest.raises(DomainError, match="horizon must be"):
-            measure.chain_paths(horizon)
 
     @pytest.mark.parametrize("state", [1.9, 1.0, True])
     def test_modulated_initial_state(self, state):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import math
 import re
 import subprocess
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from riskflow import cli
+from riskflow.axioms import StaticAxiom, Verdict
 from riskflow.cli import run
 from riskflow.distributions import GaussianParams, WeibullParams
 from riskflow.scenario import (
@@ -273,6 +276,26 @@ class TestSimulate:
         assert len(proc.stderr.splitlines()) == 1
         assert "recursive_cvar" in proc.stderr
 
+    def test_raised_numeric_error_names_the_seed(self, tmp_path):
+        config = dataclasses.replace(
+            build_reference_experiment("weibull_bbgex"),
+            params={"lambda": (1.0, 1.0), "alpha": (0.005, 0.005), "theta": (0.0, 0.0)},
+            seed=7,
+        )
+        path = tmp_path / "heavy.json"
+        path.write_text(config_to_json(config), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "riskflow.cli", "simulate", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "ERROR numerical failure: [seed 7] weibull exceedance(4.4579672400725195e+132) "
+            "overflows a float for (1.0, 0.005, 0.0)\n"
+        )
+
 
 class TestReproduce:
     def test_writes_named_output(self, tmp_path, capsys):
@@ -394,6 +417,18 @@ class TestAxioms:
         assert [r["axiom"] for r in reports] == ["D1", "D2", "D4", "D5"]
         assert all(r["verdict"] == "holds" for r in reports)
 
+    def test_unexpected_verdict_warns_and_exits_1(self, capsys, caplog, monkeypatch):
+        monkeypatch.setitem(
+            cli._EXPECTED_VERDICTS, "var", {a.value: Verdict.HOLDS for a in StaticAxiom}
+        )
+        assert run(["axioms", "--measure", "var", "--trials", "5"]) == 1
+        assert len(self.read_reports(capsys)) == 4
+        warnings = [
+            f"{record.levelname} {record.getMessage()}"
+            for record in caplog.records
+            if record.levelno >= logging.WARNING
+        ]
+        assert warnings == ["WARNING axiom P3: verdict violated, expected holds"]
 
     @pytest.mark.parametrize("measure", ["var", "recursive-var"])
     def test_negative_seed_is_one_line_exit_2(self, measure):

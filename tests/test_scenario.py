@@ -491,6 +491,24 @@ class TestRunExperiment:
         with pytest.raises(NumericError, match=r"modulated_var is nan at path 2, t=1$"):
             run_experiment(config)
 
+    def test_a_raised_numeric_error_is_prefixed_with_the_seed(self):
+        # Gamma(1 + 1/alpha) = 200! overflows inside the Weibull exceedance;
+        # the run re-raises that error with its seed in front.
+        cfg = dataclasses.replace(
+            build_reference_experiment("weibull_bbgex"),
+            params={"lambda": (1.0, 1.0), "alpha": (0.005, 0.005), "theta": (0.0, 0.0)},
+            seed=7,
+        )
+        message = (
+            "weibull exceedance(4.4579672400725195e+132) overflows a float "
+            "for (1.0, 0.005, 0.0)"
+        )
+        with pytest.raises(NumericError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == f"[seed 7] {message}"
+        assert isinstance(err.value.__cause__, NumericError)
+        assert str(err.value.__cause__) == message
+
     def test_result_arrays_are_read_only(self):
         result, _ = run_experiment(small_config(n_paths=3))
         arrays = [result.chain_seeds, result.returns_seeds, result.states, result.returns]
