@@ -24,9 +24,10 @@ written against this surface.  :func:`expected_positive_part` and
 :func:`sample` are the module-level entry points that validate their
 arguments before calling the methods.
 
-Importing this module loads no SciPy.  ``scipy.special``, the only SciPy
-module the package loads, comes in with the first Gaussian ``quantile`` or
-Weibull ``exceedance`` above the location, the only two formulas that use it.
+The package uses no SciPy.  The two special functions its formulas need
+are written here, each next to the formula that uses it: the normal quantile
+(Wichura's AS241) for the Gaussian ``quantile``, and the regularised upper
+incomplete gamma function for the Weibull ``exceedance``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Mapping, TypeVar, Union
@@ -144,6 +146,61 @@ def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+#: Wichura's AS241 (PPND16; "The percentage points of the normal
+#: distribution", Applied Statistics 37, 1988): numerator and denominator
+#: coefficients, constant term first, of three rational approximations.
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_AS241_NEAR_TAIL = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+_AS241_FAR_TAIL = (
+    (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+     2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+     2.71155556874348757815e-5, 2.01033439929228813265e-7),
+    (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+     7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+     2.04426310338993978564e-15),
+)
+
+
+def _rational(coefficients: tuple[tuple[float, ...], tuple[float, ...]], r: float) -> float:
+    """Horner's rule for the numerator and denominator of ``coefficients`` at ``r``."""
+    numerator = denominator = 0.0
+    for n, d in zip(reversed(coefficients[0]), reversed(coefficients[1])):
+        numerator = numerator * r + n
+        denominator = denominator * r + d
+    return numerator / denominator
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile for ``0 < p < 1`` by AS241: a rational function
+    of ``(p - 1/2)**2`` for ``|p - 1/2| <= 0.425``, and beyond it of
+    ``r = sqrt(-log(min(p, 1 - p)))``, with one function for ``r <= 5`` and one
+    for the far tail.  Within a few ulp of the true quantile; ``1 - p`` is only
+    formed for ``p > 1/2``, so the lower tail keeps its relative accuracy."""
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        return q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    r = math.sqrt(-math.log(p if q < 0.0 else 1.0 - p))
+    if r <= 5.0:
+        z = _rational(_AS241_NEAR_TAIL, r - 1.6)
+    else:
+        z = _rational(_AS241_FAR_TAIL, r - 5.0)
+    return -z if q < 0.0 else z
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """Normal return model ``N(mu, sigma**2)``."""
@@ -164,9 +221,7 @@ class GaussianParams:
         return _normal_cdf((float(x) - self.mu) / self.sigma)
 
     def quantile(self, p: float) -> float:
-        from scipy.special import ndtri  # imported here so start-up loads no SciPy
-
-        return self.mu + self.sigma * float(ndtri(_require_probability(p)))
+        return self.mu + self.sigma * _normal_quantile(_require_probability(p))
 
     def mean(self) -> float:
         return self.mu
@@ -187,6 +242,94 @@ class GaussianParams:
 
     def negated(self) -> GaussianParams:
         return GaussianParams(-self.mu, self.sigma)
+
+
+#: Half the spacing of the floats at 1: the relative rounding error.
+_EPS = sys.float_info.epsilon / 2.0
+#: Smallest positive normal float.
+_TINY = sys.float_info.min
+#: Cap on the terms of one series or continued fraction in ``_upper_gamma_q``.
+#: For ``a`` up to 171, beyond which ``Gamma(1 + a)`` overflows, and ``x`` from
+#: 1e-6 to 1e5, at most 178 are needed.
+_GAMMA_MAX_TERMS = 1000
+
+
+def _gamma_power(a: float, x: float) -> float:
+    """``x**a * exp(-x) / Gamma(a)`` for ``a, x > 0``.
+
+    Each factor is rounded on its own, so the product is within a few ulp;
+    a sum ``a*log(x) - x - lgamma(a)`` under one ``exp`` would carry the
+    rounding of terms of size ``a*log(x)`` instead.  Where ``x**a`` or
+    ``exp(-x)`` leaves the normal floats, the square of ``x**(a/2) *
+    exp(-x/2)`` is used, and only beyond that the exponentiated sum.
+    """
+    try:
+        gamma = math.gamma(a)
+    except OverflowError:
+        gamma = math.inf
+    for n in (1.0, 2.0):
+        try:
+            power = x ** (a / n)
+        except OverflowError:
+            continue
+        decay = math.exp(-x / n)
+        f = power * decay
+        if gamma < math.inf and power >= _TINY and decay >= _TINY and f >= _TINY:
+            return f / gamma if n == 1.0 else f * (f / gamma)
+    return math.exp(a * math.log(x) - x - math.lgamma(a))
+
+
+def _upper_gamma_q(a: float, x: float) -> float:
+    """Regularised upper incomplete gamma function ``Q(a, x)`` for ``a > 0``,
+    ``x >= 0``, after DiDonato & Morris (ACM TOMS 12, 1986), without their
+    uniform expansion near ``a = x``.
+
+    For ``x < a`` it is ``1 - P(a, x)``, with ``P`` the power series
+    ``x**a e**-x / Gamma(a + 1) * sum_n x**n / ((a+1)...(a+n))``; there ``P``
+    is below about one half, so the difference loses little.  Otherwise it is
+    Legendre's continued fraction ``x**a e**-x / Gamma(a) / (x + 1 - a -
+    1(1 - a)/(x + 3 - a - 2(2 - a)/(x + 5 - a - ...)))``, summed term by term
+    by Steed's method: a sum of shrinking terms carries less rounding than
+    Lentz's product of factors near 1.  Below ``x = 1/2`` the fraction would
+    take hundreds of terms, so the series is used there too.  The series
+    stops once a bound on its remaining tail is below ``2**-55`` of the sum,
+    the fraction once its last term is.  A loop that reaches
+    :data:`_GAMMA_MAX_TERMS` raises :class:`NumericError` naming ``(a, x)``.
+    """
+    if x < a or x < 0.5:
+        if x == 0.0:
+            return 1.0
+        term = total = 1.0
+        n = a + 1.0
+        for _ in range(_GAMMA_MAX_TERMS):
+            term *= x / n
+            total += term
+            n += 1.0
+            # The remaining terms shrink at least by x/n each: their sum is
+            # below term * x / (n - x), and n > x here.
+            if term * x <= 0.25 * _EPS * total * (n - x):
+                # Gamma(a + 1) as a * Gamma(a): a + 1 itself would be rounded.
+                return 1.0 - _gamma_power(a, x) / a * total
+    else:
+        # Steed's method: d is the ratio of successive denominators and dh
+        # the change of the convergent h; c = i(i - a) and b = x + 2i + 1 - a.
+        tol = 0.25 * _EPS
+        b = x + 1.0 - a
+        d = h = dh = 1.0 / b
+        c, step = 0.0, 1.0 - a
+        for _ in range(_GAMMA_MAX_TERMS):
+            c += step
+            step += 2.0
+            b += 2.0
+            e = c * d
+            d = 1.0 / (b - e)
+            dh *= e * d
+            h += dh
+            if abs(dh) <= tol * h:
+                return _gamma_power(a, x) * h
+    raise NumericError(
+        f"incomplete gamma Q{(a, x)!r} did not converge in {_GAMMA_MAX_TERMS} terms"
+    )
 
 
 @dataclass(frozen=True)
@@ -234,18 +377,16 @@ class WeibullParams:
     def exceedance(self, a: float) -> float:
         """Exact ``mean - a`` below the support, otherwise the survival function
         integrated over ``[a, inf)``: ``lam * Gamma(1 + 1/alpha) * Q(1/alpha, z)``
-        with ``z = ((a - theta)/lam)**alpha`` and ``Q`` SciPy's ``gammaincc``,
-        the regularised upper incomplete gamma function."""
+        with ``z = ((a - theta)/lam)**alpha`` and ``Q`` the regularised upper
+        incomplete gamma function (:func:`_upper_gamma_q`)."""
         if a <= self.theta:
             return self.mean() - a
-        from scipy.special import gammaincc  # imported here so start-up loads no SciPy
-
         try:
             z = ((a - self.theta) / self.lam) ** self.alpha
         except OverflowError:  # then alpha > 1, and Q(1/alpha, z) <= exp(-z)
             return 0.0
         s = 1.0 / self.alpha
-        return self.lam * math.gamma(1.0 + s) * float(gammaincc(s, z))
+        return self.lam * math.gamma(1.0 + s) * _upper_gamma_q(s, z)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale(-np.log1p(-rng.random(n)))

@@ -324,12 +324,14 @@ class TestReproduce:
     #: sha256 of ``reproduce``'s CSV and of its stdout, for the studies whose
     #: output no longer equals ``perfbench/reference``.  The Weibull CVaR
     #: columns moved by at most 6 ulp when the exceedance quadrature became a
-    #: closed form; ``test_weibull_reference_moved_only_cvar_within_8_ulp``
-    #: holds them to the recorded files.
+    #: closed form, and were re-recorded when the package's incomplete gamma
+    #: function replaced scipy's ``gammaincc``;
+    #: ``test_weibull_reference_moved_only_cvar_within_8_ulp`` holds them to
+    #: the recorded files.
     MOVED_REFERENCE_SHA256 = {
         "weibull": (
-            "de226811d5e8b094b46aa71825f74c7e0e1ca9e090da847044731f493a02b0aa",
-            "4b4cc80908bace265a9864432735d77c8eabec33a9539b47a78fd0f474c5a841",
+            "b8e96bdf3d24c3a2315dd7a394679cb733c8c1cf0736f7862936aa92071daca6",
+            "34e448d26e52f7d5fa486994e7f9017769f50f71cd40d60c76880dfae0377ac5",
         ),
     }
 
