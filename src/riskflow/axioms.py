@@ -435,7 +435,7 @@ def check_static_axiom(
         return AxiomReport(axiom.value, Verdict.VIOLATED, witness, detail)
 
     def measure(values: np.ndarray) -> float:
-        return evaluate(EmpiricalSample(tuple(float(v) for v in values)), spec)
+        return evaluate(EmpiricalSample(values), spec)
 
     for trial in range(trials):
         n = int(rng.integers(2, 41))

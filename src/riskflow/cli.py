@@ -53,8 +53,7 @@ from .static_risk import (
     MeasureKind,
     Orientation,
     RiskMeasureSpec,
-    cvar_tail,
-    var,
+    evaluate,
 )
 
 log = logging.getLogger("riskflow")
@@ -98,10 +97,7 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     if not isinstance(params, dict):
         raise DataError("--params must be a JSON object")
     model = model_from_params(args.family, params)
-    if args.measure == "var":
-        value = var(model, args.p)
-    else:
-        value = cvar_tail(model, args.p)
+    value = evaluate(model, RiskMeasureSpec(MeasureKind(args.measure), args.p))
     print(f"{value:.10g}")
     return 0
 
@@ -141,8 +137,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 def _axiom_reports(measure: str, trials: int, seed: int):
     if measure in ("var", "cvar"):
-        kind = MeasureKind.VAR if measure == "var" else MeasureKind.CVAR
-        spec = RiskMeasureSpec(kind, _AXIOM_P, Orientation.LOWER_TAIL)
+        spec = RiskMeasureSpec(MeasureKind(measure), _AXIOM_P, Orientation.LOWER_TAIL)
         return [
             check_static_axiom(axiom, spec, trials=trials, seed=seed)
             for axiom in StaticAxiom

@@ -6,18 +6,20 @@ Three model families describe one-period returns:
   deviation ``sigma``;
 * :class:`WeibullParams` — three-parameter Weibull with scale ``lam``,
   shape ``alpha`` and location ``theta`` (support ``[theta, inf)``);
-* :class:`EmpiricalSample` — an equal-weight sample of observed returns.
+* :class:`EmpiricalSample` — an equal-weight sample of observed returns,
+  held as one sorted, read-only float64 array.
 
 Each family is one frozen dataclass that owns its formulas as methods:
 ``cdf(x)``, ``quantile(p)``, ``mean()``, ``exceedance(a)`` (the expected
-positive part ``E[(X - a)+]``), ``draw(rng, n)`` and ``shift(c)`` (the law
-of ``X + c``).  The two parametric families also map draws of their
-standard model (:data:`STANDARD_MODELS`) to their own with ``scale``, and
-the two families closed under negation give the law of ``-X`` with
-``negated()``.  Each class names its ``family`` and maps its fields to
-their JSON keys in ``keys``; :data:`FAMILIES` maps family names to classes,
-so :func:`model_from_params` and :func:`model_params_dict` hold no
-per-family code.  The constructors check every parameter's domain.
+positive part ``E[(X - a)+]``), ``tail_mean(p)`` (the upper-tail mean
+``E[X | X >= quantile(p)]``, the tail CVaR), ``draw(rng, n)`` and
+``shift(c)`` (the law of ``X + c``).  The two parametric families also map
+draws of their standard model (:data:`STANDARD_MODELS`) to their own with
+``scale``, and the two families closed under negation give the law of
+``-X`` with ``negated()``.  Each class names its ``family`` and maps its
+fields to their JSON keys in ``keys``; :data:`FAMILIES` maps family names
+to classes, so :func:`model_from_params` and :func:`model_params_dict` hold
+no per-family code.  The constructors check every parameter's domain.
 
 Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
@@ -32,7 +34,6 @@ incomplete gamma function for the Weibull ``exceedance``.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -231,6 +232,11 @@ class GaussianParams:
         d = (self.mu - a) / self.sigma
         return self.sigma * _normal_pdf(d) + (self.mu - a) * _normal_cdf(d)
 
+    def tail_mean(self, p: float) -> float:
+        """Closed form ``mu + sigma * phi(z_p) / (1 - p)``."""
+        p = _require_probability(p)
+        return self.mu + self.sigma * _normal_pdf(_normal_quantile(p)) / (1.0 - p)
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale(rng.standard_normal(n))
 
@@ -388,6 +394,12 @@ class WeibullParams:
         s = 1.0 / self.alpha
         return self.lam * math.gamma(1.0 + s) * _upper_gamma_q(s, z)
 
+    def tail_mean(self, p: float) -> float:
+        """``v + E[(X - v)+] / (1 - p)`` at the quantile ``v``."""
+        p = _require_probability(p)
+        v = self.quantile(p)
+        return v + expected_positive_part(self, v) / (1.0 - p)
+
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.scale(-np.log1p(-rng.random(n)))
 
@@ -402,52 +414,76 @@ class WeibullParams:
 class EmpiricalSample:
     """Equal-weight empirical return model over a finite sample.
 
-    Values are stored sorted ascending; quantiles follow the
+    ``values`` is a sorted, read-only 1-D float64 array; quantiles follow the
     smallest-order-statistic convention ``inf {eta : P(X <= eta) >= p}``.
+    Two samples are equal, and hash alike, when their sorted values are.
     """
 
     family: ClassVar[str] = "empirical"
     keys: ClassVar[Mapping[str, str]] = {"values": "values"}
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.values) == 0:
+        values = np.array(self.values, dtype=np.float64)  # a copy, sorted in place
+        if values.ndim != 1:
+            raise DataError(f"empirical sample must be one-dimensional, got shape {values.shape}")
+        if values.size == 0:
             raise DataError("empirical sample must contain at least one value")
-        vals = tuple(float(v) for v in self.values)
-        if any(not math.isfinite(v) for v in vals):
+        if not np.isfinite(values).all():
             raise DataError("empirical sample contains non-finite values")
-        object.__setattr__(self, "values", tuple(sorted(vals)))
+        # A stable sort keeps the order Python's ``sorted`` gives to 0.0 and -0.0.
+        values.sort(kind="stable")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.values.tolist()))
+
+    def __reduce__(self) -> tuple[type, tuple[np.ndarray]]:
+        # Copies and unpickled samples are rebuilt, so their values stay read-only.
+        return EmpiricalSample, (self.values,)
 
     def cdf(self, x: float) -> float:
-        # values are sorted; count of entries <= x
-        return bisect.bisect_right(self.values, float(x)) / len(self.values)
+        return int(np.searchsorted(self.values, float(x), side="right")) / self.values.size
 
     def quantile(self, p: float) -> float:
+        """The smallest ``x_(k)`` with ``k/n >= p``, compared as floats, as
+        :meth:`cdf` rounds.  ``ceil(n*p)`` is within one of that ``k``."""
         p = _require_probability(p)
-        n = len(self.values)
-        # Smallest k with k/n >= p.  The 1e-9 nudge absorbs float noise in
-        # n*p (e.g. 0.9 * 10 == 9.000000000000002) so the order-statistic
-        # rule matches the exact rational convention for every intended pair.
-        k = math.ceil(n * p - 1e-9)
-        return self.values[min(max(k, 1), n) - 1]
+        n = self.values.size
+        k = math.ceil(n * p)
+        if (k - 1) / n >= p:
+            k -= 1
+        elif k / n < p:
+            k += 1
+        return float(self.values[k - 1])
 
     def mean(self) -> float:
-        return math.fsum(self.values) / len(self.values)
+        return math.fsum(self.values) / self.values.size
 
     def exceedance(self, a: float) -> float:
-        return math.fsum(max(v - a, 0.0) for v in self.values) / len(self.values)
+        return math.fsum(np.maximum(self.values - a, 0.0)) / self.values.size
+
+    def tail_mean(self, p: float) -> float:
+        """The average of the values ``>= quantile(p)``: ties at the quantile
+        enter the tail."""
+        tail = self.values[np.searchsorted(self.values, self.quantile(p)):]
+        return math.fsum(tail) / tail.size
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        vals = np.asarray(self.values)
-        return vals[rng.integers(0, len(vals), size=n)]
+        return self.values[rng.integers(0, self.values.size, size=n)]
 
     def shift(self, c: float) -> EmpiricalSample:
-        c = _require_finite("shift", c)
-        return EmpiricalSample(tuple(v + c for v in self.values))
+        return EmpiricalSample(self.values + _require_finite("shift", c))
 
     def negated(self) -> EmpiricalSample:
-        return EmpiricalSample(tuple(-v for v in self.values))
+        return EmpiricalSample(-self.values)
 
 
 ReturnModel = Union[GaussianParams, WeibullParams, EmpiricalSample]
@@ -530,5 +566,6 @@ def model_from_params(family: str | ModelFamily, params: Mapping[str, object]) -
 
 
 def model_params_dict(model: ReturnModel) -> dict[str, object]:
-    """Inverse of :func:`model_from_params`, suitable for JSON output."""
-    return {key: getattr(model, name) for name, key in model.keys.items()}
+    """Inverse of :func:`model_from_params`, suitable for JSON output: an
+    array field becomes a list, and every number a Python number."""
+    return {key: np.asarray(getattr(model, name)).tolist() for name, key in model.keys.items()}

@@ -11,6 +11,13 @@ Two orientations are supported throughout:
   ``-X``.  Under this orientation the measures are monetary: cash added to
   the position reduces the measure one-for-one.
 
+The per-family formulas live on the model classes: the upper-tail ``var``
+is ``model.quantile(p)`` and the upper-tail ``cvar`` is
+``model.tail_mean(p)``.  This module dispatches on measure kind and
+orientation; the only family branches left are the Weibull reflection in
+the lower tail (the Weibull family has no ``negated()``) and the sample
+shortcut of :func:`cvar_ru`.
+
 ``cvar`` comes in two independently computed flavours used to cross-check
 each other: :func:`cvar_tail` evaluates the tail-mean formula directly, and
 :func:`cvar_ru` minimizes the variational objective
@@ -29,13 +36,9 @@ from enum import Enum
 from typing import Callable
 
 from .distributions import (
-    STANDARD_MODELS,
     EmpiricalSample,
-    GaussianParams,
-    ModelFamily,
     ReturnModel,
     WeibullParams,
-    _normal_pdf,
     _require_member,
     _require_probability,
     expected_positive_part,
@@ -78,7 +81,7 @@ class RiskMeasureSpec:
             raise DomainError(f"kind must be a MeasureKind, got {self.kind!r}")
         if not isinstance(self.orientation, Orientation):
             raise DomainError(f"orientation must be an Orientation, got {self.orientation!r}")
-        _require_probability(self.p)
+        object.__setattr__(self, "p", _require_probability(self.p))
 
 
 def var(
@@ -107,9 +110,10 @@ def cvar_tail(
 ) -> float:
     """Conditional value-at-risk as a direct tail expectation.
 
-    Continuous families use ``var + E[(X - var)+]/(1 - p)`` (Gaussian in
-    closed form).  Equal-weight samples use the mean of all values ``>= var``
-    (weak inequality), matching the sample quantile convention.
+    Upper tail: the model's ``tail_mean(p)``, ``E[X | X >= var]``; on
+    equal-weight samples the ties at ``var`` enter the tail.  Lower tail: the
+    upper-tail measure of ``-X``, for the Weibull family spelled through its
+    upper-tail primitives.
     """
     p = _require_probability(p)
     if _require_member(Orientation, orientation) is Orientation.LOWER_TAIL:
@@ -123,14 +127,7 @@ def cvar_tail(
             ) / (1.0 - p)
             return -lower_mean
         return cvar_tail(model.negated(), p, Orientation.UPPER_TAIL)
-    if isinstance(model, GaussianParams):
-        z = STANDARD_MODELS[ModelFamily.GAUSSIAN].quantile(p)
-        return model.mu + model.sigma * _normal_pdf(z) / (1.0 - p)
-    v = model.quantile(p)
-    if isinstance(model, EmpiricalSample):
-        tail = [x for x in model.values if x >= v]
-        return math.fsum(tail) / len(tail)
-    return v + expected_positive_part(model, v) / (1.0 - p)
+    return model.tail_mean(p)
 
 
 def ru_objective(

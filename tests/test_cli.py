@@ -412,6 +412,19 @@ class TestAxioms:
         assert run(["axioms", "--measure", "cvar", "--trials", "50"]) == 0
         assert all(r["verdict"] == "holds" for r in self.read_reports(capsys))
 
+    #: sha256 of the stdout of ``axioms --measure <measure>`` at the default
+    #: trials and seed.
+    STATIC_STDOUT_SHA256 = {
+        "var": "cd880faa2e0da0480e7b7b54bca18d4c1dd6e37b0e6cf554e3533c6c2f9a3ad5",
+        "cvar": "4692cbc38d2ea9dc7b06d7c033a6bb99c485324b04c59ff2bd6ba91044419c01",
+    }
+
+    @pytest.mark.parametrize("measure", ["var", "cvar"])
+    def test_static_stdout_bytes(self, capsys, measure):
+        assert run(["axioms", "--measure", measure]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == self.STATIC_STDOUT_SHA256[measure]
+
     @pytest.mark.parametrize("measure", ["recursive-var", "modulated-var"])
     def test_dynamic_profiles(self, capsys, measure):
         assert run(["axioms", "--measure", measure]) == 0

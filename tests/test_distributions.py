@@ -1,6 +1,8 @@
 """Distribution primitives: closed forms, numeric integrals, sampling."""
 
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -225,7 +227,33 @@ class TestWeibull:
 class TestEmpirical:
     def test_values_sorted_on_construction(self):
         s = EmpiricalSample((3.0, 1.0, 2.0))
-        assert s.values == (1.0, 2.0, 3.0)
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_equal_samples_compare_equal_and_hash_alike(self):
+        a = EmpiricalSample((3.0, 1.0, 2.0))
+        b = EmpiricalSample(np.array([2.0, 3.0, 1.0]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != EmpiricalSample((1.0, 2.0, 4.0))
+        assert a != EmpiricalSample((1.0, 2.0))
+        assert EmpiricalSample((0.0, 1.0)) == EmpiricalSample((-0.0, 1.0))
+        assert hash(EmpiricalSample((0.0, 1.0))) == hash(EmpiricalSample((-0.0, 1.0)))
+
+    def test_values_are_read_only(self):
+        source = np.array([3.0, 1.0, 2.0])
+        s = EmpiricalSample(source)
+        with pytest.raises(ValueError):
+            s.values[0] = 10.0
+        source[0] = 10.0
+        assert s.values.tolist() == [1.0, 2.0, 3.0]
+        for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied == s and not copied.values.flags.writeable
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(DataError, match="one-dimensional"):
+            EmpiricalSample(np.ones((2, 3)))
+        with pytest.raises(DataError, match="one-dimensional"):
+            EmpiricalSample(3.0)
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(DataError):
@@ -239,6 +267,44 @@ class TestEmpirical:
         assert s.quantile(0.95) == 95.0
         assert s.quantile(0.951) == 96.0
         assert s.quantile(0.01) == 1.0
+        # Just above k/n the quantile is the next order statistic: its CDF
+        # must reach p, which an absolute nudge on n*p got wrong.
+        ten = EmpiricalSample(tuple(float(i) for i in range(1, 11)))
+        assert ten.quantile(0.9) == 9.0
+        assert ten.quantile(0.900000000001) == 10.0
+        assert ten.cdf(ten.quantile(0.900000000001)) >= 0.900000000001
+
+    def test_quantile_is_smallest_point_whose_cdf_reaches_p(self):
+        rng = np.random.default_rng(5)
+        for trial in range(2000):
+            n = int(rng.integers(1, 200))
+            if trial % 2 and n > 1:
+                p = int(rng.integers(1, n)) / n
+            else:
+                p = float(rng.uniform(1e-6, 1.0 - 1e-6))
+            s = EmpiricalSample(np.arange(1.0, n + 1.0))
+            q = s.quantile(p)
+            assert s.cdf(q) >= p, (n, p)
+            assert q == 1.0 or s.cdf(q - 1.0) < p, (n, p)
+
+    def test_tail_mean_averages_values_from_the_quantile_up(self):
+        s = EmpiricalSample((1.0, 2.0, 2.0, 2.0, 10.0))
+        assert s.tail_mean(0.5) == (2.0 + 2.0 + 2.0 + 10.0) / 4.0
+        assert s.tail_mean(0.9) == 10.0
+
+    def test_array_forms_equal_the_value_by_value_sums(self):
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            x = rng.integers(-3, 4, int(rng.integers(1, 40))) * float(rng.uniform(0.1, 10.0))
+            s = EmpiricalSample(x)
+            values = sorted(float(v) for v in x)
+            a, p = float(rng.choice(x)) + trial % 3 - 1.0, float(rng.uniform(0.01, 0.99))
+            q = s.quantile(p)
+            tail = [v for v in values if v >= q]
+            assert s.mean() == math.fsum(values) / len(values)
+            assert s.exceedance(a) == math.fsum(max(v - a, 0.0) for v in values) / len(values)
+            assert s.tail_mean(p) == math.fsum(tail) / len(tail)
+            assert s.cdf(a) == sum(v <= a for v in values) / len(values)
 
     def test_cdf_step_function(self):
         s = EmpiricalSample((1.0, 2.0, 2.0, 4.0))
@@ -450,7 +516,7 @@ class TestModelPlumbing:
         shifted = WeibullParams(1.0, 1.0, 0.5).shift(-2.0)
         assert shifted.theta == -1.5 and shifted.lam == 1.0
         s = EmpiricalSample((1.0, 2.0)).shift(1.0)
-        assert s.values == (2.0, 3.0)
+        assert s.values.tolist() == [2.0, 3.0]
         with pytest.raises(DomainError):
             GaussianParams(1.0, 2.0).shift(float("nan"))
 

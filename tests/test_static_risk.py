@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskflow.axioms import StaticAxiom, Verdict, check_static_axiom
 from riskflow.distributions import (
     EmpiricalSample,
     GaussianParams,
@@ -252,6 +253,12 @@ class TestSpecAndDispatch:
             RiskMeasureSpec("var", 0.9)
         with pytest.raises(DomainError):
             RiskMeasureSpec(MeasureKind.VAR, 0.9, "upper_tail")
+
+    def test_spec_stores_the_level_as_a_float(self):
+        spec = RiskMeasureSpec(MeasureKind.VAR, "0.95")
+        assert spec.p == 0.95 and type(spec.p) is float
+        report = check_static_axiom(StaticAxiom.P3, spec, trials=5)
+        assert report.verdict is Verdict.VIOLATED
 
     def test_orientation_values_round_trip(self):
         assert Orientation("upper_tail") is Orientation.UPPER_TAIL
