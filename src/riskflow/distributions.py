@@ -24,7 +24,9 @@ no per-family code.  The constructors check every parameter's domain.
 Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
 :func:`sample` are the module-level entry points that validate their
-arguments before calling the methods.
+arguments before calling the methods.  ``draw`` takes a numpy
+``Generator``, or a batch of seeded streams with the same methods whose
+draws carry one row per seed (what :func:`sample` passes).
 
 The package uses no SciPy.  The two special functions its formulas need
 are written here, each next to the formula that uses it: the normal quantile
@@ -41,7 +43,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, TypeVar, Union
+from typing import Callable, ClassVar, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -507,19 +509,26 @@ def expected_positive_part(model: ReturnModel, a: float) -> float:
     return model.exceedance(_require_finite("threshold", a))
 
 
-def sample(model: ReturnModel, n: int, seed: int | np.random.Generator) -> np.ndarray:
+def sample(
+    model: ReturnModel, n: int, seed: int | Sequence[int] | np.ndarray
+) -> np.ndarray:
     """Draw ``n`` i.i.d. returns from the model, deterministically per seed.
 
-    ``n`` is a positive integer.  ``seed`` may be a non-negative integer or
-    an existing :class:`numpy.random.Generator` (used as-is, so callers can
-    thread one stream through several draws).
+    ``n`` is a positive integer.  One seed (a non-negative integer, or a 0-d
+    integer array) gives ``n`` draws from ``np.random.default_rng(seed)``; a
+    sequence of seeds gives an ``(n_seeds, n)`` array whose row ``i`` equals
+    ``sample(model, n, seed[i])``.  All seeds are drawn from as one batch of
+    streams (see :func:`riskflow.markov.simulate_path`), through the model's
+    one ``draw``.
     """
+    from .markov import _pcg64_streams, _seed_batch  # markov imports this module
+
     _require_non_negative_int("sample size", n)
     if n == 0:
         raise DomainError("sample size must be positive, got 0")
-    if not isinstance(seed, np.random.Generator):
-        _require_non_negative_int("seed", seed)
-    return model.draw(np.random.default_rng(seed), n)
+    single, seeds = _seed_batch(seed)
+    draws = model.draw(_pcg64_streams(seeds), n)
+    return draws[0] if single else draws
 
 
 # --------------------------------------------------------------------------

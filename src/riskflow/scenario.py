@@ -5,9 +5,9 @@ a return family with one parameter set per chain state, a transition matrix
 (accepted row- or column-stochastic and stored column-stochastic), an
 initial state, confidence level, horizon, number of seeded paths, and which
 measures to evaluate.  :func:`run_experiment` walks every path's chain in
-one stacked step per period, draws each path's returns, evaluates the
-static, recursive, and modulated trajectories for all paths at once on
-``(n_paths, T + 1)`` arrays, and returns them as one
+one stacked step per period, draws every path's returns in one batch,
+evaluates the static, recursive, and modulated trajectories for all paths
+at once on ``(n_paths, T + 1)`` arrays, and returns them as one
 :class:`ExperimentResult` (per-path views are built only on request) with
 its summary statistics; :func:`emit_trajectories` writes the fixed-schema
 CSV/JSON tables straight from those arrays.  It formats one text per
@@ -62,7 +62,7 @@ from .dynamic_risk import (
     recursive_var_weibull_closed,
 )
 from .errors import ConfigError, DataError, DomainError, NumericError
-from .markov import TransitionMatrix, _pcg64_streams, simulate_path
+from .markov import TransitionMatrix, simulate_path
 from .static_risk import cvar_tail, var
 
 __all__ = [
@@ -612,9 +612,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
     """Simulate all paths and aggregate; deterministic for a fixed seed.
 
     Paths draw independent chain/returns seed pairs from one root sequence.
-    Each path walks its chain and draws its standard returns from its own
-    streams, PCG64 states equal to ``np.random.default_rng(seed)``'s and
-    seeded for all paths in one batch; everything after that runs on
+    Each path's chain uniforms and standard returns are those of
+    ``np.random.default_rng(seed)`` for its two seeds: one
+    :func:`simulate_path` call walks every chain and one :func:`sample` call
+    draws every path's standard returns, each taking all paths' streams as
+    one batch.  Everything after that runs on
     ``(n_paths, T + 1)`` arrays, with the static measures, means and
     one-step predictions evaluated once per chain state.  A non-finite value
     in any column (the piecewise CVaR recursions overflow on long horizons)
@@ -627,14 +629,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
         2 * config.n_paths, dtype=np.uint64
     )
     chain_seeds, returns_seeds = seed_words[0::2], seed_words[1::2]
-    states = simulate_path(matrix, config.initial_state, T, chain_seeds.tolist())
+    states = simulate_path(matrix, config.initial_state, T, chain_seeds)
     # Period t is priced with the model of the state reached at t + 1.
     period = states[:, 1:] - 1
     models = [config.state_model(s) for s in range(1, config.n_states + 1)]
-    standard = np.array([
-        sample(STANDARD_MODELS[family], T + 1, stream)
-        for stream in _pcg64_streams(returns_seeds.tolist())
-    ])
+    standard = sample(STANDARD_MODELS[family], T + 1, returns_seeds)
     realized = np.empty(standard.shape)
     for s, model in enumerate(models):
         in_state = period == s

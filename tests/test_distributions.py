@@ -509,6 +509,31 @@ class TestSampling:
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             sample(GaussianParams(0.0, 1.0), 3, seed=seed)
 
+    MODELS = (GaussianParams(0.5, 2.0), WeibullParams(1.5, 0.8, -1.0), EmpiricalSample((1.0, 5.0, 9.0)))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
+    def test_one_seed_draws_from_numpys_generator(self, model):
+        for seed in (0, 42, 2**64 - 1, 2**130):
+            expected = model.draw(np.random.default_rng(seed), 13)
+            assert sample(model, 13, seed).tobytes() == expected.tobytes()
+            assert sample(model, 13, np.array(seed)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
+    def test_a_sequence_of_seeds_gives_one_row_per_seed(self, model):
+        seeds = [3, 0, 2**64 - 1, 3, 2**128 + 1] + list(range(100, 140))
+        for given in (seeds, np.array(seeds[5:], dtype=np.uint64)):
+            rows = sample(model, 11, given)
+            assert rows.shape == (len(given), 11)
+            assert [row.tobytes() for row in rows] == [
+                sample(model, 11, seed).tobytes() for seed in given
+            ]
+        assert sample(model, 4, []).shape == (0, 4)
+
+    @pytest.mark.parametrize("seeds", [[3, -1], [3, 2.5], [3, True], np.array([1, -2])])
+    def test_every_seed_of_a_sequence_is_checked(self, seeds):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            sample(GaussianParams(0.0, 1.0), 3, seeds)
+
 
 class TestModelPlumbing:
     def test_shift_model(self):

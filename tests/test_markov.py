@@ -235,6 +235,17 @@ class TestSimulatePath:
         assert stacked.tolist() == [list(simulate_path(m, 2, 6, s).states) for s in (4, 9, 4)]
         assert simulate_path(m, 1, 6, []).shape == (0, 8)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
+    def test_a_0d_integer_array_is_one_seed(self, dtype):
+        m = reference_matrix()
+        path = simulate_path(m, 1, 3, np.array(5, dtype=dtype))
+        assert path == simulate_path(m, 1, 3, 5) and path.seed == 5
+
+    @pytest.mark.parametrize("seed", [np.array(-1), np.array(1.5), np.array(True)])
+    def test_a_0d_array_follows_the_seed_rule(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            simulate_path(reference_matrix(), 1, 3, seed)
+
 
 def bisect_walk(matrix, initial_state, uniforms):
     """The walk one path at a time: ``bisect_right`` on the cumulative
@@ -277,6 +288,14 @@ class _RotatedEdgeUniforms:
         return np.roll(EDGE_UNIFORMS, -self.seed)[:n]
 
 
+class _RotatedEdgeStreams(list):
+    """Stands in for the batch of streams of ``seeds``: one row of
+    :class:`_RotatedEdgeUniforms` per seed."""
+
+    def random(self, n):
+        return np.array([_RotatedEdgeUniforms(s).random(n) for s in self]).reshape(len(self), n)
+
+
 class TestStackedWalk:
     """All paths stepped together equal per-seed calls and the bisect walk."""
 
@@ -295,7 +314,7 @@ class TestStackedWalk:
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_edge_uniforms(self, rows, monkeypatch):
-        monkeypatch.setattr(markov, "_pcg64_streams", lambda seeds: map(_RotatedEdgeUniforms, seeds))
+        monkeypatch.setattr(markov, "_pcg64_streams", _RotatedEdgeStreams)
         matrix = TransitionMatrix.from_rows(rows)
         seeds = list(range(len(EDGE_UNIFORMS)))
         self.assert_walks_agree(matrix, len(EDGE_UNIFORMS), seeds, stream=_RotatedEdgeUniforms)
@@ -334,6 +353,41 @@ class TestBatchSeededStreams:
         # Entropy words past the pool of four: only the seeds that have them mix them in.
         big = [2**96, 2**128 - 1, 2**128, 2**130, 2**130 + 5, 3 * 2**160 + 7, 2**200]
         self.assert_streams_match(big + self.SMALL + big[::-1])
+
+    @staticmethod
+    def assert_uniforms_match(seeds, sizes=(0, 1, 11, 17)):
+        """The batch's ``random(n)`` is ``default_rng(seed).random(n)``, row by row."""
+        batch = markov._pcg64_streams(seeds)
+        assert len(batch) == len(seeds)
+        for n in sizes:
+            reference = [np.random.default_rng(int(s)).random(n).tobytes() for s in seeds]
+            assert [row.tobytes() for row in batch.random(n)] == reference, n
+
+    def test_batch_uniforms_full_range_uint64_seeds(self):
+        rng = np.random.default_rng(11)
+        seeds = self.SMALL + rng.integers(0, 2**64, 5000, dtype=np.uint64).tolist()
+        self.assert_uniforms_match(seeds)
+        # An unsigned array is read as its own 32-bit words.
+        self.assert_uniforms_match(np.array(seeds, dtype=np.uint64))
+
+    def test_batch_uniforms_seeds_below_2_to_32(self):
+        rng = np.random.default_rng(12)
+        seeds = self.SMALL + rng.integers(0, 2**32, 1000).tolist()
+        self.assert_uniforms_match(seeds)
+        self.assert_uniforms_match(np.array([s for s in seeds if s < 2**32], dtype=np.uint32))
+
+    def test_batch_uniforms_seeds_past_the_pool(self):
+        big = [2**96, 2**128 - 1, 2**128, 2**130, 2**130 + 5, 3 * 2**160 + 7, 2**200]
+        self.assert_uniforms_match(big + self.SMALL + big[::-1])
+
+    def test_draws_longer_than_one_pass(self):
+        # Draws past markov._BLOCK continue from the state the pass before left.
+        sizes = (markov._BLOCK - 1, markov._BLOCK, markov._BLOCK + 1, 2 * markov._BLOCK + 3)
+        self.assert_uniforms_match([0, 7, 2**64 - 1, 2**130], sizes)
+
+    def test_empty_batch(self):
+        batch = markov._pcg64_streams([])
+        assert batch.random(5).shape == (0, 5) and list(batch) == []
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_large_seeds_through_simulate_path(self, rows):

@@ -358,6 +358,20 @@ class TestRunExperiment:
         assert stats.notes == ()
         assert stats.fraction_dynamic_le_static["modulated_cvar"] == pytest.approx(8 / 11)
 
+    def test_weibull_returns_are_numpys_draws(self):
+        # Each path's standard returns are default_rng(returns_seed).random(T + 1)
+        # through -log1p(-u), priced with the model of the state reached at t + 1.
+        cfg = dataclasses.replace(build_reference_experiment("weibull_bbgex"), n_paths=1000)
+        result, _ = run_experiment(cfg)
+        T = cfg.horizon
+        for i, seed in enumerate(result.returns_seeds.tolist()):
+            standard = -np.log1p(-np.random.default_rng(seed).random(T + 1))
+            expected = [
+                cfg.state_model(state).scale(standard)[t]
+                for t, state in enumerate(result.states[i, 1:].tolist())
+            ]
+            assert result.returns[i].tolist() == expected, i
+
     def test_piecewise_recursion_reported_unbounded(self):
         # The tail branch multiplies the carried value by (1+p)/(1-p); on the
         # reference run it dominates and the column grows without bound.
