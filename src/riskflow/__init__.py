@@ -23,7 +23,6 @@ from .distributions import (
 )
 from .dynamic_risk import (
     CvarMode,
-    VectorialMeasure,
     modulated_cvar_trajectory,
     modulated_var_trajectory,
     recursive_cvar,
@@ -84,7 +83,6 @@ __all__ = [
     "RiskMeasureSpec",
     "SummaryStats",
     "TransitionMatrix",
-    "VectorialMeasure",
     "WeibullParams",
     "build_reference_experiment",
     "cvar_ru",

@@ -47,6 +47,7 @@ import numpy as np
 from .distributions import EmpiricalSample, _require_member, _require_non_negative_int
 from .errors import DataError, DomainError, NumericError
 from .markov import TransitionMatrix
+from .streams import _require_seed
 from .static_risk import (
     MeasureKind,
     Orientation,
@@ -353,6 +354,7 @@ class RecursiveFiniteMeasure:
         return out
 
 
+# Kept only because perfbench/inproc.py builds it; ROADMAP item 6 deletes it.
 class ModulatedFiniteMeasure(RecursiveFiniteMeasure):
     """Markov-modulated measure on finite processes: one value per atom.
 
@@ -412,8 +414,7 @@ def check_static_axiom(
     _require_non_negative_int("trials", trials)
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials!r}")
-    _require_non_negative_int("seed", seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed))
     lower = spec.orientation is Orientation.LOWER_TAIL
     detail = _static_detail(axiom, spec)
 
@@ -529,8 +530,7 @@ def check_dynamic_axiom(
     """
     axiom = _require_member(DynamicAxiom, axiom)
     pairs = _require_pairs(pairs)
-    _require_non_negative_int("seed", seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed))
     lower = measure.orientation is Orientation.LOWER_TAIL
     T = pairs[0][0].horizon
 
@@ -691,11 +691,11 @@ def bundled_pair_processes(
     orientation.  Other axioms get generic random pairs.
     """
     axiom = _require_member(DynamicAxiom, axiom)
-    for name, value in (("n_pairs", n_pairs), ("n_atoms", n_atoms), ("T", T), ("seed", seed)):
+    for name, value in (("n_pairs", n_pairs), ("n_atoms", n_atoms), ("T", T)):
         _require_non_negative_int(name, value)
+    rng = np.random.default_rng(_require_seed(seed))
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be positive, got {n_pairs!r}")
-    rng = np.random.default_rng(seed)
     if n_atoms < 1 or not (n_atoms & (n_atoms - 1)) == 0 or n_atoms > _MAX_ATOMS:
         raise DomainError(f"n_atoms must be a power of two up to {_MAX_ATOMS}")
     probs = tuple(1.0 / n_atoms for _ in range(n_atoms))

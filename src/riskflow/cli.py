@@ -7,8 +7,7 @@ Subcommands::
                        --measure var --p 0.99
     riskflow simulate  --config experiment.json
     riskflow reproduce --study gaussian|weibull [--output FILE]
-    riskflow axioms    --measure var|cvar|recursive-var|modulated-var \
-                       [--trials N] [--seed S]
+    riskflow axioms    --measure var|cvar|recursive-var [--trials N] [--seed S]
 
 stdout carries only machine-parseable output (JSON objects, JSON lines, or a
 bare number); progress and diagnostics go to stderr.  Exit codes: 0 success,
@@ -27,7 +26,6 @@ from typing import Sequence
 
 from .axioms import (
     DynamicAxiom,
-    ModulatedFiniteMeasure,
     RecursiveFiniteMeasure,
     StaticAxiom,
     Verdict,
@@ -36,9 +34,7 @@ from .axioms import (
     check_static_axiom,
 )
 from .distributions import model_from_params, model_params_dict
-from .dynamic_risk import VectorialMeasure
 from .errors import ConfigError, DataError, DomainError, NumericError
-from .markov import TransitionMatrix
 from .scenario import (
     ReferenceStudy,
     build_reference_experiment,
@@ -66,15 +62,10 @@ _DYNAMIC_AXIOMS = (
     DynamicAxiom.D5,
 )
 _EXPECTED_VERDICTS: dict[str, dict[str, Verdict]] = {
-    "var": {
-        "P1": Verdict.HOLDS,
-        "P2": Verdict.HOLDS,
-        "P3": Verdict.VIOLATED,
-        "P4": Verdict.HOLDS,
-    },
+    # VaR is not subadditive (P3).
+    "var": {a.value: Verdict.HOLDS for a in StaticAxiom} | {"P3": Verdict.VIOLATED},
     "cvar": {a.value: Verdict.HOLDS for a in StaticAxiom},
     "recursive-var": {a.value: Verdict.HOLDS for a in _DYNAMIC_AXIOMS},
-    "modulated-var": {a.value: Verdict.HOLDS for a in _DYNAMIC_AXIOMS},
 }
 
 
@@ -136,25 +127,14 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _axiom_reports(measure: str, trials: int, seed: int):
+    kind = MeasureKind.VAR if measure == "recursive-var" else MeasureKind(measure)
+    spec = RiskMeasureSpec(kind, _AXIOM_P, Orientation.LOWER_TAIL)
     if measure in ("var", "cvar"):
-        spec = RiskMeasureSpec(MeasureKind(measure), _AXIOM_P, Orientation.LOWER_TAIL)
-        return [
-            check_static_axiom(axiom, spec, trials=trials, seed=seed)
-            for axiom in StaticAxiom
-        ]
-    spec = RiskMeasureSpec(MeasureKind.VAR, _AXIOM_P, Orientation.LOWER_TAIL)
-    if measure == "recursive-var":
-        finite_measure = RecursiveFiniteMeasure(spec)
-    else:
-        finite_measure = ModulatedFiniteMeasure(
-            VectorialMeasure((spec, spec)),
-            TransitionMatrix.from_rows(((0.25, 0.75), (0.35, 0.65))),
-            initial_state=1,
-        )
+        return [check_static_axiom(axiom, spec, trials=trials, seed=seed) for axiom in StaticAxiom]
     return [
         check_dynamic_axiom(
             axiom,
-            finite_measure,
+            RecursiveFiniteMeasure(spec),
             bundled_pair_processes(axiom, orientation=Orientation.LOWER_TAIL, seed=seed),
             seed=seed,
         )
@@ -219,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     axioms.add_argument(
         "--measure",
         required=True,
-        choices=("var", "cvar", "recursive-var", "modulated-var"),
+        choices=("var", "cvar", "recursive-var"),
     )
     axioms.add_argument("--trials", type=int, default=200)
     axioms.add_argument("--seed", type=int, default=0)

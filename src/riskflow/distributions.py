@@ -48,6 +48,7 @@ from typing import Callable, ClassVar, Mapping, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError
+from .streams import _pcg64_streams, _seed_batch
 
 __all__ = [
     "ModelFamily",
@@ -94,7 +95,7 @@ def _require_number(value: object, complaint: str) -> float:
 
 def _require_non_negative_int(name: str, value: object) -> None:
     """Raise :class:`DomainError` unless ``value`` is a non-negative integer
-    that is not a bool (the rule for counts and seeds)."""
+    that is not a bool (the rule for counts)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
@@ -518,11 +519,8 @@ def sample(
     integer array) gives ``n`` draws from ``np.random.default_rng(seed)``; a
     sequence of seeds gives an ``(n_seeds, n)`` array whose row ``i`` equals
     ``sample(model, n, seed[i])``.  All seeds are drawn from as one batch of
-    streams (see :func:`riskflow.markov.simulate_path`), through the model's
-    one ``draw``.
+    streams (:mod:`riskflow.streams`), through the model's one ``draw``.
     """
-    from .markov import _pcg64_streams, _seed_batch  # markov imports this module
-
     _require_non_negative_int("sample size", n)
     if n == 0:
         raise DomainError("sample size must be positive, got 0")

@@ -98,6 +98,7 @@ class CvarMode(str, Enum):
     PIECEWISE = "piecewise"
 
 
+# Kept only because perfbench/inproc.py builds it; ROADMAP item 6 deletes it.
 @dataclass(frozen=True)
 class VectorialMeasure:
     """One static measure per chain state.

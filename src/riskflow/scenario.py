@@ -64,6 +64,7 @@ from .dynamic_risk import (
 from .errors import ConfigError, DataError, DomainError, NumericError
 from .markov import TransitionMatrix, simulate_path
 from .static_risk import cvar_tail, var
+from .streams import _path_seeds
 
 __all__ = [
     "ReferenceStudy",
@@ -625,10 +626,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
     """
     matrix = config.chain()
     T, p, family = config.horizon, config.p, config.family
-    seed_words = np.random.SeedSequence(config.seed).generate_state(
-        2 * config.n_paths, dtype=np.uint64
-    )
-    chain_seeds, returns_seeds = seed_words[0::2], seed_words[1::2]
+    chain_seeds, returns_seeds = _path_seeds(config.seed, config.n_paths)
     states = simulate_path(matrix, config.initial_state, T, chain_seeds)
     # Period t is priced with the model of the state reached at t + 1.
     period = states[:, 1:] - 1

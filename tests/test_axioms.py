@@ -472,10 +472,11 @@ class TestEnumArguments:
 
 
 class TestSeedValidation:
-    """Every checker takes the seed rule of ``simulate_path``: a non-negative
-    integer that is not a bool."""
+    """Every checker takes the seed rule of ``simulate_path`` and ``sample``
+    (``riskflow.streams._require_seed``): a non-negative integer that is not
+    a bool, or a 0-d integer array holding one."""
 
-    BAD_SEEDS = [-1, 1.5, True, "3"]
+    BAD_SEEDS = [-1, 1.5, 7.0, True, "3", np.array(-1), np.array(7.0)]
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_static_checker(self, seed):
@@ -496,3 +497,16 @@ class TestSeedValidation:
     def test_numpy_integers_are_seeds(self):
         a = check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=np.int64(7))
         assert a == check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=7)
+
+    @pytest.mark.parametrize("seed", [np.array(7), np.array(7, dtype=np.uint8)])
+    def test_0d_integer_arrays_are_seeds(self, seed):
+        a = check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=seed)
+        assert a == check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=7)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.array(7)])
+    def test_numpy_integer_seeds_in_the_dynamic_checkers(self, seed):
+        pairs = bundled_pair_processes(DynamicAxiom.D3, n_pairs=2, n_atoms=4, T=2, seed=seed)
+        assert pairs == bundled_pair_processes(DynamicAxiom.D3, n_pairs=2, n_atoms=4, T=2, seed=7)
+        measure = RecursiveFiniteMeasure(VAR_LOWER)
+        a = check_dynamic_axiom(DynamicAxiom.D3, measure, pairs, seed=seed)
+        assert a == check_dynamic_axiom(DynamicAxiom.D3, measure, pairs, seed=7)

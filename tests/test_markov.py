@@ -314,6 +314,7 @@ class TestStackedWalk:
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_edge_uniforms(self, rows, monkeypatch):
+        # simulate_path resolves the name that markov imports from riskflow.streams.
         monkeypatch.setattr(markov, "_pcg64_streams", _RotatedEdgeStreams)
         matrix = TransitionMatrix.from_rows(rows)
         seeds = list(range(len(EDGE_UNIFORMS)))
@@ -323,72 +324,7 @@ class TestStackedWalk:
             walks = simulate_path(matrix, 4, len(EDGE_UNIFORMS), seeds)[:, :-1]
             assert np.any((walks[:, :-1] == 4) & (walks[:, 1:] == 4))
 
-
-class TestBatchSeededStreams:
-    """The batch-seeded streams are ``default_rng(seed)``'s, state and bytes."""
-
-    SMALL = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-
-    @staticmethod
-    def assert_streams_match(seeds, n=17):
-        assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64), (
-            "default_rng no longer builds PCG64: markov._pcg64_streams must follow it"
-        )
-        for seed, stream in zip(seeds, markov._pcg64_streams(seeds), strict=True):
-            reference = np.random.default_rng(seed)
-            assert stream.bit_generator.state == reference.bit_generator.state, seed
-            assert stream.random(n).tobytes() == reference.random(n).tobytes(), seed
-            assert stream.standard_normal(n).tobytes() == reference.standard_normal(n).tobytes()
-
-    def test_full_range_uint64_seeds(self):
-        rng = np.random.default_rng(11)
-        seeds = self.SMALL + rng.integers(0, 2**64, 5000, dtype=np.uint64).tolist()
-        self.assert_streams_match(seeds)
-
-    def test_seeds_below_2_to_32(self):
-        rng = np.random.default_rng(12)
-        self.assert_streams_match(self.SMALL + rng.integers(0, 2**32, 1000).tolist())
-
-    def test_seeds_past_the_pool(self):
-        # Entropy words past the pool of four: only the seeds that have them mix them in.
-        big = [2**96, 2**128 - 1, 2**128, 2**130, 2**130 + 5, 3 * 2**160 + 7, 2**200]
-        self.assert_streams_match(big + self.SMALL + big[::-1])
-
-    @staticmethod
-    def assert_uniforms_match(seeds, sizes=(0, 1, 11, 17)):
-        """The batch's ``random(n)`` is ``default_rng(seed).random(n)``, row by row."""
-        batch = markov._pcg64_streams(seeds)
-        assert len(batch) == len(seeds)
-        for n in sizes:
-            reference = [np.random.default_rng(int(s)).random(n).tobytes() for s in seeds]
-            assert [row.tobytes() for row in batch.random(n)] == reference, n
-
-    def test_batch_uniforms_full_range_uint64_seeds(self):
-        rng = np.random.default_rng(11)
-        seeds = self.SMALL + rng.integers(0, 2**64, 5000, dtype=np.uint64).tolist()
-        self.assert_uniforms_match(seeds)
-        # An unsigned array is read as its own 32-bit words.
-        self.assert_uniforms_match(np.array(seeds, dtype=np.uint64))
-
-    def test_batch_uniforms_seeds_below_2_to_32(self):
-        rng = np.random.default_rng(12)
-        seeds = self.SMALL + rng.integers(0, 2**32, 1000).tolist()
-        self.assert_uniforms_match(seeds)
-        self.assert_uniforms_match(np.array([s for s in seeds if s < 2**32], dtype=np.uint32))
-
-    def test_batch_uniforms_seeds_past_the_pool(self):
-        big = [2**96, 2**128 - 1, 2**128, 2**130, 2**130 + 5, 3 * 2**160 + 7, 2**200]
-        self.assert_uniforms_match(big + self.SMALL + big[::-1])
-
-    def test_draws_longer_than_one_pass(self):
-        # Draws past markov._BLOCK continue from the state the pass before left.
-        sizes = (markov._BLOCK - 1, markov._BLOCK, markov._BLOCK + 1, 2 * markov._BLOCK + 3)
-        self.assert_uniforms_match([0, 7, 2**64 - 1, 2**130], sizes)
-
-    def test_empty_batch(self):
-        batch = markov._pcg64_streams([])
-        assert batch.random(5).shape == (0, 5) and list(batch) == []
-
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_large_seeds_through_simulate_path(self, rows):
-        TestStackedWalk.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, [2**64, 2**130, 3])
+        # Seeds of 2**64 and above hash entropy words past SeedSequence's pool.
+        self.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, [2**64, 2**130, 3])
