@@ -158,20 +158,22 @@ def simulate_path(
     ``np.random.default_rng(seed).random(T)``, drawn for all paths together
     (:meth:`riskflow.streams._PCG64Batch.random`).  Each step takes the first
     state whose cumulative transition probability exceeds the uniform, or
-    else the last state; that choice is tabulated for every path, step and
-    current state at once, so the walk itself is one gather per step.
+    else the last; one ``np.searchsorted`` per current state tabulates that
+    choice for every path and step, so the walk is one gather per step.
     """
     single, seeds = _seed_batch(seed)
     start = matrix.require_state(initial_state)
     _require_non_negative_int("horizon", horizon)
     uniforms = _pcg64_streams(seeds).random(horizon)
-    # Row i: the cumulative outgoing distribution of state i + 1, its last
-    # entry raised to infinity so that the count of entries <= u (which is
-    # what bisect_right returns) stops at the last state.
+    # Row i: the cumulative outgoing distribution of state i + 1.  Its last
+    # entry is raised to infinity, so the count of entries <= u (searchsorted
+    # "right", like bisect_right) stops at the last state.
     cumulative = np.cumsum(matrix.entries, axis=0).T
     cumulative[:, -1] = np.inf
     # nxt[t, i, s]: the 0-based state path i moves to from state s at step t.
-    nxt = (cumulative <= uniforms.T[:, :, np.newaxis, np.newaxis]).sum(axis=-1)
+    nxt = np.empty((horizon, len(uniforms), matrix.n_states), np.min_scalar_type(matrix.n_states))
+    for s, row in enumerate(cumulative):
+        nxt[:, :, s] = np.searchsorted(row, uniforms.T, side="right")
     rows = np.arange(len(uniforms))
     states = np.full((len(uniforms), horizon + 2), start - 1)
     for t in range(horizon):

@@ -12,8 +12,8 @@ at once on ``(n_paths, T + 1)`` arrays, and returns them as one
 its summary statistics; :func:`emit_trajectories` writes the fixed-schema
 CSV/JSON tables straight from those arrays.  It formats one text per
 distinct bit pattern of the stacked columns, looks the cells up through
-the inverse index and streams the rows in chunks; the CSV's bytes equal the
-``csv`` module's and the JSON's equal ``json.dump(..., indent=2)``'s.
+the inverse index and writes each chunk of rows as one joined string; the
+CSV's bytes equal the ``csv`` module's, the JSON's ``json.dump(..., indent=2)``'s.
 Reruns of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
@@ -682,19 +682,20 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
 # --------------------------------------------------------------------------
 
 
-#: Rows per step of :func:`_lines`: one chunk's cell texts are held at a time.
+#: Rows per chunk of :func:`_chunks`: one chunk's texts are held at a time.
 _CHUNK_ROWS = 1024
 
 
-def _lines(
+def _chunks(
     result: ExperimentResult, number: Callable[[float], str], template: str
 ) -> Iterator[str]:
-    """``template % row`` for each table row, in output order.
+    """The table's rows, ``template % row`` each, as one string per chunk.
 
     A row holds the texts of ``[path,] t`` and of the columns present.
     Floats are keyed on their bits, so ``-0.0`` keeps its sign, and each
     distinct one is formatted once by ``number``; each integer id is
-    formatted once too.  Rows are formatted ``_CHUNK_ROWS`` at a time.
+    formatted once too.  Each chunk of ``_CHUNK_ROWS`` rows is one ``str.join``
+    of a grid: the template's literals around the rows' cell texts.
     """
     n_paths, width = result.returns.shape
     columns = list(result.columns().values())
@@ -707,9 +708,13 @@ def _lines(
     path, t = np.divmod(np.arange(n_paths * width), width)
     ids = [path, t] if n_paths > 1 else [t]
     index = np.vstack([*ids, n_ids + inverse.reshape(floats.shape)])
+    literals = template.split("%s")
+    grid = np.empty((min(_CHUNK_ROWS, n_paths * width), 2 * len(literals) - 1), dtype=object)
+    grid[:, ::2] = literals
     for start in range(0, n_paths * width, _CHUNK_ROWS):
-        cells = texts[index[:, start : start + _CHUNK_ROWS]].tolist()
-        yield from map(template.__mod__, zip(*cells))
+        rows = grid[: n_paths * width - start]
+        rows[:, 1::2] = texts[index[:, start : start + _CHUNK_ROWS]].T
+        yield "".join(rows.ravel().tolist())
 
 
 def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> None:
@@ -719,7 +724,7 @@ def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> N
     ``t,static_var,recursive_var,modulated_var,static_cvar,recursive_cvar,modulated_cvar``
     (a ``path`` column is prepended when several paths are present); absent
     measures leave their fields empty.  JSON mirrors the same records with
-    ``null`` for absent values.
+    ``null`` for absent values.  Rows are written one joined chunk at a time.
     """
     if fmt not in ("csv", "json"):
         raise DomainError(f'format must be "csv" or "json", got {fmt!r}')
@@ -732,19 +737,19 @@ def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> N
             # No cell needs quoting, so this is what ``csv.writer`` writes.
             with open(path, "w", newline="", encoding="utf-8") as handle:
                 handle.write(",".join(header) + "\n")
-                handle.writelines(_lines(result, repr, ",".join(slots) + "\n"))
+                handle.writelines(_chunks(result, repr, ",".join(slots) + "\n"))
         else:
             # The layout of ``json.dump(records, indent=2)``: each record
             # follows its separator, which the first drops.
             fields = ",".join(f"\n    {json.dumps(k)}: {s}" for k, s in zip(header, slots))
-            lines = _lines(result, json.dumps, ",\n  {" + fields + "\n  }")
+            chunks = _chunks(result, json.dumps, ",\n  {" + fields + "\n  }")
             with open(path, "w", encoding="utf-8") as handle:
-                first = next(lines, None)
+                first = next(chunks, None)
                 if first is None:
                     handle.write("[]\n")
                 else:
                     handle.write("[" + first[1:])
-                    handle.writelines(lines)
+                    handle.writelines(chunks)
                     handle.write("\n]\n")
     except OSError as exc:
         raise DataError(f"cannot write trajectories to {path}: {exc}") from exc

@@ -1,6 +1,7 @@
 """Finite-state chain machinery: matrices, paths, one-step predictions."""
 
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,24 @@ class TestSimulatePath:
         path = simulate_path(m, 2, 25, seed=0)
         assert set(path.states) == {2}
 
+    def test_many_state_walk_memory(self):
+        # The next-state table holds one byte per path, step and state, so a
+        # 16-state, 100-path, 2000-step walk peaks at about 16 MB, most of it
+        # the uniform draw; a table built through a (T, n_paths, 16, 16)
+        # boolean and summed into int64 peaked at 79 MB.
+        rows = np.full((16, 16), 1 / 16)
+        matrix = TransitionMatrix.from_rows(rows)
+        seeds = list(range(100))
+        simulate_path(matrix, 1, 2000, seeds[:2])  # builds the cached jump table
+        tracemalloc.start()
+        try:
+            states = simulate_path(matrix, 1, 2000, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (100, 2002)
+        assert peak < 24e6
+
     def test_rejects_bad_arguments(self):
         m = reference_matrix()
         with pytest.raises(DomainError):
@@ -328,3 +347,14 @@ class TestStackedWalk:
     def test_large_seeds_through_simulate_path(self, rows):
         # Seeds of 2**64 and above hash entropy words past SeedSequence's pool.
         self.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, [2**64, 2**130, 3])
+
+    @pytest.mark.parametrize("n_states", range(1, 7))
+    def test_random_chains_with_zero_entries(self, n_states):
+        # About a third of the entries are zero, so cumulative rows repeat
+        # values, also at their end; every row keeps one positive entry.
+        rng = np.random.default_rng(n_states)
+        for _ in range(4):
+            rows = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) > 0.35)
+            rows[np.arange(n_states), rng.integers(0, n_states, n_states)] += 0.05
+            matrix = TransitionMatrix.from_rows(rows / rows.sum(axis=1, keepdims=True))
+            self.assert_walks_agree(matrix, 12, list(range(40)))

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -460,6 +461,42 @@ class TestRunExperiment:
         one_model = {k: (v[0],) * len(v) for k, v in cfg.params.items()}
         collapsed = run_experiment(dataclasses.replace(cfg, params=one_model))[0].var
         np.testing.assert_array_max_ulp(collapsed.modulated, collapsed.recursive, maxulp=4)
+
+    def test_means_match_the_exact_state_law(self):
+        """The Monte Carlo means of the static columns and the returns are
+        within 4 standard errors of their exact expectations.
+
+        Period t is priced with the state reached at t + 1, whose law is
+        ``A^(t+1) e_(Z_0)`` for the column-stochastic matrix ``A``, and
+        ``A^T e_(Z_0)`` at t = T, where the terminal state is frozen.  Each
+        expectation is ``sum_j pi(j) * value_j`` with the values from
+        ``statistics.NormalDist``; the standard error is the exact one,
+        ``sqrt(sum_j pi(j) * second_moment_j - mean**2) / sqrt(n)``.  For a
+        normal mean, a cell falls outside 4 standard errors with probability
+        6.3e-5, so the 33 cells of a random seed would raise a false alarm
+        with probability at most 2.1e-3; the seed here is fixed, and its
+        largest deviation is 2.3 standard errors.  Pricing period t with the
+        state at t instead misses at t = 0 by 55 standard errors.
+        """
+        cfg = dataclasses.replace(build_reference_experiment("gaussian_msci"), n_paths=1000)
+        result, _ = run_experiment(cfg)
+        n, T = cfg.n_paths, cfg.horizon
+        A = cfg.chain().entries
+        law = [np.linalg.matrix_power(A, min(t + 1, T))[:, cfg.initial_state - 1] for t in range(T + 1)]
+        z = statistics.NormalDist().inv_cdf(cfg.p)
+        mu, sigma = np.array(cfg.params["mu"]), np.array(cfg.params["sigma"])
+        static_var = mu + sigma * z
+        static_cvar = mu + sigma * statistics.NormalDist().pdf(z) / (1 - cfg.p)
+        cases = {  # name: (column, value per state, second moment per state)
+            "static_var": (result.var.static, static_var, static_var**2),
+            "static_cvar": (result.cvar.static, static_cvar, static_cvar**2),
+            "returns": (result.returns, mu, mu**2 + sigma**2),
+        }
+        for name, (column, value, second) in cases.items():
+            for t, pi in enumerate(law):
+                mean = pi @ value
+                error = math.sqrt(pi @ second - mean**2) / math.sqrt(n)
+                assert abs(column[:, t].mean() - mean) < 4 * error, (name, t)
 
     def test_views_hold_the_rows(self):
         result, _ = run_experiment(small_config(n_paths=3))
