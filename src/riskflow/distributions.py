@@ -107,6 +107,8 @@ F = TypeVar("F", bound=Callable[..., float])
 def _require_member(kind: type[E], value: object) -> E:
     """``value`` as a member of the enum ``kind``: a member or its value.
     Anything else raises :class:`DomainError` naming the choices."""
+    if value.__class__ is kind:
+        return value
     try:
         return kind(value)
     except ValueError as exc:
@@ -433,10 +435,10 @@ class EmpiricalSample:
             raise DataError(f"empirical sample must be one-dimensional, got shape {values.shape}")
         if values.size == 0:
             raise DataError("empirical sample must contain at least one value")
-        if not np.isfinite(values).all():
-            raise DataError("empirical sample contains non-finite values")
-        # A stable sort keeps the order Python's ``sorted`` gives to 0.0 and -0.0.
+        # A stable sort keeps ``sorted``'s order of 0.0 and -0.0, and puts NaN and ±inf at the ends.
         values.sort(kind="stable")
+        if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+            raise DataError("empirical sample contains non-finite values")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -486,7 +488,17 @@ class EmpiricalSample:
         return EmpiricalSample(self.values + _require_finite("shift", c))
 
     def negated(self) -> EmpiricalSample:
-        return EmpiricalSample(-self.values)
+        """``EmpiricalSample(-self.values)`` without sorting again; only a
+        run of signed zeros keeps its order under the stable sort."""
+        values = -self.values[::-1]
+        lo = values.searchsorted(0.0)
+        if lo + 1 < values.size and values[lo + 1] == 0.0:  # two zeros or more
+            hi = values.searchsorted(0.0, "right")
+            values[lo:hi] = values[lo:hi][::-1]
+        values.flags.writeable = False
+        negated = object.__new__(EmpiricalSample)
+        object.__setattr__(negated, "values", values)
+        return negated
 
 
 ReturnModel = Union[GaussianParams, WeibullParams, EmpiricalSample]

@@ -253,17 +253,34 @@ def config_from_json(text: str) -> ExperimentConfig:
 # --------------------------------------------------------------------------
 
 
+def _observations(returns: Sequence[float], fit: str) -> np.ndarray:
+    """``returns`` as a 1-D float array of two or more finite values; other
+    input, booleans and numeric strings included, raises :class:`DataError`."""
+    try:
+        xs = np.asarray(returns)
+    except ValueError as exc:  # a ragged nesting
+        raise DataError(f"{fit} fit: observations must be one-dimensional: {exc}") from exc
+    if xs.ndim != 1:
+        raise DataError(f"{fit} fit: observations must be one-dimensional, got shape {xs.shape}")
+    if xs.dtype.kind not in "fiu":
+        raise DataError(f"{fit} fit: observations must be real numbers, got {xs.dtype} values")
+    if xs.size < 2:
+        raise DataError(f"{fit} fit needs at least 2 observations, got {xs.size}")
+    xs = xs.astype(float, copy=False)
+    if not np.isfinite(xs).all():
+        raise DataError(f"{fit} fit: observations must be finite")
+    return xs
+
+
 def fit_gaussian(returns: Sequence[float]) -> GaussianParams:
     """Sample mean and sample standard deviation (denominator ``n - 1``)."""
-    xs = [float(v) for v in returns]
-    if len(xs) < 2:
-        raise DataError(f"gaussian fit needs at least 2 observations, got {len(xs)}")
-    if any(not math.isfinite(v) for v in xs):
-        raise DataError("gaussian fit: observations must be finite")
-    n = len(xs)
+    xs = _observations(returns, "gaussian")
+    n = xs.size
     try:
-        mean = math.fsum(xs) / n
-        ss = math.fsum((v - mean) ** 2 for v in xs)
+        mean = math.fsum(xs.tolist()) / n
+        with np.errstate(over="ignore"):  # an infinite square fails below
+            d = xs - mean
+            ss = math.fsum((d * d).tolist())
     except OverflowError:
         ss = math.inf
     if not math.isfinite(ss):
@@ -301,11 +318,9 @@ def fit_weibull(returns: Sequence[float]) -> WeibullParams:
     bracketed, falling back to bisection whenever a Newton step leaves the
     bracket — to 1e-10, then plugs the shape into the closed-form scale.
     """
-    xs = np.asarray([float(v) for v in returns], dtype=float)
-    if xs.size < 2:
-        raise DataError(f"weibull fit needs at least 2 observations, got {xs.size}")
-    if not np.all(np.isfinite(xs)) or np.any(xs <= 0.0):
-        raise DataError("weibull fit: observations must be positive and finite")
+    xs = _observations(returns, "weibull")
+    if np.any(xs <= 0.0):
+        raise DataError("weibull fit: observations must be positive")
     lx = np.log(xs)
     std_lx = float(np.std(lx))
     if std_lx < 1e-12:

@@ -216,6 +216,116 @@ class TestRecursiveFiniteMeasure:
             )
 
 
+def _oracle_var_upper(values, weights, p):
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    idx = int(np.searchsorted(cum, p - 1e-12, side="left"))
+    return float(values[order[min(idx, len(values) - 1)]])
+
+
+def _oracle_static(values, weights, spec):
+    vals = np.asarray(values, dtype=float)
+    if spec.orientation is Orientation.LOWER_TAIL:
+        vals = -vals
+    v = _oracle_var_upper(vals, weights, spec.p)
+    if spec.kind is MeasureKind.VAR:
+        result = v
+    else:
+        mask = vals >= v
+        result = float(np.dot(vals[mask], weights[mask]) / weights[mask].sum())
+    return result
+
+
+class _NumpyOracleMeasure(RecursiveFiniteMeasure):
+    """The finite recursion as it was written on numpy arrays, per cell."""
+
+    def atom_values(self, process, t, partition):
+        sign = 1.0 if self.spec.orientation is Orientation.LOWER_TAIL else -1.0
+        matrix = process.payoff_matrix()
+        probs = np.array(process.probs)
+        out = np.empty(process.n_atoms)
+        for cell in partition:
+            idx = list(cell)
+            weights = probs[idx] / probs[idx].sum()
+            value = _oracle_static(matrix[idx, 0], weights, self.spec)
+            for s in range(1, t + 1):
+                value = _oracle_static(matrix[idx, s] + sign * value, weights, self.spec)
+            out[idx] = value
+        return out
+
+
+def tied_process(rng, n_atoms, horizon):
+    """Payoffs from a few levels, signed zeros among them, so cells share
+    histories and values tie; atom weights take at most three values."""
+    levels = np.array([-1.5, -0.0, 0.0, 0.5, 2.0])
+    payoffs = rng.choice(levels[: int(rng.integers(2, 6))], (n_atoms, horizon + 1))
+    raw = rng.choice([1.0, 2.0, float(rng.uniform(0.1, 3.0))], n_atoms)
+    if rng.random() < 0.3:
+        raw[:] = 1.0  # equal weights, whose sums land within rounding of p
+    return FiniteProcess(tuple((raw / raw.sum()).tolist()), tuple(map(tuple, payoffs)))
+
+
+ALL_SPECS = [VAR_LOWER, VAR_UPPER, CVAR_LOWER, CVAR_UPPER]
+SPEC_IDS = ["var-lower", "var-upper", "cvar-lower", "cvar-upper"]
+
+
+class TestRecursionMatchesNumpyOracle:
+    """The plain-Python per-cell recursion against the numpy one it replaced.
+
+    Cells run from 1 to 64 atoms, so cells of 8 or more take numpy's
+    pairwise sum in the weight normalisation and the CVaR tail mean.
+    """
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_atom_values_are_bit_identical(self, spec):
+        rng = np.random.default_rng(2113)
+        sizes = set()
+        for trial in range(150):
+            n_atoms = (64, 20, 40, 60)[trial % 4] if trial % 10 < 4 else int(rng.integers(1, 65))
+            proc = tied_process(rng, n_atoms, int(rng.integers(0, 4)))
+            for t in range(proc.horizon + 1):
+                partition = filtration_partition([proc], t)
+                sizes.update(len(cell) for cell in partition)
+                got = RecursiveFiniteMeasure(spec).atom_values(proc, t, partition)
+                expected = _NumpyOracleMeasure(spec).atom_values(proc, t, partition)
+                assert got.tobytes() == expected.tobytes(), (trial, t)
+        assert {1, 64} <= sizes and len([k for k in sizes if k >= 8]) > 10
+
+    @pytest.mark.parametrize("spec", [VAR_UPPER, CVAR_UPPER], ids=["var", "cvar"])
+    def test_cumulative_weight_at_the_level_is_inside(self, spec):
+        # The first atom's weight is p - 1e-12 exactly, so it is the quantile.
+        low = 0.95 - 1e-12
+        proc = FiniteProcess((low, 1.0 - low), ((1.0,), (2.0,)))
+        partition = filtration_partition([proc], 0)
+        expected = _NumpyOracleMeasure(spec).atom_values(proc, 0, partition)
+        got = RecursiveFiniteMeasure(spec).atom_values(proc, 0, partition)
+        assert got.tobytes() == expected.tobytes()
+        assert got[0] == (1.0 if spec.kind is MeasureKind.VAR else low + 2.0 * (1.0 - low))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_reports_are_unchanged(self, spec):
+        # Pairs on 12 atoms, half the payoffs tied, dominating through gaps
+        # that start at 0 and may shrink, ordered both ways: D2 or D5 fails
+        # on some, so witnesses are compared too.
+        rng = np.random.default_rng(2114)
+        pairs = []
+        for _ in range(2):
+            x = tied_process(rng, 12, 2)
+            untied = rng.normal(0.0, 1.0, (12, 3))
+            x = x.with_payoffs(np.where(rng.random((12, 3)) < 0.5, x.payoff_matrix(), untied))
+            gaps = rng.uniform(0.0, 1.0, (12, 3)) * [0.0, 1.0, 1.0]
+            richer = x.with_payoffs(x.payoff_matrix() + gaps)
+            pairs += [(x, richer), (richer, x)]
+        violated = 0
+        for axiom in DynamicAxiom:
+            for group in (bundled_pair_processes(axiom, orientation=spec.orientation), pairs):
+                got = check_dynamic_axiom(axiom, RecursiveFiniteMeasure(spec), group, seed=3)
+                expected = check_dynamic_axiom(axiom, _NumpyOracleMeasure(spec), group, seed=3)
+                assert got.to_json_dict() == expected.to_json_dict(), axiom
+                violated += got.verdict is Verdict.VIOLATED
+        assert violated > 0
+
+
 class TestModulatedFiniteMeasure:
     def build(self, spec=VAR_LOWER):
         return ModulatedFiniteMeasure(

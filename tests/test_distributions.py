@@ -27,7 +27,7 @@ from riskflow.distributions import (
     sample,
 )
 from riskflow.errors import DataError, DomainError, NumericError
-from riskflow.static_risk import cvar_ru, cvar_tail, var
+from riskflow.static_risk import Orientation, cvar_ru, cvar_tail, var
 
 # Frozen against an independent high-precision route (mpmath, 40 digits).
 Z_99 = 2.3263478740408408
@@ -242,24 +242,56 @@ class TestEmpirical:
     def test_values_are_read_only(self):
         source = np.array([3.0, 1.0, 2.0])
         s = EmpiricalSample(source)
-        with pytest.raises(ValueError):
-            s.values[0] = 10.0
+        assert source.tolist() == [3.0, 1.0, 2.0]  # sorted in a copy
+        for derived in (s, s.negated(), s.shift(1.0)):
+            with pytest.raises(ValueError):
+                derived.values[0] = 10.0
         source[0] = 10.0
         assert s.values.tolist() == [1.0, 2.0, 3.0]
         for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
             assert copied == s and not copied.values.flags.writeable
 
     def test_rejects_two_dimensional_input(self):
-        with pytest.raises(DataError, match="one-dimensional"):
-            EmpiricalSample(np.ones((2, 3)))
-        with pytest.raises(DataError, match="one-dimensional"):
-            EmpiricalSample(3.0)
+        for values in (np.ones((2, 3)), 3.0, np.array(3.0), np.ones((3, 1)), [[1.0, 2.0]]):
+            with pytest.raises(DataError, match="one-dimensional"):
+                EmpiricalSample(values)
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(DataError):
             EmpiricalSample(())
-        with pytest.raises(DataError):
-            EmpiricalSample((1.0, float("nan")))
+        # NaN sorts last and the infinities first or last, wherever they start.
+        nan, inf = math.nan, math.inf
+        for values in (
+            (1.0, nan), (nan, 1.0, 2.0), (1.0, nan, 2.0), (nan,), (-inf, 1.0), (1.0, inf),
+            (2.0, -inf, 1.0), (inf, -inf), (inf,), (nan, inf, -inf, 0.0),
+        ):
+            with pytest.raises(DataError, match="non-finite"):
+                EmpiricalSample(values)
+
+    def test_negated_equals_the_sample_of_the_negated_values(self):
+        rng = np.random.default_rng(11)
+        levels = np.array([-2.0, -0.0, 0.0, 1.5, 3.0])
+        for trial in range(600):
+            n = int(rng.integers(1, 40))
+            s = EmpiricalSample(rng.choice(levels, n) if trial % 2 else rng.normal(0.0, 2.0, n))
+            negated, rebuilt = s.negated(), EmpiricalSample(-s.values)
+            # bytes, so the order of 0.0 and -0.0 within a run of zeros counts
+            assert negated.values.tobytes() == rebuilt.values.tobytes()
+            assert negated == rebuilt and hash(negated) == hash(rebuilt)
+            assert negated.negated().values.tobytes() == s.values.tobytes()
+            assert not negated.values.flags.writeable
+            assert not np.shares_memory(negated.values, s.values)
+
+    @pytest.mark.parametrize("values, expected", [
+        ((0.0, -0.0), [-0.0, -0.0, 0.0, 0.0]),
+        ((-0.0, 0.0), [0.0, 0.0, -0.0, -0.0]),
+        ((1.0, 0.0, -0.0, -0.0, 0.0, -2.0), [-0.0, 0.0, 0.0, 2.0]),
+    ])
+    def test_lower_tail_var_keeps_the_signed_zero(self, values, expected):
+        # At p = 0.3, 0.5, 0.6 and 0.9: the zero of the stably sorted -values.
+        got = [var(EmpiricalSample(values), p, Orientation.LOWER_TAIL) for p in (0.3, 0.5, 0.6, 0.9)]
+        assert got == expected
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expected]
 
     def test_quantile_inf_convention(self):
         s = EmpiricalSample(tuple(float(i) for i in range(1, 101)))

@@ -227,6 +227,42 @@ class TestFitGaussian:
             fit_gaussian(xs)
 
 
+class TestFitInput:
+    @pytest.mark.parametrize("fit", [fit_gaussian, fit_weibull])
+    @pytest.mark.parametrize("returns, problem", [
+        (np.ones((3, 2)), "one-dimensional, got shape"),
+        (np.array(2.0), "one-dimensional, got shape"),
+        ([[1.0, 2.0], [3.0]], "one-dimensional"),
+        ([1.0, "x"], "real numbers"),
+        (["1.5", "2.5", "3.0"], "real numbers"),  # as model_from_params refuses them
+        ([True, False, True], "real numbers"),
+        ([1.0, None, 2.0], "real numbers"),
+    ], ids=["2-d", "0-d", "ragged", "mixed-string", "numeric-strings", "bools", "none"])
+    def test_other_input_is_a_data_error(self, fit, returns, problem):
+        with pytest.raises(DataError, match=problem):
+            fit(returns)
+
+    @pytest.mark.parametrize("fit", [fit_gaussian, fit_weibull])
+    def test_any_real_dtype_gives_the_same_fit(self, fit):
+        xs = [1.0, 2.0, 4.0, 7.0]
+        expected = fit(xs)
+        for form in (
+            tuple(xs), [1, 2, 4, 7], np.array(xs), np.array(xs, dtype=np.float32),
+            np.array([1, 2, 4, 7], dtype=np.int32), np.array([1, 2, 4, 7], dtype=np.uint8),
+        ):
+            assert fit(form) == expected
+
+    def test_gaussian_sums_are_correctly_rounded(self):
+        # math.fsum of the values and of the correctly rounded squared
+        # deviations, whatever the order of the draws.
+        rng = np.random.default_rng(21)
+        xs = rng.normal(3.0, 2.0, 10_001)
+        mean = math.fsum(xs.tolist()) / xs.size
+        ss = math.fsum(((x - mean) * (x - mean) for x in xs.tolist()))
+        for order in (xs, xs[::-1], rng.permutation(xs)):
+            assert fit_gaussian(order) == GaussianParams(mean, math.sqrt(ss / (xs.size - 1)))
+
+
 class TestFitWeibull:
     def test_recovers_synthetic_parameters(self):
         draws = sample(WeibullParams(6.7679, 0.8016), 10_000, seed=6)
@@ -463,26 +499,41 @@ class TestRunExperiment:
         np.testing.assert_array_max_ulp(collapsed.modulated, collapsed.recursive, maxulp=4)
 
     def test_means_match_the_exact_state_law(self):
-        """The Monte Carlo means of the static columns and the returns are
-        within 4 standard errors of their exact expectations.
+        """The Monte Carlo means of the static columns, the returns and the
+        alternating-sum columns are within 4 standard errors of their exact
+        expectations.
 
         Period t is priced with the state reached at t + 1, whose law is
         ``A^(t+1) e_(Z_0)`` for the column-stochastic matrix ``A``, and
         ``A^T e_(Z_0)`` at t = T, where the terminal state is frozen.  Each
-        expectation is ``sum_j pi(j) * value_j`` with the values from
+        static expectation is ``sum_j pi(j) * value_j`` with the values from
         ``statistics.NormalDist``; the standard error is the exact one,
         ``sqrt(sum_j pi(j) * second_moment_j - mean**2) / sqrt(n)``.  For a
         normal mean, a cell falls outside 4 standard errors with probability
-        6.3e-5, so the 33 cells of a random seed would raise a false alarm
-        with probability at most 2.1e-3; the seed here is fixed, and its
-        largest deviation is 2.3 standard errors.  Pricing period t with the
-        state at t instead misses at t = 0 by 55 standard errors.
+        6.3e-5, so the 66 cells of a random seed would raise a false alarm
+        with probability at most 4.2e-3; the seed here is fixed, and its
+        largest deviation is 2.3 standard errors (1.5 for the alternating
+        sums).  Pricing period t with the state at t instead misses at t = 0
+        by 55 standard errors, and by 18 or more at every t of the sums.
+
+        Recursive VaR, exact recursive CVaR and modulated VaR are
+        ``sum_k (-1)**(t-k) table(Z_(a_k))`` for per-state tables: the static
+        value of the state pricing period k, except that modulated VaR prices
+        k >= 1 with the one-step prediction ``A^T value`` from ``Z_k``.  Their
+        second moments come from the joint law
+        ``P(Z_a = i, Z_b = j) = pi_a(i) * (A^(b-a))[j, i]``, a <= b.
         """
-        cfg = dataclasses.replace(build_reference_experiment("gaussian_msci"), n_paths=1000)
+        cfg = dataclasses.replace(
+            build_reference_experiment("gaussian_msci"), n_paths=1000, cvar_mode=CvarMode.EXACT
+        )
         result, _ = run_experiment(cfg)
         n, T = cfg.n_paths, cfg.horizon
         A = cfg.chain().entries
-        law = [np.linalg.matrix_power(A, min(t + 1, T))[:, cfg.initial_state - 1] for t in range(T + 1)]
+
+        def state_law(a):
+            return np.linalg.matrix_power(A, a)[:, cfg.initial_state - 1]
+
+        law = [state_law(min(t + 1, T)) for t in range(T + 1)]
         z = statistics.NormalDist().inv_cdf(cfg.p)
         mu, sigma = np.array(cfg.params["mu"]), np.array(cfg.params["sigma"])
         static_var = mu + sigma * z
@@ -496,6 +547,35 @@ class TestRunExperiment:
             for t, pi in enumerate(law):
                 mean = pi @ value
                 error = math.sqrt(pi @ second - mean**2) / math.sqrt(n)
+                assert abs(column[:, t].mean() - mean) < 4 * error, (name, t)
+
+        def moments(terms):
+            # terms: (a, f) with a non-decreasing, for the sum of f(Z_a).
+            mean = sum(state_law(a) @ f for a, f in terms)
+            second = 0.0
+            for i, (a, f) in enumerate(terms):
+                for j, (b, g) in enumerate(terms[i:]):
+                    joint = (state_law(a) * f) @ (np.linalg.matrix_power(A, b - a).T @ g)
+                    second += joint if j == 0 else 2.0 * joint
+            return mean, second
+
+        sums = {  # name: (column, (a_k, table) of the periods k <= t)
+            "recursive_var": (
+                result.var.recursive, lambda t: [(min(k + 1, T), static_var) for k in range(t + 1)]
+            ),
+            "recursive_cvar": (
+                result.cvar.recursive, lambda t: [(min(k + 1, T), static_cvar) for k in range(t + 1)]
+            ),
+            "modulated_var": (
+                result.var.modulated,
+                lambda t: [(1, static_var)] + [(k, A.T @ static_var) for k in range(1, t + 1)],
+            ),
+        }
+        for name, (column, tables) in sums.items():
+            for t in range(T + 1):
+                terms = [(a, (-1.0) ** (t - k) * table) for k, (a, table) in enumerate(tables(t))]
+                mean, second = moments(terms)
+                error = math.sqrt(second - mean**2) / math.sqrt(n)
                 assert abs(column[:, t].mean() - mean) < 4 * error, (name, t)
 
     def test_views_hold_the_rows(self):
