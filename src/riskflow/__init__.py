@@ -37,7 +37,7 @@ from .errors import (
     NumericError,
     RiskEngineError,
 )
-from .markov import ChainPath, TransitionMatrix, simulate_path
+from .markov import TransitionMatrix, simulate_path
 from .scenario import (
     ExperimentConfig,
     ExperimentResult,
@@ -64,7 +64,6 @@ from .static_risk import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainPath",
     "ConfigError",
     "CvarMode",
     "DataError",

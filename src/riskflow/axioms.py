@@ -531,9 +531,6 @@ def check_dynamic_axiom(
     lower = measure.orientation is Orientation.LOWER_TAIL
     T = pairs[0][0].horizon
 
-    def values(proc: FiniteProcess, t: int, ref: Sequence[FiniteProcess]) -> np.ndarray:
-        return measure.atom_values(proc, t, filtration_partition(ref, t))
-
     detail_map = {
         DynamicAxiom.D1: "R_t(0) == 0 at every time and atom",
         DynamicAxiom.D2: (
@@ -559,7 +556,7 @@ def check_dynamic_axiom(
         if axiom is DynamicAxiom.D1:
             zero = x_proc.with_payoffs(np.zeros((x_proc.n_atoms, T + 1)))
             for t in range(T + 1):
-                vals = values(zero, t, [zero])
+                vals = measure.atom_values(zero, t, filtration_partition([zero], t))
                 if np.max(np.abs(vals)) > _TOL:
                     return report(
                         {"pair": pair_index, "t": t, "max_abs": float(np.max(np.abs(vals)))}
@@ -568,12 +565,12 @@ def check_dynamic_axiom(
             xm, ym = x_proc.payoff_matrix(), y_proc.payoff_matrix()
             if np.any(xm > ym + _TOL):
                 continue  # hypothesis X <= Y fails; vacuous pair
-            xy = [x_proc, y_proc]
-            r0 = values(x_proc, 0, xy), values(y_proc, 0, xy)
-            if np.any(r0[0] > r0[1] + _TOL):
-                continue  # hypothesis R(X_0) <= R(Y_0) fails; vacuous pair
             for t in range(T + 1):
-                vx, vy = r0 if t == 0 else (values(x_proc, t, xy), values(y_proc, t, xy))
+                partition = filtration_partition([x_proc, y_proc], t)
+                vx = measure.atom_values(x_proc, t, partition)
+                vy = measure.atom_values(y_proc, t, partition)
+                if t == 0 and np.any(vx > vy + _TOL):
+                    break  # hypothesis R(X_0) <= R(Y_0) fails; vacuous pair
                 gap = vy - vx if lower else vx - vy
                 if np.max(gap) > _TOL:
                     bad = int(np.argmax(gap))
@@ -617,8 +614,9 @@ def check_dynamic_axiom(
                             }
                         )
         elif axiom is DynamicAxiom.D5:
-            all_x = [values(x_proc, t, [x_proc, y_proc]) for t in range(T + 1)]
-            all_y = [values(y_proc, t, [x_proc, y_proc]) for t in range(T + 1)]
+            partitions = [filtration_partition([x_proc, y_proc], t) for t in range(T + 1)]
+            all_x = [measure.atom_values(x_proc, t, cells) for t, cells in enumerate(partitions)]
+            all_y = [measure.atom_values(y_proc, t, cells) for t, cells in enumerate(partitions)]
             for t in range(T + 1):
                 if np.any(all_x[t] > all_y[t] + _TOL):
                     continue  # antecedent fails at this horizon
@@ -634,9 +632,10 @@ def check_dynamic_axiom(
                     w * x_proc.payoff_matrix() + (1.0 - w) * y_proc.payoff_matrix()
                 )
                 for t in range(T + 1):
-                    vz = values(mixed, t, [x_proc, y_proc, mixed])
-                    vx = values(x_proc, t, [x_proc, y_proc, mixed])
-                    vy = values(y_proc, t, [x_proc, y_proc, mixed])
+                    partition = filtration_partition([x_proc, y_proc, mixed], t)
+                    vz = measure.atom_values(mixed, t, partition)
+                    vx = measure.atom_values(x_proc, t, partition)
+                    vy = measure.atom_values(y_proc, t, partition)
                     excess = float(np.max(vz - (w * vx + (1.0 - w) * vy)))
                     if excess > _TOL:
                         return report(

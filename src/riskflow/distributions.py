@@ -100,6 +100,18 @@ def _require_non_negative_int(name: str, value: object) -> None:
         raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
 
 
+def _holds_bool(values: object) -> bool:
+    """Whether ``values`` is a bool, a bool array, or a (nested) list or tuple
+    holding one.  ``np.asarray([1.0, True])`` is a float array, so a bool
+    mixed into numbers shows only before conversion; an ndarray is judged by
+    its dtype, never scanned."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind == "b"
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 E = TypeVar("E", bound=Enum)
 F = TypeVar("F", bound=Callable[..., float])
 

@@ -35,7 +35,8 @@ over.
 
 Every trajectory function takes one path or a stack of paths: parameter
 sequences and realized returns of shape ``(T + 1,)`` or ``(n_paths, T + 1)``,
-and one :class:`ChainPath` or an ``(n_paths, T + 2)`` array of chain states.
+and chain states of shape ``(T + 2,)`` or ``(n_paths, T + 2)`` (as
+:func:`~riskflow.markov.simulate_path` returns them for one seed or many).
 The horizon ``T`` is read off these shapes, never passed; inputs that
 disagree on the ``(n_paths, T + 1)`` shape raise :class:`DomainError`.  One
 path gives a ``list[float]``; a stack gives an ``(n_paths, T + 1)`` array.
@@ -61,7 +62,7 @@ from .distributions import (
     _require_probability,
 )
 from .errors import DomainError
-from .markov import ChainPath, TransitionMatrix, one_step_linked_expectation
+from .markov import TransitionMatrix, _require_states, one_step_linked_expectation
 from .static_risk import (
     Orientation,
     RiskMeasureSpec,
@@ -262,11 +263,12 @@ def recursive_cvar(
     p = _require_probability(p)
     mode = _require_member(CvarMode, mode)
     batched = states is not None
-    states = np.asarray(states) if batched else np.arange(len(models))[np.newaxis, :]
+    if batched:
+        states = _require_states(states, len(models), base=0)
+    else:
+        states = np.arange(len(models))[np.newaxis, :]
     if states.ndim != 2 or states.size == 0:
         raise DomainError(f"need a non-empty (n_paths, T + 1) grid of periods, got {states.shape}")
-    if not 0 <= states.min() <= states.max() < len(models):
-        raise DomainError(f"states must index the {len(models)} models")
     if mode is CvarMode.PIECEWISE and realized_path is None:
         raise DomainError("piecewise mode needs a realized return path")
     if realized_path is not None:
@@ -297,15 +299,14 @@ def recursive_cvar(
 # --------------------------------------------------------------------------
 
 
-def _path_states(chain_path: ChainPath | np.ndarray, matrix: TransitionMatrix) -> np.ndarray:
-    """One chain path, or an ``(n_paths, T + 2)`` stack of them, as a 2-D array."""
-    states = np.atleast_2d(
-        chain_path.states if isinstance(chain_path, ChainPath) else chain_path
-    )
-    if states.ndim != 2 or states.shape[1] < 2 or states.shape[0] == 0:
-        raise DomainError(f"chain paths must have shape (n_paths, T + 2), got {states.shape}")
-    if states.dtype.kind not in "iu" or not 1 <= states.min() <= states.max() <= matrix.n_states:
-        raise DomainError(f"state indices must be integers in [1, {matrix.n_states}]")
+def _path_states(chain_path: Sequence[int] | np.ndarray, matrix: TransitionMatrix) -> np.ndarray:
+    """One chain path ``(T + 2,)``, or a stack ``(n_paths, T + 2)``, as a 2-D array."""
+    states = _require_states(chain_path, matrix.n_states)
+    if states.ndim not in (1, 2) or states.shape[-1] < 2 or states.size == 0:
+        raise DomainError(
+            f"chain paths must have shape (T + 2,) or (n_paths, T + 2), got {states.shape}"
+        )
+    states = np.atleast_2d(states)
     if not np.array_equal(states[:, -1], states[:, -2]):
         raise DomainError("the last two states of each chain path must be equal")
     return states
@@ -342,7 +343,7 @@ def _weibull_quantiles(
 def modulated_var_trajectory(
     models: Sequence[ReturnModel],
     matrix: TransitionMatrix,
-    chain_path: ChainPath | np.ndarray,
+    chain_path: Sequence[int] | np.ndarray,
     p: float,
 ) -> list[float] | np.ndarray:
     """Value-at-risk recursion along a realized chain path.
@@ -368,13 +369,13 @@ def modulated_var_trajectory(
     else:
         per_state, predicted = _weibull_quantiles(models, matrix, priced, p)
     terms = np.concatenate([per_state[states[:, 1:2] - 1], predicted], axis=1)
-    return _as_given(_alternating_sum(terms), not isinstance(chain_path, ChainPath))
+    return _as_given(_alternating_sum(terms), np.ndim(chain_path) == 2)
 
 
 def modulated_cvar_trajectory(
     models: Sequence[ReturnModel],
     matrix: TransitionMatrix,
-    chain_path: ChainPath | np.ndarray,
+    chain_path: Sequence[int] | np.ndarray,
     realized_returns: Sequence[float] | np.ndarray,
     p: float,
 ) -> list[float] | np.ndarray:
@@ -424,4 +425,4 @@ def modulated_cvar_trajectory(
                 - (p / (1.0 - p)) * v_t
                 + ((1.0 + p) / (1.0 - p)) * prev,
             )
-    return _as_given(out, not isinstance(chain_path, ChainPath))
+    return _as_given(out, np.ndim(chain_path) == 2)

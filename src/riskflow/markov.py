@@ -7,10 +7,11 @@ expectations are plain matrix-vector products ``E[Z_next | Z = e_i] = A e_i``
 (the i-th column).  Row-stochastic input (the common textbook layout) is
 accepted through :meth:`TransitionMatrix.from_rows`, which transposes.
 
-A simulated path covers ``Z_0 .. Z_{T+1}`` where the last entry repeats
-``Z_T``: period-``t`` returns draw their parameters from the state reached at
-``t + 1``, and at the final horizon no further transition occurs, so the
-terminal state is frozen.  Seeded draws come from :mod:`riskflow.streams`.
+A simulated path is an integer array of ``Z_0 .. Z_{T+1}`` where the last
+entry repeats ``Z_T``: period-``t`` returns draw their parameters from the
+state reached at ``t + 1``, and at the final horizon no further transition
+occurs, so the terminal state is frozen.  A stack of paths is an
+``(n_paths, T + 2)`` array.  Seeded draws come from :mod:`riskflow.streams`.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import _require_non_negative_int
+from .distributions import _holds_bool, _require_non_negative_int
 from .errors import ConfigError, DomainError
 from .streams import _pcg64_streams, _seed_batch
 
 __all__ = [
     "TransitionMatrix",
-    "ChainPath",
     "one_step_linked_expectation",
     "simulate_path",
 ]
@@ -82,35 +82,26 @@ class TransitionMatrix:
         return int(state)
 
 
-@dataclass(frozen=True)
-class ChainPath:
-    """A realized path ``Z_0 .. Z_{T+1}`` of 1-based states, with its seed.
+def _require_states(states: object, n_states: int, *, base: int = 1) -> np.ndarray:
+    """``states`` as an integer array of indices in ``[base, base + n_states)``.
 
-    The path has ``T + 2`` entries and the last two are equal (the terminal
-    state is frozen; see module docstring).
+    A float or bool dtype, a bool anywhere in a (nested) list or tuple —
+    ``np.asarray([True, 1])`` is an integer array, so it is looked for before
+    converting — or an index out of range raises :class:`DomainError`.
     """
-
-    states: tuple[int, ...]
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        for s in self.states:
-            _require_non_negative_int("chain path state", s)
-        states = tuple(int(s) for s in self.states)
-        if len(states) < 2:
-            raise DomainError("a chain path needs at least two entries (Z_0 and Z_1)")
-        if any(s < 1 for s in states):
-            raise DomainError(f"state indices are 1-based positive, got {states!r}")
-        if states[-1] != states[-2]:
-            raise DomainError(
-                f"the last two path states must be equal, got {states[-2:]!r}"
-            )
-        object.__setattr__(self, "states", states)
-
-    @property
-    def horizon(self) -> int:
-        """The number of evaluation periods ``T`` (path length minus 2)."""
-        return len(self.states) - 2
+    top = base + n_states - 1
+    complaint = f"state indices must be integers in [{base}, {top}]"
+    if _holds_bool(states):
+        raise DomainError(f"{complaint}, got a bool")
+    try:
+        arr = np.asarray(states)
+    except ValueError as exc:  # a ragged nesting
+        raise DomainError(f"{complaint}: {exc}") from exc
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"{complaint}, got {arr.dtype} values")
+    if arr.size and not base <= arr.min() <= arr.max() <= top:
+        raise DomainError(f"{complaint}, got values in [{arr.min()}, {arr.max()}]")
+    return arr
 
 
 def one_step_linked_expectation(
@@ -130,17 +121,10 @@ def one_step_linked_expectation(
         )
     if not np.all(np.isfinite(values)):
         raise DomainError(f"per-state values must be finite, got {values.tolist()!r}")
-
-    def predict(s: int) -> float:
-        return float(np.dot(values, matrix.column(s)))
-
-    if np.ndim(state) == 0:
-        return predict(state)
-    states = np.asarray(state)
-    if states.dtype.kind not in "iu" or np.any((states < 1) | (states > matrix.n_states)):
-        raise DomainError(f"state indices must be integers in [1, {matrix.n_states}]")
-    table = np.array([predict(s) for s in range(1, matrix.n_states + 1)])
-    return table[states - 1]
+    table = np.array([np.dot(values, column) for column in matrix.entries.T])
+    if isinstance(state, (list, tuple)) or np.ndim(state) > 0:
+        return table[_require_states(state, matrix.n_states) - 1]
+    return float(table[matrix.require_state(state) - 1])
 
 
 def simulate_path(
@@ -148,18 +132,19 @@ def simulate_path(
     initial_state: int,
     horizon: int,
     seed: int | Sequence[int] | np.ndarray,
-) -> ChainPath | np.ndarray:
+) -> np.ndarray:
     """Simulate ``Z_0 .. Z_T`` from the chain and freeze the terminal state.
 
     ``horizon`` is ``T >= 0``.  One seed (a non-negative integer, or a 0-d
-    integer array) gives a :class:`ChainPath`; a sequence of seeds gives an
-    ``(n_seeds, T + 2)`` array of 1-based states, row ``i`` the path of
-    ``seed[i]``.  Deterministic per seed: each path's ``T`` uniforms are
-    ``np.random.default_rng(seed).random(T)``, drawn for all paths together
-    (:meth:`riskflow.streams._PCG64Batch.random`).  Each step takes the first
-    state whose cumulative transition probability exceeds the uniform, or
-    else the last; one ``np.searchsorted`` per current state tabulates that
-    choice for every path and step, so the walk is one gather per step.
+    integer array) gives the ``(T + 2,)`` array of 1-based states of its
+    path; a sequence of seeds gives an ``(n_seeds, T + 2)`` array, row ``i``
+    the path of ``seed[i]``.  Deterministic per seed: each path's ``T``
+    uniforms are ``np.random.default_rng(seed).random(T)``, drawn for all
+    paths together (:meth:`riskflow.streams._PCG64Batch.random`).  Each step
+    takes the first state whose cumulative transition probability exceeds
+    the uniform, or else the last; one ``np.searchsorted`` per current state
+    tabulates that choice for every path and step, so the walk is one gather
+    per step.
     """
     single, seeds = _seed_batch(seed)
     start = matrix.require_state(initial_state)
@@ -180,6 +165,4 @@ def simulate_path(
         states[:, t + 1] = nxt[t, rows, states[:, t]]
     states[:, -1] = states[:, -2]
     states += 1
-    if single:
-        return ChainPath(states=tuple(states[0].tolist()), seed=int(seed))
-    return states
+    return states[0] if single else states

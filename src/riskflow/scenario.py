@@ -47,6 +47,7 @@ from .distributions import (
     ModelFamily,
     ReturnModel,
     WeibullParams,
+    _holds_bool,
     _require_member,
     _require_number,
     model_from_params,
@@ -256,6 +257,8 @@ def config_from_json(text: str) -> ExperimentConfig:
 def _observations(returns: Sequence[float], fit: str) -> np.ndarray:
     """``returns`` as a 1-D float array of two or more finite values; other
     input, booleans and numeric strings included, raises :class:`DataError`."""
+    if _holds_bool(returns):
+        raise DataError(f"{fit} fit: observations must be real numbers, got a boolean")
     try:
         xs = np.asarray(returns)
     except ValueError as exc:  # a ragged nesting

@@ -24,7 +24,7 @@ from riskflow.dynamic_risk import (
     recursive_var_weibull_closed,
 )
 from riskflow.errors import DomainError
-from riskflow.markov import ChainPath, TransitionMatrix, simulate_path
+from riskflow.markov import TransitionMatrix, simulate_path
 from riskflow.static_risk import (
     MeasureKind,
     Orientation,
@@ -272,6 +272,18 @@ class TestRecursiveCvar:
         with pytest.raises(DomainError):  # a stray horizon lands on the mode
             recursive_cvar(models, 0.99, 0, "exact")
 
+    @pytest.mark.parametrize("states", [
+        np.array([[0.0, 1.0]]),  # a float array used to raise a bare IndexError
+        np.array([[True, False]]),  # a bool array used to act as a mask
+        [[True, 1]],  # np.asarray makes this an integer array
+        [[0, 2]],
+        [[-1, 0]],
+    ], ids=["float-array", "bool-array", "bool-in-list", "above", "below"])
+    def test_states_must_index_the_models(self, states):
+        models = [GaussianParams(0.0, 1.0), GaussianParams(1.0, 2.0)]
+        with pytest.raises(DomainError, match=r"state indices must be integers in \[0, 1\]"):
+            recursive_cvar(models, 0.99, states=states)
+
 
 class TestVectorialMeasure:
     def test_homogeneous_components_accepted(self):
@@ -294,7 +306,7 @@ class TestModulatedVarTrajectory:
     def test_gaussian_matches_manual_enumeration(self):
         p = 0.99
         models = [GaussianParams(1.0, 2.0), GaussianParams(-2.0, 3.0)]
-        path = ChainPath((1, 2, 1, 1))
+        path = (1, 2, 1, 1)
         out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p)
         q = float(ndtri(p))
         per_state = np.array([1.0 + 2.0 * q, -2.0 + 3.0 * q])
@@ -314,7 +326,7 @@ class TestModulatedVarTrajectory:
         alpha = np.array([0.8016, 1.2])
         theta = np.array([0.5, -0.25])
         models = [WeibullParams(*params) for params in zip(lam, alpha, theta)]
-        path = ChainPath((1, 1, 2, 2))
+        path = (1, 1, 2, 2)
         out = modulated_var_trajectory(models, REFERENCE_MATRIX, path, p)
         c = (-math.log1p(-p)) ** (1.0 / alpha)
         col1 = REFERENCE_MATRIX.column(1)
@@ -333,7 +345,7 @@ class TestModulatedVarTrajectory:
         # Point-mass predictions make the modulated and plain recursions equal.
         identity = TransitionMatrix.from_rows(((1.0, 0.0), (0.0, 1.0)))
         models = [GaussianParams(3.0, 1.5), GaussianParams(99.0, 1.0)]
-        path = ChainPath((1,) * 7)
+        path = np.ones(7, dtype=int)
         out = modulated_var_trajectory(models, identity, path, 0.99)
         closed = recursive_var_gaussian_closed([3.0] * 6, [1.5] * 6, 0.99)
         assert out == pytest.approx(closed, rel=1e-12)
@@ -347,11 +359,44 @@ class TestModulatedVarTrajectory:
     ])
     def test_state_models_checked(self, models):
         # One model per chain state, all of one parametric family.
-        path = ChainPath((1, 2, 2))
+        path = (1, 2, 2)
         with pytest.raises(DomainError):
             modulated_var_trajectory(models, REFERENCE_MATRIX, path, 0.99)
         with pytest.raises(DomainError):
             modulated_cvar_trajectory(models, REFERENCE_MATRIX, path, [0.0, 0.0], 0.99)
+
+
+class TestChainStateInput:
+    """A chain path is ``(T + 2,)`` or ``(n_paths, T + 2)`` integer 1-based
+    states whose last two entries agree: the terminal state is frozen."""
+
+    @pytest.mark.parametrize("path, problem", [
+        ((1, 2, 1), "last two states"),
+        ((1,), "shape"),
+        ((1, 0, 0), "must be integers"),
+        ((1, 3, 3), "must be integers"),
+        ((1.5, 1, 1), "must be integers"),
+        ((1, 2.0, 2.0), "must be integers"),
+        ((True, 1, 1), "must be integers"),
+        (((1, 1, 1), (2, np.True_, 1)), "must be integers"),
+        (((1, 2, 2), (1, 2)), "must be integers"),  # ragged
+        (np.array([1, 2, 1]), "last two states"),
+        (np.array([1]), "shape"),
+        (np.ones((2, 2, 3), dtype=int), "shape"),
+        (np.array([1, 0, 0]), "must be integers"),
+        (np.array([1.5, 1.0, 1.0]), "must be integers"),
+        (np.array([1.0, 2.0, 2.0]), "must be integers"),
+        (np.array([True, True, True]), "must be integers"),
+    ], ids=[
+        "unfrozen-terminal", "one-entry", "zero-state", "state-above", "fraction", "float-2.0",
+        "bool", "numpy-bool-in-stack", "ragged", "array-unfrozen-terminal", "array-one-entry",
+        "array-3d", "array-zero-state", "float-array", "integral-float-array", "bool-array",
+    ])
+    def test_malformed_paths_are_rejected(self, path, problem):
+        with pytest.raises(DomainError, match=problem):
+            modulated_var_trajectory(GAUSSIAN_PAIR, REFERENCE_MATRIX, path, 0.99)
+        with pytest.raises(DomainError, match=problem):
+            modulated_cvar_trajectory(GAUSSIAN_PAIR, REFERENCE_MATRIX, path, [0.0, 0.0], 0.99)
 
 
 class TestModulatedCvarTrajectory:
@@ -359,7 +404,7 @@ class TestModulatedCvarTrajectory:
         p = 0.95
         q = float(ndtri(p))
         models = [GaussianParams(0.0, 1.0), GaussianParams(0.0, 2.0)]
-        path = ChainPath((1, 2, 1, 1))
+        path = (1, 2, 1, 1)
         sigbar_1 = float(np.array([1.0, 2.0]) @ REFERENCE_MATRIX.column(2))
         sigbar_2 = float(np.array([1.0, 2.0]) @ REFERENCE_MATRIX.column(1))
         # t=1 threshold: realized-parameter quantile of X_1 (state Z_2 = 1).
@@ -383,7 +428,7 @@ class TestModulatedCvarTrajectory:
         lam = np.array([2.0, 3.0])
         alpha = np.array([1.1, 0.9])
         models = [WeibullParams(2.0, 1.1), WeibullParams(3.0, 0.9)]
-        path = ChainPath((1, 1, 1))
+        path = (1, 1, 1)
         c = (-math.log1p(-p)) ** (1.0 / alpha)
         col1 = REFERENCE_MATRIX.column(1)
         vbar = float(np.zeros(2) @ col1) + float(lam @ col1) * float(c @ col1)
@@ -414,7 +459,7 @@ class TestModulatedCvarTrajectory:
         p = 0.99
         models = [WeibullParams(6.7679, 0.8016), WeibullParams(1.0, 1.0)]
         T = 4
-        path = ChainPath((1,) * (T + 2))
+        path = (1,) * (T + 2)
         big = [1e9] * (T + 1)
         modulated = modulated_cvar_trajectory(models, identity, path, big, p)
         plain = recursive_cvar(
@@ -425,7 +470,7 @@ class TestModulatedCvarTrajectory:
     def test_returns_length_validated(self):
         with pytest.raises(DomainError):
             modulated_cvar_trajectory(
-                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0], 0.99
+                [STANDARD_GAUSSIAN] * 2, REFERENCE_MATRIX, (1, 2, 2), [0.0], 0.99
             )
 
 
@@ -439,7 +484,7 @@ class TestStackedPaths:
         paths = [simulate_path(REFERENCE_MATRIX, 1, self.T, seed) for seed in range(n_paths)]
         rng = np.random.default_rng(3)
         returns = rng.normal(0.0, 3.0, (n_paths, self.T + 1))
-        return paths, np.array([path.states for path in paths]), returns
+        return paths, np.array(paths), returns
 
     @pytest.mark.parametrize("models", [
         [GaussianParams(1.0, 0.5), GaussianParams(-2.0, 2.0)],
@@ -524,7 +569,39 @@ TRAJECTORIES = {
     ),
 }
 
-STACK = np.array([simulate_path(REFERENCE_MATRIX, 1, 6, seed=s).states for s in range(5)])
+STACK = simulate_path(REFERENCE_MATRIX, 1, 6, seed=np.arange(5))
+#: Four per-period inputs of the five paths of ``STACK``, and the 0-based
+#: model index of each priced period.
+PERIODS = np.random.default_rng(8).uniform(0.5, 2.0, (4, 5, 7))
+INDEX = STACK[:, 1:] - 1
+
+
+def _recursive_cvar_rows(rows):
+    if rows == 0:
+        models = [GAUSSIAN_PAIR[k] for k in INDEX[0]]
+        return recursive_cvar(models, 0.95, CvarMode.PIECEWISE, PERIODS[3][0])
+    return recursive_cvar(GAUSSIAN_PAIR, 0.95, CvarMode.PIECEWISE, PERIODS[3], states=INDEX)
+
+
+#: Each function on path 0 (``rows = 0``) or on the whole stack
+#: (``rows = slice(None)``).  ``simulate_path`` takes one seed or five.
+ONE_OR_MANY = {
+    recursive_var_gaussian_closed: lambda rows: recursive_var_gaussian_closed(
+        PERIODS[0][rows], PERIODS[1][rows], 0.95
+    ),
+    recursive_var_weibull_closed: lambda rows: recursive_var_weibull_closed(
+        PERIODS[0][rows], PERIODS[1][rows], PERIODS[2][rows], 0.95
+    ),
+    recursive_cvar: _recursive_cvar_rows,
+    modulated_var_trajectory: lambda rows: modulated_var_trajectory(
+        GAUSSIAN_PAIR, REFERENCE_MATRIX, STACK[rows], 0.95
+    ),
+    modulated_cvar_trajectory: lambda rows: modulated_cvar_trajectory(
+        [WeibullParams(2.0, 1.1), WeibullParams(3.0, 0.9)], REFERENCE_MATRIX, STACK[rows],
+        PERIODS[3][rows], 0.95,
+    ),
+    simulate_path: lambda rows: simulate_path(REFERENCE_MATRIX, 1, 6, np.arange(5)[rows]),
+}
 
 #: Inputs that disagree on the ``(n_paths, T + 1)`` shape, with both shapes.
 MISMATCHED = {
@@ -551,7 +628,7 @@ MISMATCHED = {
     ),
     "chain path against returns": (
         lambda: modulated_cvar_trajectory(
-            GAUSSIAN_PAIR, REFERENCE_MATRIX, ChainPath((1, 2, 2)), [0.0, 0.0, 0.0], 0.99
+            GAUSSIAN_PAIR, REFERENCE_MATRIX, (1, 2, 2), [0.0, 0.0, 0.0], 0.99
         ),
         "(1, 2)", "(1, 3)",
     ),
@@ -574,6 +651,19 @@ class TestShapesCarryTheHorizon:
         returns = np.random.default_rng(T).normal(0.0, 3.0, T + 1)
         out = TRAJECTORIES[fn](T, returns)
         assert isinstance(out, list) and len(out) == T + 1
+
+    @pytest.mark.parametrize("fn", list(ONE_OR_MANY), ids=lambda fn: fn.__name__)
+    def test_one_path_or_a_stack(self, fn):
+        # One path gives a list (simulate_path: one seed, a 1-D array); a
+        # stack gives an array whose row 0 is that path's result bit for bit.
+        one, stack = ONE_OR_MANY[fn](0), ONE_OR_MANY[fn](slice(None))
+        width = 8 if fn is simulate_path else 7
+        if fn is simulate_path:
+            assert isinstance(one, np.ndarray) and one.shape == (width,)
+        else:
+            assert isinstance(one, list) and len(one) == width
+        assert isinstance(stack, np.ndarray) and stack.shape == (5, width)
+        assert stack[0].tobytes() == np.array(one, dtype=stack.dtype).tobytes()
 
     @pytest.mark.parametrize("case", list(MISMATCHED))
     def test_disagreeing_shapes_name_both(self, case):

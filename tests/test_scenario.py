@@ -236,8 +236,13 @@ class TestFitInput:
         ([1.0, "x"], "real numbers"),
         (["1.5", "2.5", "3.0"], "real numbers"),  # as model_from_params refuses them
         ([True, False, True], "real numbers"),
+        ([1.0, True, 3.0], "real numbers"),  # np.asarray makes this a float array
+        ((2.0, np.True_, 5.0), "real numbers"),
         ([1.0, None, 2.0], "real numbers"),
-    ], ids=["2-d", "0-d", "ragged", "mixed-string", "numeric-strings", "bools", "none"])
+    ], ids=[
+        "2-d", "0-d", "ragged", "mixed-string", "numeric-strings", "bools", "mixed-bool",
+        "mixed-numpy-bool", "none",
+    ])
     def test_other_input_is_a_data_error(self, fit, returns, problem):
         with pytest.raises(DataError, match=problem):
             fit(returns)
@@ -498,7 +503,11 @@ class TestRunExperiment:
         collapsed = run_experiment(dataclasses.replace(cfg, params=one_model))[0].var
         np.testing.assert_array_max_ulp(collapsed.modulated, collapsed.recursive, maxulp=4)
 
-    def test_means_match_the_exact_state_law(self):
+    @pytest.mark.parametrize("rows", [
+        build_reference_experiment("gaussian_msci").transition_matrix,
+        ((0.95, 0.05), (0.05, 0.95)),
+    ], ids=["reference", "slow-mixing"])
+    def test_means_match_the_exact_state_law(self, rows):
         """The Monte Carlo means of the static columns, the returns and the
         alternating-sum columns are within 4 standard errors of their exact
         expectations.
@@ -512,9 +521,15 @@ class TestRunExperiment:
         normal mean, a cell falls outside 4 standard errors with probability
         6.3e-5, so the 66 cells of a random seed would raise a false alarm
         with probability at most 4.2e-3; the seed here is fixed, and its
-        largest deviation is 2.3 standard errors (1.5 for the alternating
-        sums).  Pricing period t with the state at t instead misses at t = 0
-        by 55 standard errors, and by 18 or more at every t of the sums.
+        largest deviation is 2.3 standard errors on the reference chain (1.5
+        for the alternating sums) and 2.4 on the slow-mixing one.  Pricing
+        period t with the state at t instead misses at t = 0 by 55 standard
+        errors, and by 18 or more at every t of the sums.  The reference
+        chain's second eigenvalue is -0.1, so its laws one step apart nearly
+        agree; the slow-mixing chain (second eigenvalue 0.9) is what tells
+        which state prices modulated VaR's predictions: pricing them from
+        ``Z_(k+1)`` instead of ``Z_k`` misses there by 76 standard errors at
+        t = 1, and by only 1.6 on the reference chain.
 
         Recursive VaR, exact recursive CVaR and modulated VaR are
         ``sum_k (-1)**(t-k) table(Z_(a_k))`` for per-state tables: the static
@@ -524,7 +539,8 @@ class TestRunExperiment:
         ``P(Z_a = i, Z_b = j) = pi_a(i) * (A^(b-a))[j, i]``, a <= b.
         """
         cfg = dataclasses.replace(
-            build_reference_experiment("gaussian_msci"), n_paths=1000, cvar_mode=CvarMode.EXACT
+            build_reference_experiment("gaussian_msci"),
+            transition_matrix=rows, n_paths=1000, cvar_mode=CvarMode.EXACT,
         )
         result, _ = run_experiment(cfg)
         n, T = cfg.n_paths, cfg.horizon
