@@ -340,6 +340,15 @@ class RecursiveFiniteMeasure:
         probs = np.array(process.probs)
         out = np.empty(process.n_atoms)
         for cell in partition:
+            if len(cell) == 1:
+                # A point mass (weight p/p = 1.0 exactly): its VaR and CVaR are
+                # its value, negated in the lower tail, at every step.
+                row = process.payoffs[cell[0]]
+                value = -sign * row[0]
+                for s in range(1, t + 1):
+                    value = -sign * (row[s] + sign * value)
+                out[cell[0]] = value
+                continue
             idx = list(cell)
             cell_probs = probs[idx]
             weights = (cell_probs / cell_probs.sum()).tolist()
@@ -496,6 +505,16 @@ def _require_pairs(pairs: Sequence[ProcessPair]) -> list[ProcessPair]:
     return list(pairs)
 
 
+def _paste(x: FiniteProcess, y: FiniteProcess, mask: np.ndarray) -> FiniteProcess:
+    """``1_A x + 1_Ac y`` with ``A = mask``, built from the rows of two
+    processes that were validated on one probability space, so not again."""
+    pasted = object.__new__(FiniteProcess)
+    object.__setattr__(pasted, "probs", x.probs)
+    rows = zip(mask.tolist(), x.payoffs, y.payoffs)
+    object.__setattr__(pasted, "payoffs", tuple(xr if m else yr for m, xr, yr in rows))
+    return pasted
+
+
 def _events(cells: Sequence[tuple[int, ...]], rng: np.random.Generator) -> list[list[int]]:
     """Unions of information cells to quantify the local property over."""
     if len(cells) <= 10:
@@ -593,7 +612,6 @@ def check_dynamic_axiom(
                         {"pair": pair_index, "t": t, "max_abs": float(np.max(np.abs(lhs - rhs)))}
                     )
         elif axiom is DynamicAxiom.D4:
-            xm, ym = x_proc.payoff_matrix(), y_proc.payoff_matrix()
             for t in range(T + 1):
                 partition = filtration_partition([x_proc, y_proc], t)
                 vx = measure.atom_values(x_proc, t, partition)
@@ -601,8 +619,7 @@ def check_dynamic_axiom(
                 for event in _events(partition, rng):
                     mask = np.zeros(x_proc.n_atoms, dtype=bool)
                     mask[event] = True
-                    pasted = x_proc.with_payoffs(np.where(mask[:, None], xm, ym))
-                    vz = measure.atom_values(pasted, t, partition)
+                    vz = measure.atom_values(_paste(x_proc, y_proc, mask), t, partition)
                     expected = np.where(mask, vx, vy)
                     if np.max(np.abs(vz - expected)) > _TOL:
                         return report(

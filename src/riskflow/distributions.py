@@ -469,29 +469,51 @@ class EmpiricalSample:
     def cdf(self, x: float) -> float:
         return int(np.searchsorted(self.values, float(x), side="right")) / self.values.size
 
-    def quantile(self, p: float) -> float:
-        """The smallest ``x_(k)`` with ``k/n >= p``, compared as floats, as
-        :meth:`cdf` rounds.  ``ceil(n*p)`` is within one of that ``k``."""
-        p = _require_probability(p)
+    def _rank(self, p: float) -> int:
+        """The smallest ``k`` with ``k/n >= p``, compared as floats, as
+        :meth:`cdf` rounds.  ``ceil(n*p)`` is within one of it."""
         n = self.values.size
         k = math.ceil(n * p)
         if (k - 1) / n >= p:
             k -= 1
         elif k / n < p:
             k += 1
-        return float(self.values[k - 1])
+        return k
+
+    def quantile(self, p: float) -> float:
+        """The smallest ``x_(k)`` with ``k/n >= p``."""
+        return float(self.values[self._rank(_require_probability(p)) - 1])
 
     def mean(self) -> float:
-        return math.fsum(self.values) / self.values.size
+        return math.fsum(self.values.tolist()) / self.values.size
 
     def exceedance(self, a: float) -> float:
-        return math.fsum(np.maximum(self.values - a, 0.0)) / self.values.size
+        return math.fsum(np.maximum(self.values - a, 0.0).tolist()) / self.values.size
 
     def tail_mean(self, p: float) -> float:
         """The average of the values ``>= quantile(p)``: ties at the quantile
         enter the tail."""
         tail = self.values[np.searchsorted(self.values, self.quantile(p)):]
-        return math.fsum(tail) / tail.size
+        return math.fsum(tail.tolist()) / tail.size
+
+    # The lower tail is read from the low end of the sorted values, which
+    # ``negated()`` reverses.  ``fsum`` is exact, so a sum negates with its
+    # terms; only a zero result needs ``negated()``, for the sign it carries.
+
+    def negated_quantile(self, p: float) -> float:
+        """``negated().quantile(p)``, without the copy."""
+        p = _require_probability(p)
+        v = -float(self.values[self.values.size - self._rank(p)])
+        return v if v != 0.0 else self.negated().quantile(p)
+
+    def negated_tail_mean(self, p: float) -> float:
+        """``negated().tail_mean(p)``: minus the average of the values
+        ``<= -negated_quantile(p)``, without the copy."""
+        p = _require_probability(p)
+        values = self.values
+        head = values[: values.searchsorted(values[values.size - self._rank(p)], "right")]
+        mean = -math.fsum(head.tolist()) / head.size
+        return mean if mean != 0.0 else self.negated().tail_mean(p)
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.values[rng.integers(0, self.values.size, size=n)]

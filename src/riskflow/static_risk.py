@@ -15,8 +15,9 @@ The per-family formulas live on the model classes: the upper-tail ``var``
 is ``model.quantile(p)`` and the upper-tail ``cvar`` is
 ``model.tail_mean(p)``.  This module dispatches on measure kind and
 orientation; the only family branches left are the Weibull reflection in
-the lower tail (the Weibull family has no ``negated()``) and the sample
-shortcut of :func:`cvar_ru`.
+the lower tail (the Weibull family has no ``negated()``), the sample's lower
+tail read from the low end of its sorted values, and the sample shortcut of
+:func:`cvar_ru`.
 
 ``cvar`` comes in two independently computed flavours used to cross-check
 each other: :func:`cvar_tail` evaluates the tail-mean formula directly, and
@@ -100,6 +101,8 @@ def var(
         return model.quantile(p)
     if isinstance(model, WeibullParams):
         return -model.quantile(1.0 - p)
+    if isinstance(model, EmpiricalSample):
+        return model.negated_quantile(p)
     return model.negated().quantile(p)
 
 
@@ -126,6 +129,8 @@ def cvar_tail(
                 model.mean() - expected_positive_part(model, q) - q * p
             ) / (1.0 - p)
             return -lower_mean
+        if isinstance(model, EmpiricalSample):
+            return model.negated_tail_mean(p)
         return cvar_tail(model.negated(), p, Orientation.UPPER_TAIL)
     return model.tail_mean(p)
 

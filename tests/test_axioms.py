@@ -265,6 +265,17 @@ def tied_process(rng, n_atoms, horizon):
     return FiniteProcess(tuple((raw / raw.sum()).tolist()), tuple(map(tuple, payoffs)))
 
 
+def distinct_history_process(rng, n_atoms, horizon):
+    """Distinct first payoffs, one of them a signed zero, so every cell at
+    t >= 1 holds one atom; later payoffs from levels with signed zeros."""
+    first = (rng.permutation(n_atoms) - int(rng.integers(0, n_atoms))) * 0.5
+    first[first == 0.0] = rng.choice([-0.0, 0.0])
+    later = rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], (n_atoms, horizon))
+    raw = rng.choice([1.0, 2.0, float(rng.uniform(0.1, 3.0))], n_atoms)
+    payoffs = np.column_stack([first, later])
+    return FiniteProcess(tuple((raw / raw.sum()).tolist()), tuple(map(tuple, payoffs)))
+
+
 ALL_SPECS = [VAR_LOWER, VAR_UPPER, CVAR_LOWER, CVAR_UPPER]
 SPEC_IDS = ["var-lower", "var-upper", "cvar-lower", "cvar-upper"]
 
@@ -290,6 +301,42 @@ class TestRecursionMatchesNumpyOracle:
                 expected = _NumpyOracleMeasure(spec).atom_values(proc, t, partition)
                 assert got.tobytes() == expected.tobytes(), (trial, t)
         assert {1, 64} <= sizes and len([k for k in sizes if k >= 8]) > 10
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_one_atom_cells_are_bit_identical(self, spec):
+        rng = np.random.default_rng(2115)
+        zero_signs = set()
+        for trial in range(100):
+            proc = distinct_history_process(rng, int(rng.integers(1, 65)), int(rng.integers(1, 4)))
+            for t in range(proc.horizon + 1):
+                partition = filtration_partition([proc], t)
+                assert t == 0 or len(partition) == proc.n_atoms
+                got = RecursiveFiniteMeasure(spec).atom_values(proc, t, partition)
+                expected = _NumpyOracleMeasure(spec).atom_values(proc, t, partition)
+                assert got.tobytes() == expected.tobytes(), (trial, t)
+                zero_signs.update(np.copysign(1.0, got[got == 0.0]).tolist())
+        assert zero_signs == {-1.0, 1.0}
+
+    def test_d4_pastes_the_rows_of_x_and_y(self, monkeypatch):
+        pasted = []
+
+        def recording_paste(x, y, mask, paste=axioms._paste):
+            z = paste(x, y, mask)
+            pasted.append((x, y, mask.copy(), z))
+            return z
+
+        monkeypatch.setattr(axioms, "_paste", recording_paste)
+        rng = np.random.default_rng(2116)
+        pairs = []
+        for _ in range(3):
+            x = tied_process(rng, 12, 2)
+            pairs.append((x, x.with_payoffs(tied_process(rng, 12, 2).payoff_matrix())))
+        check_dynamic_axiom(DynamicAxiom.D4, RecursiveFiniteMeasure(CVAR_LOWER), pairs, seed=3)
+        assert len(pasted) > 100
+        for x, y, mask, got in pasted:
+            expected = x.with_payoffs(np.where(mask[:, None], x.payoff_matrix(), y.payoff_matrix()))
+            assert got.probs == expected.probs and got.payoffs == expected.payoffs
+            assert got.payoff_matrix().tobytes() == expected.payoff_matrix().tobytes()
 
     @pytest.mark.parametrize("spec", [VAR_UPPER, CVAR_UPPER], ids=["var", "cvar"])
     def test_cumulative_weight_at_the_level_is_inside(self, spec):

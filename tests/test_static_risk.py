@@ -152,6 +152,34 @@ class TestCvarTail:
                 assert c >= v - 1e-10 * max(1.0, abs(v))
 
 
+@st.composite
+def samples_and_levels(draw):
+    """Samples on a few levels, signed zeros among them, so values tie and
+    tails sum to zero; levels on, or one float either side of, a rank k/n,
+    moved into the open interval (0, 1) at its ends."""
+    levels = st.sampled_from([-2.0, -1.5, -0.0, 0.0, 0.5, 1.5, 2.0])
+    values = draw(st.lists(levels | st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    k = draw(st.integers(0, len(values)))
+    boundary = k / len(values)
+    p = draw(st.sampled_from([
+        boundary, math.nextafter(boundary, 0.0), math.nextafter(boundary, 1.0),
+    ]) | st.floats(0.0, 1.0))
+    return EmpiricalSample(values), min(max(p, 5e-324), 1.0 - 2**-53)
+
+
+class TestSampleLowerTail:
+    """A sample's lower tail, read from the low end of its sorted values,
+    equals the upper tail of its negation bit for bit, zero signs included."""
+
+    @given(samples_and_levels())
+    @settings(max_examples=400)
+    def test_equals_the_negated_sample(self, case):
+        s, p = case
+        lower = Orientation.LOWER_TAIL
+        assert var(s, p, lower).hex() == var(s.negated(), p).hex()
+        assert cvar_tail(s, p, lower).hex() == cvar_tail(s.negated(), p).hex()
+
+
 class TestTranslation:
     """Cash shifts move each orientation in its stated direction."""
 
