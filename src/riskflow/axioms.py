@@ -45,10 +45,10 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .distributions import EmpiricalSample, _require_member, _require_non_negative_int
+from .distributions import EmpiricalSample
 from .errors import DataError, DomainError, NumericError
+from .errors import _require_count, _require_member, _require_reals
 from .markov import TransitionMatrix
-from .streams import _require_seed
 from .static_risk import (
     MeasureKind,
     Orientation,
@@ -240,27 +240,25 @@ class FiniteProcess:
     payoffs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        probs = tuple(float(w) for w in self.probs)
-        if not 1 <= len(probs) <= _MAX_ATOMS:
-            raise DataError(
-                f"finite processes support 1..{_MAX_ATOMS} atoms, got {len(probs)}"
-            )
-        if any(w <= 0.0 or not math.isfinite(w) for w in probs):
+        probs = _require_reals(self.probs, "atom probabilities", DataError)
+        if probs.ndim != 1 or not 1 <= probs.size <= _MAX_ATOMS:
+            raise DataError(f"finite processes support 1..{_MAX_ATOMS} atoms, got {probs.shape}")
+        if not np.all(probs > 0.0):
             raise DataError("atom probabilities must be strictly positive")
+        probs = probs.tolist()
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise DataError(f"atom probabilities must sum to 1, got {math.fsum(probs)!r}")
-        rows = tuple(tuple(float(v) for v in row) for row in self.payoffs)
+        rows = _require_reals(self.payoffs, "payoffs", DataError)
+        if rows.ndim != 2 or rows.shape[1] == 0:
+            raise DataError("payoff matrix must be rectangular with T+1 >= 1 columns")
         if len(rows) != len(probs):
             raise DataError(
                 f"payoff matrix has {len(rows)} rows for {len(probs)} atoms"
             )
-        width = len(rows[0]) if rows else 0
-        if width == 0 or any(len(r) != width for r in rows):
-            raise DataError("payoff matrix must be rectangular with T+1 >= 1 columns")
-        if any(not math.isfinite(v) for r in rows for v in r):
+        if not np.all(np.isfinite(rows)):
             raise DataError("payoffs must be finite")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "payoffs", rows)
+        object.__setattr__(self, "probs", tuple(probs))
+        object.__setattr__(self, "payoffs", tuple(map(tuple, rows.tolist())))
 
     @property
     def n_atoms(self) -> int:
@@ -274,7 +272,7 @@ class FiniteProcess:
         return np.array(self.payoffs, dtype=float)
 
     def with_payoffs(self, payoffs: np.ndarray) -> "FiniteProcess":
-        return FiniteProcess(self.probs, np.asarray(payoffs).tolist())
+        return FiniteProcess(self.probs, payoffs)
 
 
 def filtration_partition(
@@ -417,10 +415,10 @@ def check_static_axiom(
     exactly enumerated witness instead of depending on random luck.
     """
     axiom = _require_member(StaticAxiom, axiom)
-    _require_non_negative_int("trials", trials)
+    trials = _require_count(trials, "trials")
     if trials < 1:
         raise DomainError(f"trials must be positive, got {trials!r}")
-    rng = np.random.default_rng(_require_seed(seed))
+    rng = np.random.default_rng(_require_count(seed, "seed"))
     lower = spec.orientation is Orientation.LOWER_TAIL
     detail = _static_detail(axiom, spec)
 
@@ -546,7 +544,7 @@ def check_dynamic_axiom(
     """
     axiom = _require_member(DynamicAxiom, axiom)
     pairs = _require_pairs(pairs)
-    rng = np.random.default_rng(_require_seed(seed))
+    rng = np.random.default_rng(_require_count(seed, "seed"))
     lower = measure.orientation is Orientation.LOWER_TAIL
     T = pairs[0][0].horizon
 
@@ -700,9 +698,11 @@ def bundled_pair_processes(
     orientation.  Other axioms get generic random pairs.
     """
     axiom = _require_member(DynamicAxiom, axiom)
-    for name, value in (("n_pairs", n_pairs), ("n_atoms", n_atoms), ("T", T)):
-        _require_non_negative_int(name, value)
-    rng = np.random.default_rng(_require_seed(seed))
+    n_pairs, n_atoms, T = (
+        _require_count(value, name)
+        for name, value in (("n_pairs", n_pairs), ("n_atoms", n_atoms), ("T", T))
+    )
+    rng = np.random.default_rng(_require_count(seed, "seed"))
     if n_pairs < 1:
         raise DomainError(f"n_pairs must be positive, got {n_pairs!r}")
     if n_atoms < 1 or not (n_atoms & (n_atoms - 1)) == 0 or n_atoms > _MAX_ATOMS:
@@ -711,7 +711,7 @@ def bundled_pair_processes(
     pairs: list[ProcessPair] = []
     for _ in range(n_pairs):
         base = rng.normal(0.0, 1.0, (n_atoms, T + 1))
-        x = FiniteProcess(probs, tuple(tuple(row) for row in base))
+        x = FiniteProcess(probs, base)
         if axiom in (DynamicAxiom.D2, DynamicAxiom.D5):
             gaps = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, T))])
             richer = x.with_payoffs(base + gaps[None, :])

@@ -34,7 +34,7 @@ from .axioms import (
     check_static_axiom,
 )
 from .distributions import model_from_params, model_params_dict
-from .errors import ConfigError, DataError, DomainError, NumericError
+from .errors import ConfigError, DataError, NumericError, RiskEngineError
 from .scenario import (
     ReferenceStudy,
     build_reference_experiment,
@@ -217,12 +217,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, DataError, ConfigError) as exc:
-        log.error("%s", exc)
-        return 2
     except NumericError as exc:
         log.error("numerical failure: %s", exc)
         return 3
+    except RiskEngineError as exc:
+        log.error("%s", exc)
+        return 2
 
 
 def main() -> None:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -48,6 +47,7 @@ from typing import Callable, ClassVar, Mapping, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError
+from .errors import _require_count, _require_real, _require_reals
 from .streams import _pcg64_streams, _seed_batch
 
 __all__ = [
@@ -76,63 +76,16 @@ class ModelFamily(str, Enum):
 
 
 def _require_probability(p: float) -> float:
-    p = float(p)
+    """``p`` as a float strictly inside (0, 1): a real number by
+    :func:`~riskflow.errors._require_real`, else :class:`DomainError`."""
+    if p.__class__ is not float:
+        p = _require_real(p, "confidence level")
     if not 0.0 < p < 1.0:
         raise DomainError(f"confidence level must lie strictly in (0, 1), got {p!r}")
     return p
 
 
-def _require_number(value: object, complaint: str) -> float:
-    """``value`` as a float.  A bool, a string or any other value that is not
-    a real number raises :class:`DataError`, whose message opens with ``complaint``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DataError(f"{complaint}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise DataError(f"{complaint}: {value!r} is too large for a float") from exc
-
-
-def _require_non_negative_int(name: str, value: object) -> None:
-    """Raise :class:`DomainError` unless ``value`` is a non-negative integer
-    that is not a bool (the rule for counts)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-
-
-def _holds_bool(values: object) -> bool:
-    """Whether ``values`` is a bool, a bool array, or a (nested) list or tuple
-    holding one.  ``np.asarray([1.0, True])`` is a float array, so a bool
-    mixed into numbers shows only before conversion; an ndarray is judged by
-    its dtype, never scanned."""
-    if isinstance(values, np.ndarray):
-        return values.dtype.kind == "b"
-    if isinstance(values, (list, tuple)):
-        return any(map(_holds_bool, values))
-    return isinstance(values, (bool, np.bool_))
-
-
-E = TypeVar("E", bound=Enum)
 F = TypeVar("F", bound=Callable[..., float])
-
-
-def _require_member(kind: type[E], value: object) -> E:
-    """``value`` as a member of the enum ``kind``: a member or its value.
-    Anything else raises :class:`DomainError` naming the choices."""
-    if value.__class__ is kind:
-        return value
-    try:
-        return kind(value)
-    except ValueError as exc:
-        choices = [member.value for member in kind]
-        raise DomainError(f"unknown {kind.__name__} {value!r}; choose from {choices}") from exc
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _overflow_is_numeric_error(method: F) -> F:
@@ -230,10 +183,12 @@ class GaussianParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise DomainError(f"gaussian mu must be finite, got {self.mu!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"gaussian sigma must be positive, got {self.sigma!r}")
+        mu = _require_real(self.mu, "gaussian mu")
+        sigma = _require_real(self.sigma, "gaussian sigma")
+        if not sigma > 0.0:
+            raise DomainError(f"gaussian sigma must be positive, got {sigma!r}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", sigma)
 
     def cdf(self, x: float) -> float:
         return _normal_cdf((float(x) - self.mu) / self.sigma)
@@ -261,7 +216,7 @@ class GaussianParams:
         return self.mu + self.sigma * draws
 
     def shift(self, c: float) -> GaussianParams:
-        return GaussianParams(self.mu + _require_finite("shift", c), self.sigma)
+        return GaussianParams(self.mu + _require_real(c, "shift"), self.sigma)
 
     def negated(self) -> GaussianParams:
         return GaussianParams(-self.mu, self.sigma)
@@ -373,12 +328,12 @@ class WeibullParams:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise DomainError(f"weibull scale must be positive, got {self.lam!r}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise DomainError(f"weibull shape must be positive, got {self.alpha!r}")
-        if not math.isfinite(self.theta):
-            raise DomainError(f"weibull location must be finite, got {self.theta!r}")
+        for name, what in (("lam", "weibull scale"), ("alpha", "weibull shape")):
+            value = _require_real(getattr(self, name), what)
+            if not value > 0.0:
+                raise DomainError(f"{what} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "theta", _require_real(self.theta, "weibull location"))
 
     def cdf(self, x: float) -> float:
         x = float(x)
@@ -424,7 +379,7 @@ class WeibullParams:
         return self.theta + self.lam * draws ** (1.0 / self.alpha)
 
     def shift(self, c: float) -> WeibullParams:
-        return WeibullParams(self.lam, self.alpha, self.theta + _require_finite("shift", c))
+        return WeibullParams(self.lam, self.alpha, self.theta + _require_real(c, "shift"))
 
 
 @dataclass(frozen=True)
@@ -442,7 +397,7 @@ class EmpiricalSample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64)  # a copy, sorted in place
+        values = np.array(_require_reals(self.values, "empirical sample", DataError))  # a copy
         if values.ndim != 1:
             raise DataError(f"empirical sample must be one-dimensional, got shape {values.shape}")
         if values.size == 0:
@@ -519,7 +474,7 @@ class EmpiricalSample:
         return self.values[rng.integers(0, self.values.size, size=n)]
 
     def shift(self, c: float) -> EmpiricalSample:
-        return EmpiricalSample(self.values + _require_finite("shift", c))
+        return EmpiricalSample(self.values + _require_real(c, "shift"))
 
     def negated(self) -> EmpiricalSample:
         """``EmpiricalSample(-self.values)`` without sorting again; only a
@@ -553,7 +508,7 @@ STANDARD_MODELS: Mapping[ModelFamily, ReturnModel] = {
 
 def expected_positive_part(model: ReturnModel, a: float) -> float:
     """``E[(X - a)+]`` — the expected exceedance of ``X`` over a finite ``a``."""
-    return model.exceedance(_require_finite("threshold", a))
+    return model.exceedance(_require_real(a, "threshold"))
 
 
 def sample(
@@ -567,7 +522,7 @@ def sample(
     ``sample(model, n, seed[i])``.  All seeds are drawn from as one batch of
     streams (:mod:`riskflow.streams`), through the model's one ``draw``.
     """
-    _require_non_negative_int("sample size", n)
+    n = _require_count(n, "sample size")
     if n == 0:
         raise DomainError("sample size must be positive, got 0")
     single, seeds = _seed_batch(seed)
@@ -587,8 +542,8 @@ def model_from_params(family: str | ModelFamily, params: Mapping[str, object]) -
     member names its value) and ``params`` maps that class's JSON keys to
     numbers (``empirical`` takes a list under ``"values"``).  Keys of fields
     with a default may be left out: the Weibull ``"theta"`` defaults to 0.
-    Unknown families, wrong keys and values that are not real numbers
-    (booleans and numeric strings included) raise :class:`DataError`.
+    Unknown families, wrong keys and values that are not finite real
+    numbers (booleans and numeric strings included) raise :class:`DataError`.
     """
     family_name = family.value if isinstance(family, ModelFamily) else str(family)
     cls = FAMILIES.get(family_name.lower())
@@ -605,17 +560,14 @@ def model_from_params(family: str | ModelFamily, params: Mapping[str, object]) -
             f"missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
 
-    complaint = f"{cls.family} params must be numbers"
-    given = {name: params[key] for name, key in cls.keys.items() if key in params}
-    try:
-        return cls(**{
-            name: tuple(_require_number(v, complaint) for v in value)
-            if isinstance(value, (list, tuple))
-            else _require_number(value, complaint)
-            for name, value in given.items()
-        })
-    except TypeError as exc:
-        raise DataError(f"{complaint}: {exc}") from exc
+    given = {}
+    for field in dataclasses.fields(cls):
+        key = cls.keys[field.name]
+        if key in params:
+            # A parametric model's fields are floats, a sample's values an array.
+            rule = _require_real if field.type == "float" else _require_reals
+            given[field.name] = rule(params[key], f"{cls.family} param {key!r}", DataError)
+    return cls(**given)
 
 
 def model_params_dict(model: ReturnModel) -> dict[str, object]:

@@ -58,10 +58,9 @@ from .distributions import (
     STANDARD_MODELS,
     ModelFamily,
     ReturnModel,
-    _require_member,
     _require_probability,
 )
-from .errors import DomainError
+from .errors import DomainError, _require_member, _require_reals
 from .markov import TransitionMatrix, _require_states, one_step_linked_expectation
 from .static_risk import (
     Orientation,
@@ -179,7 +178,7 @@ def _path_array(
     name: str, values: Sequence[float] | np.ndarray, *, positive: bool = False
 ) -> np.ndarray:
     """Per-period values of one path ``(T + 1,)`` or of several ``(n, T + 1)``, as 2-D."""
-    arr = np.asarray(values, dtype=float)
+    arr = _require_reals(values, name)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise DomainError(f"{name} must be a non-empty path or stack of paths, got {arr.shape}")
     if not np.all(np.isfinite(arr)) or (positive and np.any(arr <= 0.0)):

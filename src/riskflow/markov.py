@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import _holds_bool, _require_non_negative_int
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _numeric_array, _require_count, _require_reals
 from .streams import _pcg64_streams, _seed_batch
 
 __all__ = [
@@ -39,7 +38,7 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float)
+        arr = np.array(_require_reals(self.entries, "transition matrix", ConfigError))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ConfigError(f"transition matrix must be square, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -57,12 +56,12 @@ class TransitionMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "TransitionMatrix":
         """Build from row-stochastic input ``rows[i][j] = P(next=j+1 | current=i+1)``."""
-        return cls(np.array(rows, dtype=float).T)
+        return cls(_require_reals(rows, "transition matrix", ConfigError).T)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence[float]]) -> "TransitionMatrix":
         """Build from column-stochastic input (stored as given)."""
-        return cls(np.array(cols, dtype=float))
+        return cls(cols)
 
     @property
     def n_states(self) -> int:
@@ -74,31 +73,24 @@ class TransitionMatrix:
 
     def require_state(self, state: int) -> int:
         """``state`` as an ``int``; it must be an integer in ``[1, n_states]``."""
-        _require_non_negative_int("state index", state)
+        state = _require_count(state, "state index")
         if not 1 <= state <= self.n_states:
             raise DomainError(
                 f"state index must lie in [1, {self.n_states}], got {state!r}"
             )
-        return int(state)
+        return state
 
 
 def _require_states(states: object, n_states: int, *, base: int = 1) -> np.ndarray:
     """``states`` as an integer array of indices in ``[base, base + n_states)``.
 
-    A float or bool dtype, a bool anywhere in a (nested) list or tuple —
-    ``np.asarray([True, 1])`` is an integer array, so it is looked for before
-    converting — or an index out of range raises :class:`DomainError`.
+    A bool, a ragged nesting or a dtype other than integer (the front half
+    of :func:`~riskflow.errors._require_reals`), or an index out of range,
+    raises :class:`DomainError`.
     """
     top = base + n_states - 1
     complaint = f"state indices must be integers in [{base}, {top}]"
-    if _holds_bool(states):
-        raise DomainError(f"{complaint}, got a bool")
-    try:
-        arr = np.asarray(states)
-    except ValueError as exc:  # a ragged nesting
-        raise DomainError(f"{complaint}: {exc}") from exc
-    if arr.dtype.kind not in "iu":
-        raise DomainError(f"{complaint}, got {arr.dtype} values")
+    arr = _numeric_array(states, complaint, "iu", DomainError)
     if arr.size and not base <= arr.min() <= arr.max() <= top:
         raise DomainError(f"{complaint}, got values in [{arr.min()}, {arr.max()}]")
     return arr
@@ -114,7 +106,7 @@ def one_step_linked_expectation(
     (for example chain paths stacked as ``(n_paths, T)``); an array gives the
     predictions elementwise, each evaluated once per chain state.
     """
-    values = np.asarray(values, dtype=float)
+    values = _require_reals(values, "per-state values")
     if values.shape != (matrix.n_states,):
         raise DomainError(
             f"per-state values have shape {values.shape}, matrix has {matrix.n_states} states"
@@ -148,7 +140,7 @@ def simulate_path(
     """
     single, seeds = _seed_batch(seed)
     start = matrix.require_state(initial_state)
-    _require_non_negative_int("horizon", horizon)
+    horizon = _require_count(horizon, "horizon")
     uniforms = _pcg64_streams(seeds).random(horizon)
     # Row i: the cumulative outgoing distribution of state i + 1.  Its last
     # entry is raised to infinity, so the count of entries <= u (searchsorted

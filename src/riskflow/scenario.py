@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 from datetime import date
 from enum import Enum
@@ -47,9 +46,6 @@ from .distributions import (
     ModelFamily,
     ReturnModel,
     WeibullParams,
-    _holds_bool,
-    _require_member,
-    _require_number,
     model_from_params,
     sample,
 )
@@ -63,6 +59,7 @@ from .dynamic_risk import (
     recursive_var_weibull_closed,
 )
 from .errors import ConfigError, DataError, DomainError, NumericError
+from .errors import _require_count, _require_member, _require_real, _require_reals
 from .markov import TransitionMatrix, simulate_path
 from .static_risk import cvar_tail, var
 from .streams import _path_seeds
@@ -115,34 +112,18 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        try:
-            family = ModelFamily(self.family)
-        except ValueError as exc:
-            raise ConfigError(f"unknown family {self.family!r}") from exc
+        family = _require_member(ModelFamily, self.family, ConfigError)
         object.__setattr__(self, "family", family)
         if self.orientation not in ("row", "column"):
             raise ConfigError(
                 f'orientation must be "row" or "column", got {self.orientation!r}'
             )
         for name in ("initial_state", "horizon", "n_paths", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        try:
-            object.__setattr__(self, "p", _require_number(self.p, "p must be a number"))
-            rows = tuple(
-                tuple(_require_number(v, "transition matrix entries must be numbers") for v in row)
-                for row in self.transition_matrix
-            )
-            given = {
-                k: tuple(_require_number(v, f"param {k!r} entries must be numbers") for v in vec)
-                for k, vec in dict(self.params).items()
-            }
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "transition_matrix", rows)
-        chain = self.chain()  # validates stochasticity
+            object.__setattr__(self, name, _require_count(getattr(self, name), name, ConfigError))
+        object.__setattr__(self, "p", _require_real(self.p, "p", ConfigError))
+        chain = self.chain()  # a square stochastic matrix of reals, or a ConfigError
+        entries = chain.entries.T if self.orientation == "row" else chain.entries
+        object.__setattr__(self, "transition_matrix", tuple(map(tuple, entries.tolist())))
         n = chain.n_states
         try:
             chain.require_state(self.initial_state)
@@ -154,8 +135,6 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.n_paths < 1:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if not (self.output is None or isinstance(self.output, str)):
             raise ConfigError(f"output must be a path or null, got {self.output!r}")
         measures = tuple(str(m) for m in self.measures)
@@ -165,28 +144,27 @@ class ExperimentConfig:
             if m not in _MEASURE_NAMES:
                 raise ConfigError(f"unknown measure {m!r}; choose from {_MEASURE_NAMES}")
         object.__setattr__(self, "measures", measures)
-        try:
-            object.__setattr__(self, "cvar_mode", CvarMode(self.cvar_mode))
-        except ValueError as exc:
-            raise ConfigError(f"unknown cvar_mode {self.cvar_mode!r}") from exc
+        object.__setattr__(self, "cvar_mode", _require_member(CvarMode, self.cvar_mode, ConfigError))
         # Every key is required here (the Weibull theta too): the closed
         # forms read each parameter sequence.
         expected_keys = tuple(FAMILIES[family.value].keys.values())
+        given = dict(self.params)
         if set(given) != set(expected_keys):
             raise ConfigError(
                 f"{family.value} params need keys {sorted(expected_keys)}, "
                 f"got {sorted(given)}"
             )
-        for key, vec in given.items():
-            if len(vec) != n:
-                raise ConfigError(
-                    f"param {key!r} has {len(vec)} entries for {n} chain states"
-                )
-        object.__setattr__(self, "params", {k: given[k] for k in expected_keys})
+        params = {}
+        for key in expected_keys:
+            vec = _require_reals(given[key], f"param {key!r}", ConfigError)
+            if vec.shape != (n,):
+                raise ConfigError(f"param {key!r} has shape {vec.shape} for {n} chain states")
+            params[key] = tuple(vec.tolist())
+        object.__setattr__(self, "params", params)
         try:
             for state in range(1, n + 1):
                 self.state_model(state)
-        except DomainError as exc:
+        except (DataError, DomainError) as exc:
             raise ConfigError(f"state {state} params: {exc}") from exc
 
     def chain(self) -> TransitionMatrix:
@@ -257,19 +235,11 @@ def config_from_json(text: str) -> ExperimentConfig:
 def _observations(returns: Sequence[float], fit: str) -> np.ndarray:
     """``returns`` as a 1-D float array of two or more finite values; other
     input, booleans and numeric strings included, raises :class:`DataError`."""
-    if _holds_bool(returns):
-        raise DataError(f"{fit} fit: observations must be real numbers, got a boolean")
-    try:
-        xs = np.asarray(returns)
-    except ValueError as exc:  # a ragged nesting
-        raise DataError(f"{fit} fit: observations must be one-dimensional: {exc}") from exc
+    xs = _require_reals(returns, f"{fit} fit: observations", DataError)
     if xs.ndim != 1:
         raise DataError(f"{fit} fit: observations must be one-dimensional, got shape {xs.shape}")
-    if xs.dtype.kind not in "fiu":
-        raise DataError(f"{fit} fit: observations must be real numbers, got {xs.dtype} values")
     if xs.size < 2:
         raise DataError(f"{fit} fit needs at least 2 observations, got {xs.size}")
-    xs = xs.astype(float, copy=False)
     if not np.isfinite(xs).all():
         raise DataError(f"{fit} fit: observations must be finite")
     return xs

@@ -40,11 +40,10 @@ from .distributions import (
     EmpiricalSample,
     ReturnModel,
     WeibullParams,
-    _require_member,
     _require_probability,
     expected_positive_part,
 )
-from .errors import DomainError, NumericError
+from .errors import NumericError, _require_member, _require_real
 
 __all__ = [
     "MeasureKind",
@@ -71,17 +70,17 @@ class Orientation(str, Enum):
 
 @dataclass(frozen=True)
 class RiskMeasureSpec:
-    """A fully specified single-period measure: kind, level and orientation."""
+    """A fully specified single-period measure: kind, level and orientation.
+
+    ``kind`` and ``orientation`` are members or their values."""
 
     kind: MeasureKind
     p: float
     orientation: Orientation = Orientation.UPPER_TAIL
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, MeasureKind):
-            raise DomainError(f"kind must be a MeasureKind, got {self.kind!r}")
-        if not isinstance(self.orientation, Orientation):
-            raise DomainError(f"orientation must be an Orientation, got {self.orientation!r}")
+        object.__setattr__(self, "kind", _require_member(MeasureKind, self.kind))
+        object.__setattr__(self, "orientation", _require_member(Orientation, self.orientation))
         object.__setattr__(self, "p", _require_probability(self.p))
 
 
@@ -149,9 +148,7 @@ def ru_objective(
     family needs no negated law.
     """
     p = _require_probability(p)
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError(f"threshold must be finite, got {eta!r}")
+    eta = _require_real(eta, "threshold")
     if _require_member(Orientation, orientation) is Orientation.UPPER_TAIL:
         excess = expected_positive_part(model, eta)
     else:

@@ -1,29 +1,19 @@
-"""Seeded streams: the seed rule, per-path seeds and ``default_rng(seed)`` for a
-batch of seeds, as a bit-exact port of numpy's ``SeedSequence`` and PCG64 (O'Neill,
+"""Seeded streams: per-path seeds and ``default_rng(seed)`` for a batch of
+seeds, as a bit-exact port of numpy's ``SeedSequence`` and PCG64 (O'Neill,
 "PCG: A Family of Simple Fast Space-Efficient Statistically Good Algorithms for
 Random Number Generation", 2014) on ``uint32`` and ``uint64`` arrays."""
 
 from __future__ import annotations
 
 import functools
-import numbers
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _require_count
 
 #: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _require_seed(seed: object) -> int:
-    """``seed`` as an ``int``: a non-negative Python or numpy integer that is
-    not a bool, or a 0-d integer array of one; else :class:`DomainError`."""
-    value = seed.item() if isinstance(seed, np.ndarray) and seed.ndim == 0 else seed
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 def _path_seeds(seed: int, n_paths: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +184,9 @@ class _PCG64Batch:
 
 
 def _pcg64_streams(seeds: Sequence[int] | np.ndarray) -> _PCG64Batch:
-    """The streams ``np.random.default_rng(seed)`` of the given seeds (each
-    under :func:`_require_seed`), seeded together as one :class:`_PCG64Batch`.
+    """The streams ``np.random.default_rng(seed)`` of the given seeds (each a
+    count, :func:`~riskflow.errors._require_count`), seeded together as one
+    :class:`_PCG64Batch`.
 
     ``default_rng(seed)`` is ``PCG64(SeedSequence(seed))``.  The
     ``SeedSequence`` pool of 4 ``uint32`` words is hashed here for all seeds
@@ -212,7 +203,7 @@ def _pcg64_streams(seeds: Sequence[int] | np.ndarray) -> _PCG64Batch:
         words = np.zeros((width, seeds.size), dtype=np.uint32)
         words[:2] = seeds.astype("<u8").view("<u4").reshape(seeds.size, 2).T
     else:
-        seeds = [_require_seed(s) for s in seeds]
+        seeds = [_require_count(s, "seed") for s in seeds]
         width = max(4, -(-max(seeds, default=0).bit_length() // 32))
         entropy = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
         words = np.frombuffer(entropy, dtype="<u4").reshape(len(seeds), width).T.astype(np.uint32)
@@ -238,8 +229,9 @@ def _pcg64_streams(seeds: Sequence[int] | np.ndarray) -> _PCG64Batch:
 
 
 def _seed_batch(seed: int | Sequence[int] | np.ndarray) -> tuple[bool, Sequence[int]]:
-    """Whether ``seed`` is one seed (``np.ndim(seed) == 0``: an integer or a
-    0-d integer array) and the seeds as a sequence for :func:`_pcg64_streams`."""
-    if np.ndim(seed) != 0:
+    """Whether ``seed`` is one seed (not a list or tuple, and ``np.ndim(seed) ==
+    0``: an integer or a 0-d integer array) and the seeds as a sequence for
+    :func:`_pcg64_streams`."""
+    if isinstance(seed, (list, tuple)) or np.ndim(seed) != 0:
         return False, seed
     return True, [seed]

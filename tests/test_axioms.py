@@ -587,18 +587,10 @@ class TestBundledPairs:
 
 
 class TestCountValidation:
-    """Counts are non-negative integers that are not bools (the seed rule);
-    trial and pair counts are also positive."""
+    """Counts are non-negative integers that are not bools (the count rule,
+    ``tests/test_inputs.py``); trial and pair counts are also positive."""
 
-    @pytest.mark.parametrize("trials", [2.5, True, "3"])
-    def test_static_trials(self, trials):
-        with pytest.raises(DomainError, match="trials must be"):
-            check_static_axiom(StaticAxiom.P1, VAR_LOWER, trials=trials)
-
-    @pytest.mark.parametrize("name, value", [
-        ("n_pairs", 0), ("n_pairs", 2.0), ("n_atoms", True), ("n_atoms", 4.0),
-        ("T", -1), ("T", 1.5),
-    ])
+    @pytest.mark.parametrize("name, value", [("n_pairs", 0)])
     def test_bundled_pair_counts(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be"):
             bundled_pair_processes(DynamicAxiom.D1, **{name: value})
@@ -627,43 +619,3 @@ class TestEnumArguments:
         with pytest.raises(DomainError, match="unknown DynamicAxiom 'D8'"):
             bundled_pair_processes("D8")
 
-
-class TestSeedValidation:
-    """Every checker takes the seed rule of ``simulate_path`` and ``sample``
-    (``riskflow.streams._require_seed``): a non-negative integer that is not
-    a bool, or a 0-d integer array holding one."""
-
-    BAD_SEEDS = [-1, 1.5, 7.0, True, "3", np.array(-1), np.array(7.0)]
-
-    @pytest.mark.parametrize("seed", BAD_SEEDS)
-    def test_static_checker(self, seed):
-        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-            check_static_axiom(StaticAxiom.P1, VAR_LOWER, trials=10, seed=seed)
-
-    @pytest.mark.parametrize("seed", BAD_SEEDS)
-    def test_dynamic_checker(self, seed):
-        pairs = bundled_pair_processes(DynamicAxiom.D1, n_pairs=1, n_atoms=2, T=1)
-        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-            check_dynamic_axiom(DynamicAxiom.D1, RecursiveFiniteMeasure(VAR_LOWER), pairs, seed=seed)
-
-    @pytest.mark.parametrize("seed", BAD_SEEDS)
-    def test_bundled_pairs(self, seed):
-        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-            bundled_pair_processes(DynamicAxiom.D1, seed=seed)
-
-    def test_numpy_integers_are_seeds(self):
-        a = check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=np.int64(7))
-        assert a == check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=7)
-
-    @pytest.mark.parametrize("seed", [np.array(7), np.array(7, dtype=np.uint8)])
-    def test_0d_integer_arrays_are_seeds(self, seed):
-        a = check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=seed)
-        assert a == check_static_axiom(StaticAxiom.P2, VAR_LOWER, trials=20, seed=7)
-
-    @pytest.mark.parametrize("seed", [np.int64(7), np.array(7)])
-    def test_numpy_integer_seeds_in_the_dynamic_checkers(self, seed):
-        pairs = bundled_pair_processes(DynamicAxiom.D3, n_pairs=2, n_atoms=4, T=2, seed=seed)
-        assert pairs == bundled_pair_processes(DynamicAxiom.D3, n_pairs=2, n_atoms=4, T=2, seed=7)
-        measure = RecursiveFiniteMeasure(VAR_LOWER)
-        a = check_dynamic_axiom(DynamicAxiom.D3, measure, pairs, seed=seed)
-        assert a == check_dynamic_axiom(DynamicAxiom.D3, measure, pairs, seed=7)

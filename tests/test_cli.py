@@ -18,6 +18,7 @@ from riskflow import cli
 from riskflow.axioms import StaticAxiom, Verdict
 from riskflow.cli import run
 from riskflow.distributions import GaussianParams, WeibullParams
+from riskflow.errors import ConfigError, DataError, DomainError, NumericError, RiskEngineError
 from riskflow.scenario import (
     build_reference_experiment,
     bundled_returns_path,
@@ -166,7 +167,7 @@ class TestRisk:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("ERROR gaussian params must be numbers")
+        assert proc.stderr.startswith("ERROR gaussian param 'mu' must be a finite real number")
 
     @staticmethod
     def run_weibull_cvar(alpha):
@@ -464,6 +465,17 @@ class TestAxioms:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("error, code", [
+        (NumericError, 3), (DomainError, 2), (DataError, 2), (ConfigError, 2), (RiskEngineError, 2),
+    ])
+    def test_engine_errors_map_to_exit_codes_by_class(self, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_risk", fail)
+        argv = ["risk", "--family", "gaussian", "--params", "{}", "--measure", "var", "--p", "0.9"]
+        assert run(argv) == code
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run([])

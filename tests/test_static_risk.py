@@ -278,12 +278,16 @@ class TestSpecAndDispatch:
         with pytest.raises(DomainError):
             RiskMeasureSpec(MeasureKind.VAR, 1.5)
         with pytest.raises(DomainError):
-            RiskMeasureSpec("var", 0.9)
+            RiskMeasureSpec("es", 0.9)
         with pytest.raises(DomainError):
-            RiskMeasureSpec(MeasureKind.VAR, 0.9, "upper_tail")
+            RiskMeasureSpec(MeasureKind.VAR, 0.9, "both_tails")
+        # Kind and orientation take a member or its value, as the measure functions do.
+        spec = RiskMeasureSpec("var", 0.9, "lower_tail")
+        assert spec == RiskMeasureSpec(MeasureKind.VAR, 0.9, Orientation.LOWER_TAIL)
+        assert spec.kind is MeasureKind.VAR and spec.orientation is Orientation.LOWER_TAIL
 
     def test_spec_stores_the_level_as_a_float(self):
-        spec = RiskMeasureSpec(MeasureKind.VAR, "0.95")
+        spec = RiskMeasureSpec(MeasureKind.VAR, np.float64(0.95))
         assert spec.p == 0.95 and type(spec.p) is float
         report = check_static_axiom(StaticAxiom.P3, spec, trials=5)
         assert report.verdict is Verdict.VIOLATED

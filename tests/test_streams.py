@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from riskflow.errors import DomainError
-from riskflow.streams import _BLOCK, _path_seeds, _pcg64_streams, _require_seed
+from riskflow.errors import _require_count
+from riskflow.streams import _BLOCK, _path_seeds, _pcg64_streams
 
 
 class TestBatchSeededStreams:
@@ -77,14 +78,14 @@ class TestBatchSeededStreams:
 class TestSeedRule:
     @pytest.mark.parametrize("seed", [0, 7, 2**130, np.int64(7), np.uint8(7), np.array(7)])
     def test_integers_are_seeds(self, seed):
-        assert _require_seed(seed) == int(seed) and type(_require_seed(seed)) is int
+        assert _require_count(seed, "seed") == int(seed) and type(_require_count(seed, "seed")) is int
 
     @pytest.mark.parametrize(
         "seed", [-1, True, np.bool_(True), 7.0, "7", None, np.array(-1), np.array(7.0), np.array([7])]
     )
     def test_others_are_rejected(self, seed):
         with pytest.raises(DomainError, match="^seed must be a non-negative integer, got "):
-            _require_seed(seed)
+            _require_count(seed, "seed")
 
     def test_sequences_follow_the_rule_seed_by_seed(self):
         with pytest.raises(DomainError, match="got -1$"):
