@@ -16,10 +16,11 @@ positive part ``E[(X - a)+]``), ``tail_mean(p)`` (the upper-tail mean
 ``shift(c)`` (the law of ``X + c``).  The two parametric families also map
 draws of their standard model (:data:`STANDARD_MODELS`) to their own with
 ``scale``, and the two families closed under negation give the law of
-``-X`` with ``negated()``.  Each class names its ``family`` and maps its
-fields to their JSON keys in ``keys``; :data:`FAMILIES` maps family names
-to classes, so :func:`model_from_params` and :func:`model_params_dict` hold
-no per-family code.  The constructors check every parameter's domain.
+``-X`` with ``negated()`` (a sample also reads its lower tail in place).
+Each class names its ``family`` and maps its fields to their JSON keys in
+``keys``; :data:`FAMILIES` maps family names to classes, so
+:func:`model_from_params` and :func:`model_params_dict` hold no per-family
+code.  The constructors check every parameter's domain.
 
 Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
@@ -477,17 +478,8 @@ class EmpiricalSample:
         return EmpiricalSample(self.values + _require_real(c, "shift"))
 
     def negated(self) -> EmpiricalSample:
-        """``EmpiricalSample(-self.values)`` without sorting again; only a
-        run of signed zeros keeps its order under the stable sort."""
-        values = -self.values[::-1]
-        lo = values.searchsorted(0.0)
-        if lo + 1 < values.size and values[lo + 1] == 0.0:  # two zeros or more
-            hi = values.searchsorted(0.0, "right")
-            values[lo:hi] = values[lo:hi][::-1]
-        values.flags.writeable = False
-        negated = object.__new__(EmpiricalSample)
-        object.__setattr__(negated, "values", values)
-        return negated
+        """The sample of ``-X``."""
+        return EmpiricalSample(-self.values)
 
 
 ReturnModel = Union[GaussianParams, WeibullParams, EmpiricalSample]

@@ -90,14 +90,20 @@ def _require_count(value: object, what: str, error: type[RiskEngineError] = Doma
     return int(number)
 
 
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
 def _holds_bool(values: object) -> bool:
     """Whether ``values`` is a bool, a bool array, or a (nested) list or tuple
     holding one.  ``np.asarray([1.0, True])`` is a float array, so a bool
     mixed into numbers shows only before conversion; an ndarray is judged by
-    its dtype, never scanned."""
+    its dtype, never scanned, and a list or tuple of plain floats and ints by
+    one pass over its element types."""
     if isinstance(values, np.ndarray):
         return values.dtype.kind == "b"
     if isinstance(values, (list, tuple)):
+        if set(map(type, values)) <= _PLAIN_NUMBERS:
+            return False
         return any(map(_holds_bool, values))
     return isinstance(values, (bool, np.bool_))
 

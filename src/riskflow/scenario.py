@@ -137,6 +137,8 @@ class ExperimentConfig:
             raise ConfigError(f"n_paths must be >= 1, got {self.n_paths!r}")
         if not (self.output is None or isinstance(self.output, str)):
             raise ConfigError(f"output must be a path or null, got {self.output!r}")
+        if not isinstance(self.measures, (list, tuple)):
+            raise ConfigError(f"measures must be a list of names, got {self.measures!r}")
         measures = tuple(str(m) for m in self.measures)
         if not measures or len(set(measures)) != len(measures):
             raise ConfigError(f"measures must be a non-empty set, got {measures!r}")
@@ -148,6 +150,8 @@ class ExperimentConfig:
         # Every key is required here (the Weibull theta too): the closed
         # forms read each parameter sequence.
         expected_keys = tuple(FAMILIES[family.value].keys.values())
+        if not isinstance(self.params, Mapping):
+            raise ConfigError(f"params must map names to values, got {self.params!r}")
         given = dict(self.params)
         if set(given) != set(expected_keys):
             raise ConfigError(
@@ -221,10 +225,7 @@ def config_from_json(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"config keys: missing {sorted(missing)}, unknown {sorted(unknown)}"
         )
-    try:
-        return ExperimentConfig(**data)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    return ExperimentConfig(**data)
 
 
 # --------------------------------------------------------------------------

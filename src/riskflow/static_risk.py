@@ -22,11 +22,12 @@ tail read from the low end of its sorted values, and the sample shortcut of
 ``cvar`` comes in two independently computed flavours used to cross-check
 each other: :func:`cvar_tail` evaluates the tail-mean formula directly, and
 :func:`cvar_ru` minimizes the variational objective
-``F_p(X, eta) = eta + E[(X - eta)+]/(1 - p)`` by golden-section search.  For
-continuous families the two agree; for equal-weight samples both return the
-tail average beyond the sample quantile (the discrete tail-average
-convention), and :func:`argmin_contains_var` still verifies against the true
-minimum of the objective that the quantile is a minimizer.
+``F_p(X, eta) = eta + E[(X - eta)+]/(1 - p)`` (Rockafellar & Uryasev,
+2002) by a golden-section search over a quantile bracket.  For continuous
+families the two agree; for equal-weight samples both return the tail
+average beyond the sample quantile (the discrete tail-average convention),
+and :func:`argmin_contains_var` checks, against the minimum that same
+search finds, that the quantile is a minimizer.
 """
 
 from __future__ import annotations
@@ -162,17 +163,16 @@ _GOLDEN_REL_WIDTH = 1e-10
 _GOLDEN_MAX_ITER = 200
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section minimum of a convex function on ``[lo, hi]``.
 
-    Returns ``(x_best, f_best)`` over all evaluated points.  Convexity makes
-    the non-strict bracket update sound even across flat stretches.
+    Returns the least value over all evaluated points.  Convexity makes the
+    non-strict bracket update sound even across flat stretches.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise NumericError(f"invalid minimization bracket [{lo!r}, {hi!r}]")
     if hi - lo <= _GOLDEN_REL_WIDTH * (1.0 + abs(lo) + abs(hi)):
-        x = 0.5 * (lo + hi)
-        return x, f(x)
+        return f(0.5 * (lo + hi))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
@@ -180,7 +180,7 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[floa
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
     for _ in range(_GOLDEN_MAX_ITER):
         if hi - lo <= _GOLDEN_REL_WIDTH * (1.0 + abs(best_x)):
-            return best_x, best_f
+            return best_f
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -199,15 +199,12 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> tuple[floa
     )
 
 
-def _objective_bracket(
-    model: ReturnModel, p: float, orientation: Orientation
-) -> tuple[float, float]:
+def _ru_minimum(model: ReturnModel, p: float, orientation: Orientation) -> float:
     # The minimizer is the oriented p-quantile; quantiles at a looser and a
     # tighter level bracket it for every family.
-    return (
-        var(model, p / 2.0, orientation),
-        var(model, 1.0 - (1.0 - p) / 4.0, orientation),
-    )
+    lo = var(model, p / 2.0, orientation)
+    hi = var(model, 1.0 - (1.0 - p) / 4.0, orientation)
+    return _golden_min(lambda eta: ru_objective(model, p, eta, orientation), lo, hi)
 
 
 def cvar_ru(
@@ -217,17 +214,15 @@ def cvar_ru(
 ) -> float:
     """Conditional value-at-risk via minimization of :func:`ru_objective`.
 
-    Continuous families run a golden-section search over a quantile bracket.
-    Equal-weight samples return the discrete tail average (the convention
-    shared with :func:`cvar_tail`), keeping the two routes comparable across
-    all families.
+    Continuous families take the minimum of the shared quantile-bracket
+    search.  Equal-weight samples return the discrete tail average (the
+    convention shared with :func:`cvar_tail`), keeping the two routes
+    comparable across all families.
     """
     p = _require_probability(p)
     if isinstance(model, EmpiricalSample):
         return cvar_tail(model, p, orientation)
-    lo, hi = _objective_bracket(model, p, orientation)
-    _, best = _golden_min(lambda eta: ru_objective(model, p, eta, orientation), lo, hi)
-    return best
+    return _ru_minimum(model, p, orientation)
 
 
 def argmin_contains_var(
@@ -237,16 +232,15 @@ def argmin_contains_var(
 ) -> bool:
     """Whether the value-at-risk minimizes the variational objective.
 
-    Compares the objective evaluated at ``var`` against the bracket minimum
-    found independently by golden-section search, within a small relative
-    slack.  True for every supported family, including equal-weight samples
-    (where the minimizing set is a flat segment starting at the quantile).
+    Compares the objective at ``var`` with the minimum that the search of
+    :func:`cvar_ru` finds, within a small relative slack.  True for every
+    supported family, including equal-weight samples (where the minimizing
+    set is a flat segment starting at the quantile).
     """
     p = _require_probability(p)
     v = var(model, p, orientation)
     f_at_var = ru_objective(model, p, v, orientation)
-    lo, hi = _objective_bracket(model, p, orientation)
-    _, minimum = _golden_min(lambda eta: ru_objective(model, p, eta, orientation), lo, hi)
+    minimum = _ru_minimum(model, p, orientation)
     return f_at_var <= minimum + 1e-9 * (1.0 + abs(minimum))
 
 

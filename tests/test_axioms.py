@@ -101,6 +101,24 @@ class TestStaticAxioms:
         assert "lower_tail" in report.detail
         assert "R(X) >= R(Y)" in report.detail
 
+    def test_lower_tail_checks_never_build_a_negated_sample(self, monkeypatch):
+        # A sample's lower tail is read in place; only a zero result, whose
+        # sign negated() decides, may build the negated copy.
+        calls = []
+        negated = EmpiricalSample.negated
+
+        def counted(self):
+            calls.append(self)
+            return negated(self)
+
+        monkeypatch.setattr(EmpiricalSample, "negated", counted)
+        for spec in (VAR_LOWER, CVAR_LOWER):
+            for axiom in StaticAxiom:
+                check_static_axiom(axiom, spec, trials=100, seed=0)
+        assert calls == []
+        evaluate(EmpiricalSample((0.0, 1.0)), VAR_LOWER)  # the counter counts
+        assert len(calls) == 1
+
     def test_trials_validated(self):
         with pytest.raises(DomainError):
             check_static_axiom(StaticAxiom.P1, VAR_LOWER, trials=0)
@@ -133,6 +151,10 @@ class TestSubadditivityWitness:
             TwoPointDistribution(low=0.0, high=1.0, high_prob=Fraction(0))
         with pytest.raises(DomainError):
             var_subadditivity_witness(0.4)
+        dist = TwoPointDistribution(low=0.0, high=10.0, high_prob=Fraction(1, 20))
+        for p in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(DomainError, match="must lie in \\(0, 1\\)"):
+                subadditivity_margin(dist, dist, p)
 
 
 class TestAxiomReport:
@@ -167,6 +189,16 @@ class TestFiniteProcess:
         with pytest.raises(DataError):
             n = 65
             FiniteProcess(tuple(1.0 / n for _ in range(n)), tuple((0.0,) for _ in range(n)))
+        for payoffs in (((), ()), np.empty((2, 0))):  # no payoff columns
+            with pytest.raises(DataError, match="T\\+1 >= 1 columns"):
+                FiniteProcess((0.5, 0.5), payoffs)
+
+    def test_partition_needs_processes_on_one_atom_space(self):
+        with pytest.raises(DataError, match="at least one process"):
+            filtration_partition([], 0)
+        two, three = uniform_process([[1.0], [2.0]]), uniform_process([[1.0], [2.0], [3.0]])
+        with pytest.raises(DataError, match="share one atom space"):
+            filtration_partition([two, three], 0)
 
     def test_filtration_refines_over_time(self):
         # Two branches at t=1 (by X_0), four at t=2 (by X_0, X_1).
@@ -468,6 +500,13 @@ class _ConcaveMeasure(_CellMeanMeasure):
         return -super().atom_values(process, t, partition) ** 2
 
 
+class _NegatedMeanMeasure(_CellMeanMeasure):
+    """Deliberately broken: minus the cell mean falls as the payoff rises."""
+
+    def atom_values(self, process, t, partition):
+        return -super().atom_values(process, t, partition)
+
+
 #: One measure per dynamic axiom that breaks it, with the witness keys of
 #: the branch that must report the violation.
 BROKEN_DYNAMIC = {
@@ -540,6 +579,20 @@ class TestDynamicChecker:
             DynamicAxiom.D2, RecursiveFiniteMeasure(VAR_LOWER), [(x, y)]
         )
         assert report.verdict is Verdict.HOLDS
+
+    def test_pairs_failing_the_time_zero_hypothesis_are_skipped(self):
+        # Minus the cell mean reverses every ordering.  Where X < Y at time 0
+        # the hypothesis R(X_0) <= R(Y_0) fails and the pair is skipped; where
+        # X_0 == Y_0 it holds and X_1 < Y_1 gives the violation.
+        measure = _NegatedMeanMeasure()
+        y = uniform_process([[1.0, 1.0], [1.0, 1.0]])
+        skipped = uniform_process([[0.0, 0.0], [0.0, 0.0]])
+        tested = uniform_process([[1.0, 0.0], [1.0, 0.0]])
+        report = check_dynamic_axiom(DynamicAxiom.D2, measure, [(skipped, y)])
+        assert report.verdict is Verdict.HOLDS
+        report = check_dynamic_axiom(DynamicAxiom.D2, measure, [(skipped, y), (tested, y)])
+        assert report.verdict is Verdict.VIOLATED
+        assert report.witness == {"pair": 1, "t": 1, "atom": 0, "excess": 1.0}
 
     def test_pair_validation(self):
         with pytest.raises(DataError):

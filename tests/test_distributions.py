@@ -238,6 +238,8 @@ class TestEmpirical:
         assert a != EmpiricalSample((1.0, 2.0))
         assert EmpiricalSample((0.0, 1.0)) == EmpiricalSample((-0.0, 1.0))
         assert hash(EmpiricalSample((0.0, 1.0))) == hash(EmpiricalSample((-0.0, 1.0)))
+        for other in ((1.0, 2.0, 3.0), [1.0, 2.0, 3.0], GaussianParams(1.0, 1.0), None):
+            assert a.__eq__(other) is NotImplemented and a != other
 
     def test_values_are_read_only(self):
         source = np.array([3.0, 1.0, 2.0])

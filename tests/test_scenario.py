@@ -114,6 +114,14 @@ class TestExperimentConfig:
             {"params": {"mu": (1.0,), "sigma": (0.5, 0.8)}},
             {"params": {"mu": (1.0, 2.0), "sigma": (0.5, -0.8)}},
             {"output": 7},
+            {"measures": None},
+            {"measures": 3},
+            {"measures": "var"},
+            {"measures": {"var": 1}},
+            {"params": None},
+            {"params": [1, 2]},
+            {"params": "mu"},
+            {"params": [["mu", (1.0, -1.0)], ["sigma", (0.5, 0.8)]]},
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -171,6 +179,29 @@ class TestExperimentConfig:
             config_from_json("not json at all {")
         with pytest.raises(ConfigError):
             config_from_json("[1, 2, 3]")
+
+    #: Values of each JSON type; every field refuses each of them, except
+    #: ``output``, which takes any string and ``null``.
+    JSON_VALUES = {
+        "object": [{}, {"a": 1}, {"var": 1}],
+        "array": [[], [1, 2], [[1]], ["x"]],
+        "string": ["", "x", "1"],
+        "number": [-1.5, -1, 1e308],
+        "true": [True],
+        "null": [None],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(JSON_VALUES))
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ExperimentConfig)])
+    def test_every_field_of_every_json_type_is_a_config_error(self, key, kind):
+        good = json.loads(config_to_json(small_config()))
+        for value in self.JSON_VALUES[kind]:
+            text = json.dumps(dict(good, **{key: value}))
+            if key == "output" and kind in ("string", "null"):
+                assert config_from_json(text).output == value
+                continue
+            with pytest.raises(ConfigError):
+                config_from_json(text)
 
     def test_optional_keys_default(self):
         data = json.loads(config_to_json(small_config()))
@@ -274,6 +305,20 @@ class TestFitWeibull:
             for da in (-0.02, 0.02):
                 assert best >= loglik(fit.lam * (1 + dl), fit.alpha * (1 + da))
 
+    def test_newton_step_outside_the_bracket_falls_back_to_bisection(self):
+        # One outlier: from the moment estimate the Newton step is a negative
+        # shape, below every bracket, so the iteration must bisect.
+        xs = np.array([1.0] * 20 + [1000.0])
+        lx = np.log(xs)
+        alpha0 = math.pi / (math.sqrt(6.0) * float(np.std(lx)))
+        g, dg = scenario._weibull_profile(alpha0, lx)
+        assert alpha0 - g / dg < 0.0
+        fit = fit_weibull(xs)
+        # The profile equation and the scale, recomputed here from the sums.
+        s0, s1 = float(np.sum(xs**fit.alpha)), float(np.sum(xs**fit.alpha * lx))
+        assert abs(s1 / s0 - 1.0 / fit.alpha - float(np.mean(lx))) <= 1e-8
+        assert fit.lam == pytest.approx((s0 / xs.size) ** (1.0 / fit.alpha), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(DataError):
             fit_weibull([1.0])
@@ -373,6 +418,11 @@ class TestRunExperiment:
         assert paths[0].states.tolist() == list(REFERENCE_STATES)  # chain seed is shared
         assert stats.notes == ()
         assert stats.fraction_dynamic_le_static["modulated_cvar"] == pytest.approx(8 / 11)
+
+    @pytest.mark.parametrize("frac", [-0.1, 1.5, math.nan])
+    def test_summary_fraction_outside_the_unit_interval_is_refused(self, frac):
+        with pytest.raises(DomainError, match="outside \\[0, 1\\]"):
+            scenario.SummaryStats(1, 1, {"recursive_var": frac}, {}, None)
 
     def test_weibull_returns_are_numpys_draws(self):
         # Each path's standard returns are default_rng(returns_seed).random(T + 1)

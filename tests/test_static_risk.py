@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskflow import static_risk
 from riskflow.axioms import StaticAxiom, Verdict, check_static_axiom
 from riskflow.distributions import (
     EmpiricalSample,
@@ -258,12 +259,33 @@ class TestVariationalRoute:
         s = EmpiricalSample((1.0, 2.0, 3.0, 4.0, 100.0))
         assert argmin_contains_var(s, 0.8)
 
+    def test_both_routes_bracket_with_the_same_var_calls(self, monkeypatch):
+        # One search serves both routes; its var calls are what the traced
+        # benchmark counters count, in this order.
+        levels = []
+        plain_var = static_risk.var
+
+        def counted(model, p, orientation=Orientation.UPPER_TAIL):
+            levels.append(p)
+            return plain_var(model, p, orientation)
+
+        monkeypatch.setattr(static_risk, "var", counted)
+        model = GaussianParams(1.0, 2.0)
+        static_risk.cvar_ru(model, 0.9)
+        assert levels == [0.45, 0.975]
+        levels.clear()
+        static_risk.argmin_contains_var(model, 0.9)
+        assert levels == [0.9, 0.45, 0.975]
+
     def test_point_mass_objective(self):
         # Single atom at 5: objective is 5 + (5-eta)+/(1-p) ... minimized at 5.
         s = EmpiricalSample((5.0,))
         assert ru_objective(s, 0.9, 5.0) == 5.0
         assert ru_objective(s, 0.9, 4.0) == pytest.approx(4.0 + 1.0 / 0.1)
         assert cvar_ru(s, 0.9) == 5.0
+        # Both bracket quantiles are the atom: the search evaluates only there.
+        for orientation in Orientation:
+            assert argmin_contains_var(s, 0.9, orientation)
 
 
 class TestSpecAndDispatch:
