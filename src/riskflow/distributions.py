@@ -25,14 +25,15 @@ code.  The constructors check every parameter's domain.
 Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
 :func:`sample` are the module-level entry points that validate their
-arguments before calling the methods.  ``draw`` takes a numpy
-``Generator``, or a batch of seeded streams with the same methods whose
-draws carry one row per seed (what :func:`sample` passes).
+arguments before calling the methods.  ``draw`` takes a numpy ``Generator``
+and a size in numpy's convention (a count or a shape).  The two parametric
+families draw one uniform per return and map it through their standard
+model's quantile, so ``n`` draws take exactly ``n`` steps of the stream.
 
 The package uses no SciPy.  The two special functions its formulas need
 are written here, each next to the formula that uses it: the normal quantile
-(Wichura's AS241) for the Gaussian ``quantile``, and the regularised upper
-incomplete gamma function for the Weibull ``exceedance``.
+(Wichura's AS241) for the Gaussian ``quantile`` and ``draw``, and the
+regularised upper incomplete gamma function for the Weibull ``exceedance``.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Mapping, Sequence, TypeVar, Union
+from typing import Callable, ClassVar, Mapping, TypeVar, Union
 
 import numpy as np
 
 from .errors import DataError, DomainError, NumericError
 from .errors import _require_count, _require_real, _require_reals
-from .streams import _pcg64_streams, _seed_batch
 
 __all__ = [
     "ModelFamily",
@@ -173,6 +173,33 @@ def _normal_quantile(p: float) -> float:
     return -z if q < 0.0 else z
 
 
+def _normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """:func:`_normal_quantile` of every element of an array of ``p`` in
+    ``(0, 1)``: the same three rational functions with the same operations,
+    so each element equals the scalar value up to the rounding of ``np.log``
+    against ``math.log`` in the tails.  The central function is evaluated
+    everywhere, the tail ones on the elements beyond ``|p - 1/2| = 0.425``."""
+    q = p - 0.5
+    z = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
+    tail = np.abs(q) > 0.425
+    if tail.any():
+        p, lower = p[tail], q[tail] < 0.0
+        r = np.sqrt(-np.log(np.where(lower, p, 1.0 - p)))
+        near = _rational(_AS241_NEAR_TAIL, r - 1.6)
+        far = _rational(_AS241_FAR_TAIL, r - 5.0)
+        z_tail = np.where(r <= 5.0, near, far)
+        z[tail] = np.where(lower, -z_tail, z_tail)
+    return z
+
+
+#: ``Generator.random`` returns multiples of ``2**-53`` in ``[0, 1)``.  A
+#: Gaussian draw reads a uniform of exactly 0 (probability ``2**-53``) as
+#: ``2**-53``, the smallest positive one, so the standard draws are finite
+#: and symmetric: they lie in ``[-z, z]`` with ``z = Phi^-1(1 - 2**-53)``,
+#: about 8.21.
+_SMALLEST_UNIFORM = 2.0**-53
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """Normal return model ``N(mu, sigma**2)``."""
@@ -210,8 +237,10 @@ class GaussianParams:
         p = _require_probability(p)
         return self.mu + self.sigma * _normal_pdf(_normal_quantile(p)) / (1.0 - p)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.scale(rng.standard_normal(n))
+    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        """``mu + sigma * Phi^-1(u)`` of ``rng.random(size)``, AS241 on the
+        array; ``u = 0`` is read as :data:`_SMALLEST_UNIFORM`."""
+        return self.scale(_normal_quantiles(np.maximum(rng.random(size), _SMALLEST_UNIFORM)))
 
     def scale(self, draws: np.ndarray) -> np.ndarray:
         return self.mu + self.sigma * draws
@@ -373,8 +402,8 @@ class WeibullParams:
         v = self.quantile(p)
         return v + expected_positive_part(self, v) / (1.0 - p)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.scale(-np.log1p(-rng.random(n)))
+    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        return self.scale(-np.log1p(-rng.random(size)))
 
     def scale(self, draws: np.ndarray) -> np.ndarray:
         return self.theta + self.lam * draws ** (1.0 / self.alpha)
@@ -471,8 +500,8 @@ class EmpiricalSample:
         mean = -math.fsum(head.tolist()) / head.size
         return mean if mean != 0.0 else self.negated().tail_mean(p)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.values[rng.integers(0, self.values.size, size=n)]
+    def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+        return self.values[rng.integers(0, self.values.size, size=size)]
 
     def shift(self, c: float) -> EmpiricalSample:
         return EmpiricalSample(self.values + _require_real(c, "shift"))
@@ -503,23 +532,23 @@ def expected_positive_part(model: ReturnModel, a: float) -> float:
     return model.exceedance(_require_real(a, "threshold"))
 
 
-def sample(
-    model: ReturnModel, n: int, seed: int | Sequence[int] | np.ndarray
-) -> np.ndarray:
-    """Draw ``n`` i.i.d. returns from the model, deterministically per seed.
+def sample(model: ReturnModel, size: int | tuple[int, ...], seed: int) -> np.ndarray:
+    """Draw i.i.d. returns from the model, deterministically per seed.
 
-    ``n`` is a positive integer.  One seed (a non-negative integer, or a 0-d
-    integer array) gives ``n`` draws from ``np.random.default_rng(seed)``; a
-    sequence of seeds gives an ``(n_seeds, n)`` array whose row ``i`` equals
-    ``sample(model, n, seed[i])``.  All seeds are drawn from as one batch of
-    streams (:mod:`riskflow.streams`), through the model's one ``draw``.
+    ``size`` follows numpy's convention: a positive count ``n`` gives ``n``
+    draws, a tuple (or list) of positive counts an array of that shape.  The
+    draws are ``model.draw(np.random.default_rng(seed), size)``, filled in
+    row-major order from the one stream, so ``sample(model, (k, n), seed)``
+    is ``sample(model, k * n, seed)`` reshaped.  A parametric model takes
+    one step of the PCG64 stream per draw, so row ``i`` of a ``(k, n)`` draw
+    is ``n`` draws from the stream advanced by ``i * n`` steps
+    (``np.random.PCG64(seed).advance(i * n)``) whatever ``k`` is.
     """
-    n = _require_count(n, "sample size")
-    if n == 0:
-        raise DomainError("sample size must be positive, got 0")
-    single, seeds = _seed_batch(seed)
-    draws = model.draw(_pcg64_streams(seeds), n)
-    return draws[0] if single else draws
+    shape = size if isinstance(size, (tuple, list)) else (size,)
+    shape = tuple(_require_count(n, "sample size") for n in shape)
+    if not shape or 0 in shape:
+        raise DomainError(f"sample size must be positive, got {size!r}")
+    return model.draw(np.random.default_rng(_require_count(seed, "seed")), shape)
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ A simulated path is an integer array of ``Z_0 .. Z_{T+1}`` where the last
 entry repeats ``Z_T``: period-``t`` returns draw their parameters from the
 state reached at ``t + 1``, and at the final horizon no further transition
 occurs, so the terminal state is frozen.  A stack of paths is an
-``(n_paths, T + 2)`` array.  Seeded draws come from :mod:`riskflow.streams`.
+``(n_paths, T + 2)`` array, drawn from one seeded numpy stream.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, _numeric_array, _require_count, _require_reals
-from .streams import _pcg64_streams, _seed_batch
 
 __all__ = [
     "TransitionMatrix",
@@ -123,38 +122,50 @@ def simulate_path(
     matrix: TransitionMatrix,
     initial_state: int,
     horizon: int,
-    seed: int | Sequence[int] | np.ndarray,
+    seed: int,
+    n_paths: int | None = None,
 ) -> np.ndarray:
     """Simulate ``Z_0 .. Z_T`` from the chain and freeze the terminal state.
 
-    ``horizon`` is ``T >= 0``.  One seed (a non-negative integer, or a 0-d
-    integer array) gives the ``(T + 2,)`` array of 1-based states of its
-    path; a sequence of seeds gives an ``(n_seeds, T + 2)`` array, row ``i``
-    the path of ``seed[i]``.  Deterministic per seed: each path's ``T``
-    uniforms are ``np.random.default_rng(seed).random(T)``, drawn for all
-    paths together (:meth:`riskflow.streams._PCG64Batch.random`).  Each step
-    takes the first state whose cumulative transition probability exceeds
-    the uniform, or else the last; one ``np.searchsorted`` per current state
-    tabulates that choice for every path and step, so the walk is one gather
-    per step.
+    ``horizon`` is ``T >= 0`` and ``seed`` a count.  Without ``n_paths``
+    the result is the ``(T + 2,)`` array of 1-based states of one path;
+    with it, an ``(n_paths, T + 2)`` array whose row 0 is that path.  The
+    uniforms are ``np.random.default_rng(seed).random((n_paths, T))``, row
+    ``i`` for path ``i``, so path ``i`` reads the stream advanced by
+    ``i * T`` steps (``np.random.PCG64(seed).advance(i * T)``) and does not
+    depend on ``n_paths``.  See :func:`_walk` for the step rule.
     """
-    single, seeds = _seed_batch(seed)
     start = matrix.require_state(initial_state)
     horizon = _require_count(horizon, "horizon")
-    uniforms = _pcg64_streams(seeds).random(horizon)
+    rows = 1 if n_paths is None else _require_count(n_paths, "n_paths")
+    uniforms = np.random.default_rng(_require_count(seed, "seed")).random((rows, horizon))
+    states = _walk(matrix, start, uniforms)
+    return states[0] if n_paths is None else states
+
+
+def _walk(matrix: TransitionMatrix, start: int, uniforms: np.ndarray) -> np.ndarray:
+    """The ``(n_paths, T + 2)`` 1-based states of the paths from ``start``
+    that row ``i`` of the ``(n_paths, T)`` ``uniforms`` drives.
+
+    Each step takes the first state whose cumulative transition probability
+    exceeds the uniform, or else the last; one ``np.searchsorted`` per
+    current state tabulates that choice for every path and step, so the walk
+    is one gather per step.
+    """
+    n_paths, horizon = uniforms.shape
     # Row i: the cumulative outgoing distribution of state i + 1.  Its last
     # entry is raised to infinity, so the count of entries <= u (searchsorted
     # "right", like bisect_right) stops at the last state.
     cumulative = np.cumsum(matrix.entries, axis=0).T
     cumulative[:, -1] = np.inf
     # nxt[t, i, s]: the 0-based state path i moves to from state s at step t.
-    nxt = np.empty((horizon, len(uniforms), matrix.n_states), np.min_scalar_type(matrix.n_states))
+    nxt = np.empty((horizon, n_paths, matrix.n_states), np.min_scalar_type(matrix.n_states))
     for s, row in enumerate(cumulative):
         nxt[:, :, s] = np.searchsorted(row, uniforms.T, side="right")
-    rows = np.arange(len(uniforms))
-    states = np.full((len(uniforms), horizon + 2), start - 1)
+    rows = np.arange(n_paths)
+    states = np.full((n_paths, horizon + 2), start - 1)
     for t in range(horizon):
         states[:, t + 1] = nxt[t, rows, states[:, t]]
     states[:, -1] = states[:, -2]
     states += 1
-    return states[0] if single else states
+    return states

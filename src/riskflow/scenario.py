@@ -62,7 +62,6 @@ from .errors import ConfigError, DataError, DomainError, NumericError
 from .errors import _require_count, _require_member, _require_real, _require_reals
 from .markov import TransitionMatrix, simulate_path
 from .static_risk import cvar_tail, var
-from .streams import _path_seeds
 
 __all__ = [
     "ReferenceStudy",
@@ -480,8 +479,6 @@ class PathTrajectories:
     """Row ``path_id`` of an :class:`ExperimentResult`: one simulated path."""
 
     path_id: int
-    chain_seed: int
-    returns_seed: int
     states: np.ndarray
     returns: np.ndarray
     var: RiskColumns | None
@@ -492,6 +489,10 @@ class PathTrajectories:
 class ExperimentResult:
     """Every path of one run, path ``i`` in row ``i`` of each array.
 
+    ``chain_seed`` and ``returns_seed`` seed the run's two streams: path
+    ``i``'s chain uniforms are the ``T`` draws of
+    ``np.random.PCG64(chain_seed).advance(i * T)``, and its return uniforms
+    the ``T + 1`` draws of ``np.random.PCG64(returns_seed).advance(i * (T + 1))``.
     ``states`` ``(n_paths, T + 2)`` holds the 1-based chain paths,
     ``returns`` ``(n_paths, T + 1)`` the realized returns, and ``var`` and
     ``cvar`` the measure columns (``None`` when not requested).
@@ -499,8 +500,8 @@ class ExperimentResult:
     rows share these arrays; :func:`run_experiment` makes them read-only.
     """
 
-    chain_seeds: np.ndarray
-    returns_seeds: np.ndarray
+    chain_seed: int
+    returns_seed: int
     states: np.ndarray
     returns: np.ndarray
     var: RiskColumns | None
@@ -515,10 +516,7 @@ class ExperimentResult:
             None if m is None else RiskColumns(m.static[i], m.recursive[i], m.modulated[i])
             for m in (self.var, self.cvar)
         ]
-        return PathTrajectories(
-            i, int(self.chain_seeds[i]), int(self.returns_seeds[i]),
-            self.states[i], self.returns[i], *measures,
-        )
+        return PathTrajectories(i, self.states[i], self.returns[i], *measures)
 
     def __iter__(self) -> Iterator[PathTrajectories]:
         return map(self.__getitem__, range(len(self)))
@@ -601,26 +599,29 @@ def _summarize(config: ExperimentConfig, columns: Mapping[str, np.ndarray]) -> S
 def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryStats]:
     """Simulate all paths and aggregate; deterministic for a fixed seed.
 
-    Paths draw independent chain/returns seed pairs from one root sequence.
-    Each path's chain uniforms and standard returns are those of
-    ``np.random.default_rng(seed)`` for its two seeds: one
-    :func:`simulate_path` call walks every chain and one :func:`sample` call
-    draws every path's standard returns, each taking all paths' streams as
-    one batch.  Everything after that runs on
-    ``(n_paths, T + 1)`` arrays, with the static measures, means and
-    one-step predictions evaluated once per chain state.  A non-finite value
-    in any column (the piecewise CVaR recursions overflow on long horizons)
-    raises :class:`NumericError` naming the earliest such cell.  The
-    returned arrays are read-only.
+    ``config.seed`` gives two seeds, the first two words of
+    ``np.random.SeedSequence(config.seed).generate_state(2, np.uint64)``:
+    one :func:`simulate_path` call walks every chain on the uniforms
+    ``default_rng(chain_seed).random((n_paths, T))``, and one :func:`sample`
+    call draws every standard return from
+    ``default_rng(returns_seed).random((n_paths, T + 1))``.  Both are
+    row-major, so path ``i`` reads each stream advanced by ``i`` rows (see
+    :class:`ExperimentResult`) and is the same in a run of any size.
+    Everything after that runs on ``(n_paths, T + 1)`` arrays, with the
+    static measures, means and one-step predictions evaluated once per chain
+    state.  A non-finite value in any column (the piecewise CVaR recursions
+    overflow on long horizons) raises :class:`NumericError` naming the
+    earliest such cell.  The returned arrays are read-only.
     """
     matrix = config.chain()
     T, p, family = config.horizon, config.p, config.family
-    chain_seeds, returns_seeds = _path_seeds(config.seed, config.n_paths)
-    states = simulate_path(matrix, config.initial_state, T, chain_seeds)
+    seeds = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+    chain_seed, returns_seed = seeds.tolist()
+    states = simulate_path(matrix, config.initial_state, T, chain_seed, n_paths=config.n_paths)
     # Period t is priced with the model of the state reached at t + 1.
     period = states[:, 1:] - 1
     models = [config.state_model(s) for s in range(1, config.n_states + 1)]
-    standard = sample(STANDARD_MODELS[family], T + 1, returns_seeds)
+    standard = sample(STANDARD_MODELS[family], (config.n_paths, T + 1), returns_seed)
     realized = np.empty(standard.shape)
     for s, model in enumerate(models):
         in_state = period == s
@@ -650,18 +651,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[ExperimentResult, SummaryS
                 )
     except NumericError as exc:
         raise NumericError(f"[seed {config.seed}] {exc}") from exc
-    result = ExperimentResult(chain_seeds, returns_seeds, states, realized, **measures)
+    result = ExperimentResult(chain_seed, returns_seed, states, realized, **measures)
     columns = result.columns()
-    stacked = np.stack(list(columns.values()))
-    # Ordered by t, then path, then column: the first bad cell is the earliest.
-    bad = np.argwhere(~np.isfinite(stacked).transpose(2, 1, 0))
-    if bad.size:
-        t, i, k = bad[0].tolist()
+    if not all(np.isfinite(column).all() for column in columns.values()):
+        stacked = np.stack(list(columns.values()))
+        # Ordered by t, then path, then column: the first bad cell is the earliest.
+        t, i, k = np.argwhere(~np.isfinite(stacked).transpose(2, 1, 0))[0].tolist()
         raise NumericError(
             f"[seed {config.seed}] {list(columns)[k]} is {float(stacked[k, i, t])!r} "
             f"at path {i}, t={t}"
         )
-    for array in (chain_seeds, returns_seeds, states, realized, *columns.values()):
+    for array in (states, realized, *columns.values()):
         array.flags.writeable = False
     return result, _summarize(config, columns)
 

@@ -9,7 +9,7 @@ that writes ``1.5`` matches a recorded ``np.float64(1.5)``.
 The grid crosses both families, both CVaR modes, the measure sets ``var``,
 ``cvar`` and both, a two- and a three-state chain, horizons 1 and 10 and
 1 and 200 paths.  Single-path configurations run 20 seeds each, 200-path
-configurations two (every path there has its own derived seeds already).
+configurations two (each of their paths reads its own rows of the streams).
 
 Regenerate the table from the repository root with::
 

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, ndtri
-from scipy.stats import weibull_min
+from scipy.stats import chi2, weibull_min
 
 from riskflow import distributions
 from riskflow.distributions import (
@@ -23,6 +24,7 @@ from riskflow.distributions import (
     model_from_params,
     model_params_dict,
     _normal_quantile,
+    _normal_quantiles,
     _upper_gamma_q,
     sample,
 )
@@ -117,6 +119,73 @@ class TestNormalQuantile:
     @pytest.mark.parametrize("p", [1e-300, 2.0**-53, 1.0 - 2.0**-53, 1e-20, 5e-324])
     def test_far_tails_against_mpmath(self, p):
         assert ulps(_normal_quantile(p), mpmath_normal_quantile(p)) <= 2
+
+
+#: 1e5 uniforms of ``Generator.random`` and 2e4 each on a geometric grid from
+#: 2**-53 to 1/2 and its mirror below 1: the range a Gaussian draw reads.
+_TAIL_GRID = np.geomspace(2.0**-53, 0.5, 20_000)
+DRAW_LEVELS = np.concatenate(
+    [np.random.default_rng(12345).random(100_000), _TAIL_GRID, 1.0 - _TAIL_GRID]
+)
+
+
+class TestNormalQuantiles:
+    """The array AS241 that Gaussian draws use, on the levels they read."""
+
+    def test_within_4_ulp_of_normal_dist(self):
+        # statistics.NormalDist is CPython's own AS241 code.  It forms
+        # q * num / den left to right where the package forms q * (num / den),
+        # so about a fifth of these levels differ, by at most 3 ulp here.
+        z = _normal_quantiles(DRAW_LEVELS)
+        inv_cdf = NormalDist().inv_cdf
+        reference = np.array([inv_cdf(p) for p in DRAW_LEVELS.tolist()])
+        assert np.all(np.abs(z - reference) <= 4 * np.spacing(np.abs(reference)))
+
+    def test_the_normal_tail_of_each_value_is_its_level(self):
+        # Independent of AS241: erfc maps each value back to the tail mass
+        # min(p, 1 - p).  A quantile off by k ulp moves that mass by about
+        # k * z**2 * 2**-52 relative, so 16 ulp of slack is allowed.
+        z = _normal_quantiles(DRAW_LEVELS)
+        tail = np.minimum(DRAW_LEVELS, 1.0 - DRAW_LEVELS)
+        mass = np.array([0.5 * math.erfc(abs(x) / math.sqrt(2.0)) for x in z.tolist()])
+        assert np.all(np.abs(mass - tail) <= 16 * 2.0**-52 * np.maximum(1.0, z * z) * tail)
+
+    def test_equal_to_the_scalar_quantile_but_for_the_log(self):
+        # The same operations; only np.log may round differently from
+        # math.log, which moves 3 of these tail values, by at most 3 ulp.
+        z = _normal_quantiles(DRAW_LEVELS)
+        scalar = np.array([_normal_quantile(p) for p in DRAW_LEVELS.tolist()])
+        central = np.abs(DRAW_LEVELS - 0.5) <= 0.425
+        assert z[central].tobytes() == scalar[central].tobytes()
+        assert np.all(np.abs(z - scalar) <= 4 * np.spacing(np.abs(scalar)))
+
+
+class _Uniforms:
+    """Stands in for a numpy generator whose ``random`` gives ``values``."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def random(self, size):
+        return self.values.reshape(size)
+
+
+class TestDrawEndpoints:
+    """``Generator.random`` gives 0 and ``1 - 2**-53`` at its ends."""
+
+    TOP = 1.0 - 2.0**-53
+
+    def test_a_zero_uniform_gives_a_finite_gaussian_draw(self):
+        # 0 is read as 2**-53, so the two ends give -z and z exactly.
+        draws = STANDARD_NORMAL.draw(_Uniforms([0.0, self.TOP, 2.0**-53]), (3,))
+        assert np.all(np.isfinite(draws))
+        assert draws[0] == -draws[1] == draws[2]
+        assert ulps(float(draws[1]), NormalDist().inv_cdf(self.TOP)) <= 4
+        assert ulps(float(draws[1]), mpmath_normal_quantile(self.TOP)) <= 2
+
+    def test_a_zero_uniform_gives_the_weibull_location(self):
+        draws = WeibullParams(2.0, 0.5, 1.0).draw(_Uniforms([0.0, self.TOP]), (2,))
+        assert draws[0] == 1.0 and math.isfinite(draws[1])
 
 
 class TestUpperIncompleteGamma:
@@ -252,6 +321,17 @@ class TestEmpirical:
         assert s.values.tolist() == [1.0, 2.0, 3.0]
         for copied in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
             assert copied == s and not copied.values.flags.writeable
+
+    @pytest.mark.parametrize("n, level", [(3, 1 / 3), (6, 1 / 6), (7, 3 / 7)])
+    def test_rank_steps_up_where_the_product_rounds_down(self, n, level):
+        # At the float just above k/n, n * p rounds down to k, so ceil(n * p)
+        # is one short and _rank takes its upward correction.
+        p = math.nextafter(level, 1.0)
+        s = EmpiricalSample(np.arange(n, dtype=float))
+        k = s._rank(p)
+        assert math.ceil(n * p) == k - 1
+        assert (k - 1) / n < p <= k / n
+        assert s.quantile(p) == k - 1.0
 
     def test_rejects_two_dimensional_input(self):
         for values in (np.ones((2, 3)), 3.0, np.array(3.0), np.ones((3, 1)), [[1.0, 2.0]]):
@@ -543,20 +623,47 @@ class TestSampling:
             assert sample(model, 13, np.array(seed)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
-    def test_a_sequence_of_seeds_gives_one_row_per_seed(self, model):
-        seeds = [3, 0, 2**64 - 1, 3, 2**128 + 1] + list(range(100, 140))
-        for given in (seeds, np.array(seeds[5:], dtype=np.uint64)):
-            rows = sample(model, 11, given)
-            assert rows.shape == (len(given), 11)
-            assert [row.tobytes() for row in rows] == [
-                sample(model, 11, seed).tobytes() for seed in given
-            ]
-        assert sample(model, 4, []).shape == (0, 4)
+    def test_a_shape_is_filled_row_major_from_one_stream(self, model):
+        flat = sample(model, 55, 7)
+        for size in ((5, 11), [5, 11], (5, 1, 11)):
+            block = sample(model, size, 7)
+            assert block.shape == tuple(size)
+            assert block.tobytes() == flat.tobytes()
 
-    @pytest.mark.parametrize("seeds", [[3, -1], [3, 2.5], [3, True], np.array([1, -2])])
-    def test_every_seed_of_a_sequence_is_checked(self, seeds):
+    @pytest.mark.parametrize("model", MODELS[:2], ids=lambda m: m.family)
+    def test_row_i_reads_the_stream_advanced_by_i_rows(self, model):
+        # A parametric draw takes one PCG64 step: row i of a (k, n) draw is
+        # n draws from the stream advanced by i * n, whatever k is.
+        rows = sample(model, (40, 11), 2**64 + 5)
+        for i in (0, 1, 23, 39):
+            stream = np.random.Generator(np.random.PCG64(2**64 + 5).advance(i * 11))
+            assert rows[i].tobytes() == model.draw(stream, 11).tobytes(), i
+
+    @pytest.mark.parametrize("size", [0, (), (3, 0), (2, -1), (2, 1.5), (2, True), [[1], [2]]])
+    def test_every_size_entry_is_a_positive_count(self, size):
+        with pytest.raises(DomainError, match="sample size must be"):
+            sample(GaussianParams(0.0, 1.0), size, 1)
+
+    @pytest.mark.parametrize("seed", [[3, 4], (3,), np.array([1, 2]), [3, -1]])
+    def test_a_sequence_is_not_a_seed(self, seed):
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-            sample(GaussianParams(0.0, 1.0), 3, seeds)
+            sample(GaussianParams(0.0, 1.0), 3, seed)
+
+    def test_gaussian_draws_pass_a_chi_square_test(self):
+        # 1e6 standard draws in 106 bins: equiprobable in the body, with
+        # masses down to 1e-5 (10 expected draws) in the tails.  The bound is
+        # the 1 - 1e-6 quantile of chi-square with 105 degrees of freedom, so
+        # a correct sampler fails on a given seed with probability 1e-6.
+        # This seed reads 91 against a bound of 189.
+        n = 1_000_000
+        masses = np.array([1e-5, 1e-4, 1e-3, 1e-2])
+        cuts = np.concatenate([masses, np.linspace(0.02, 0.98, 97), 1.0 - masses[::-1]])
+        edges = np.array([NormalDist().inv_cdf(c) for c in cuts.tolist()])
+        expected = n * np.diff(np.concatenate([[0.0], cuts, [1.0]]))
+        bins = np.searchsorted(edges, sample(STANDARD_NORMAL, n, 2026))
+        observed = np.bincount(bins, minlength=expected.size)
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert statistic < chi2.isf(1e-6, expected.size - 1)
 
 
 class TestModelPlumbing:

@@ -569,7 +569,7 @@ TRAJECTORIES = {
     ),
 }
 
-STACK = simulate_path(REFERENCE_MATRIX, 1, 6, seed=np.arange(5))
+STACK = simulate_path(REFERENCE_MATRIX, 1, 6, seed=0, n_paths=5)
 #: Four per-period inputs of the five paths of ``STACK``, and the 0-based
 #: model index of each priced period.
 PERIODS = np.random.default_rng(8).uniform(0.5, 2.0, (4, 5, 7))
@@ -584,7 +584,7 @@ def _recursive_cvar_rows(rows):
 
 
 #: Each function on path 0 (``rows = 0``) or on the whole stack
-#: (``rows = slice(None)``).  ``simulate_path`` takes one seed or five.
+#: (``rows = slice(None)``).  ``simulate_path`` draws one path or five.
 ONE_OR_MANY = {
     recursive_var_gaussian_closed: lambda rows: recursive_var_gaussian_closed(
         PERIODS[0][rows], PERIODS[1][rows], 0.95
@@ -600,7 +600,9 @@ ONE_OR_MANY = {
         [WeibullParams(2.0, 1.1), WeibullParams(3.0, 0.9)], REFERENCE_MATRIX, STACK[rows],
         PERIODS[3][rows], 0.95,
     ),
-    simulate_path: lambda rows: simulate_path(REFERENCE_MATRIX, 1, 6, np.arange(5)[rows]),
+    simulate_path: lambda rows: simulate_path(
+        REFERENCE_MATRIX, 1, 6, 0, n_paths=None if rows == 0 else 5
+    ),
 }
 
 #: Inputs that disagree on the ``(n_paths, T + 1)`` shape, with both shapes.
@@ -654,7 +656,7 @@ class TestShapesCarryTheHorizon:
 
     @pytest.mark.parametrize("fn", list(ONE_OR_MANY), ids=lambda fn: fn.__name__)
     def test_one_path_or_a_stack(self, fn):
-        # One path gives a list (simulate_path: one seed, a 1-D array); a
+        # One path gives a list (simulate_path: a 1-D array); a
         # stack gives an array whose row 0 is that path's result bit for bit.
         one, stack = ONE_OR_MANY[fn](0), ONE_OR_MANY[fn](slice(None))
         width = 8 if fn is simulate_path else 7

@@ -21,7 +21,14 @@ re-recorded when the package's normal quantile and incomplete gamma function
 replaced scipy's ``ndtri`` and ``gammaincc``;
 ``test_cells_moved_at_most_32_ulp_from_the_scipy_formulas`` bounds every
 cell against those functions.  Gaussian two-state runs (p = 0.99) and Weibull
-VaR columns did not move.  Keys outside these groups are as first recorded.
+VaR columns did not move.  The 166 keys of 200-path runs (96) and of
+one-path Gaussian runs whose returns moved a result (70 of 480) were
+re-recorded when every path became one row of the run's two numpy streams
+and Gaussian returns became AS241 quantiles of uniforms: path 0 keeps its
+chain walk and its Weibull returns, so no one-path Weibull key moved, and a
+one-path Gaussian key moves only through the CVaR columns that read the
+returns (piecewise recursive and modulated CVaR).  Keys outside these
+groups are as first recorded.
 """
 
 import json

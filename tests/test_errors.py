@@ -1,13 +1,20 @@
 """The shared input rules of ``riskflow.errors`` on the inputs no entry-point
-table reaches: integers too large for a float, and bools hidden in nested
-rows or tuple subclasses."""
+table reaches: integers too large for a float, bools hidden in nested rows
+or tuple subclasses, and the seed rule on numpy and oversized integers."""
 
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
-from riskflow.errors import DataError, DomainError, _holds_bool, _require_real, _require_reals
+from riskflow.errors import (
+    DataError,
+    DomainError,
+    _holds_bool,
+    _require_count,
+    _require_real,
+    _require_reals,
+)
 
 Point = namedtuple("Point", "x y")
 
@@ -54,3 +61,19 @@ def test_a_bool_anywhere_is_found_and_refused(values):
 def test_numbers_without_a_bool_pass(values):
     assert not _holds_bool(values)
     assert _require_reals(values, "sample").tolist() == np.asarray(values, dtype=float).tolist()
+
+
+class TestSeedRule:
+    """A seed is a non-negative integer of any size, Python or numpy; the
+    count rule returns it as a plain ``int``."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**130, np.int64(7), np.uint8(7), np.array(7)])
+    def test_integers_are_seeds(self, seed):
+        assert _require_count(seed, "seed") == int(seed) and type(_require_count(seed, "seed")) is int
+
+    @pytest.mark.parametrize(
+        "seed", [-1, True, np.bool_(True), 7.0, "7", None, np.array(-1), np.array(7.0), np.array([7])]
+    )
+    def test_others_are_rejected(self, seed):
+        with pytest.raises(DomainError, match="^seed must be a non-negative integer, got "):
+            _require_count(seed, "seed")

@@ -1,5 +1,4 @@
-"""Start-up cost: the package loads no SciPy, not even inside its formulas,
-and builds no stream table at import.
+"""Start-up cost: the package loads no SciPy, not even inside its formulas.
 
 Each check runs in a fresh interpreter, since ``sys.modules`` only grows.
 """
@@ -40,19 +39,6 @@ def scipy_modules_after(*commands):
 
 def test_importing_the_package_loads_no_scipy():
     assert scipy_modules_after() == set()
-
-
-def test_importing_the_package_builds_no_stream_tables():
-    # The seeding constants and the jump-ahead table are built on the first
-    # draw, not at import, which every CLI process pays for.
-    probe = (
-        "import riskflow, riskflow.cli\n"
-        "from riskflow import streams\n"
-        "print(streams._jumps.cache_info().currsize, streams._hash_constants.cache_info().currsize)"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
 
 
 def command_argvs(command, tmp_path):

@@ -89,12 +89,10 @@ SITES = [
     ("sample-weibull-n", "count", 5, lambda n: sample(WEIBULL, n, 3), DomainError, "sample size"),
     ("sample-empirical-n", "count", 5, lambda n: sample(SAMPLE, n, 3), DomainError, "sample size"),
     ("sample-seed", "count", 7, lambda s: sample(GAUSSIAN, 4, s), DomainError, "seed"),
-    ("sample-seeds", "count", 7, lambda s: sample(WEIBULL, 4, [2, s]), DomainError, "seed"),
+    ("sample-shape", "count", 2, lambda n: sample(WEIBULL, (n, 4), 3), DomainError, "sample size"),
     ("simulate_path-horizon", "count", 4, lambda h: simulate_path(MATRIX, 1, h, 7),
      DomainError, "horizon"),
     ("simulate_path-seed", "count", 7, lambda s: simulate_path(MATRIX, 1, 4, s),
-     DomainError, "seed"),
-    ("simulate_path-seeds", "count", 7, lambda s: simulate_path(MATRIX, 1, 4, (s, 3)),
      DomainError, "seed"),
     ("simulate_path-initial_state", "count", 2, lambda s: simulate_path(MATRIX, s, 4, 7),
      DomainError, "state ind"),

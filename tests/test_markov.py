@@ -180,16 +180,14 @@ class TestSimulatePath:
 
     def test_many_state_walk_memory(self):
         # The next-state table holds one byte per path, step and state, so a
-        # 16-state, 100-path, 2000-step walk peaks at about 16 MB, most of it
-        # the uniform draw; a table built through a (T, n_paths, 16, 16)
-        # boolean and summed into int64 peaked at 79 MB.
+        # 16-state, 100-path, 2000-step walk peaks at about 9 MB; a table
+        # built through a (T, n_paths, 16, 16) boolean and summed into int64
+        # peaked at 79 MB.
         rows = np.full((16, 16), 1 / 16)
         matrix = TransitionMatrix.from_rows(rows)
-        seeds = list(range(100))
-        simulate_path(matrix, 1, 2000, seeds[:2])  # builds the cached jump table
         tracemalloc.start()
         try:
-            states = simulate_path(matrix, 1, 2000, seeds)
+            states = simulate_path(matrix, 1, 2000, 0, n_paths=100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -219,12 +217,37 @@ class TestSimulatePath:
         with pytest.raises(DomainError):
             simulate_path(reference_matrix(), initial, horizon, seed)
 
-    def test_a_sequence_of_seeds_gives_stacked_states(self):
+    def test_n_paths_gives_stacked_states(self):
         m = reference_matrix()
-        stacked = simulate_path(m, 2, 6, np.array([4, 9, 4], dtype=np.uint64))
+        stacked = simulate_path(m, 2, 6, 4, n_paths=3)
         assert stacked.shape == (3, 8)
-        assert stacked.tolist() == [simulate_path(m, 2, 6, s).tolist() for s in (4, 9, 4)]
-        assert simulate_path(m, 1, 6, []).shape == (0, 8)
+        assert stacked[0].tolist() == simulate_path(m, 2, 6, 4).tolist()
+        assert stacked.tolist() == simulate_path(m, 2, 6, 4, n_paths=40)[:3].tolist()
+        assert simulate_path(m, 1, 6, 4, n_paths=0).shape == (0, 8)
+        for n_paths in (np.int64(3), np.array(3, dtype=np.uint8)):
+            assert simulate_path(m, 2, 6, 4, n_paths=n_paths).tolist() == stacked.tolist()
+
+    # The sequence-of-seeds form is gone: a list or array is refused by the
+    # seed rule, not read as one seed per path.
+    @pytest.mark.parametrize("seed", [[3, 4], (3,), np.array([1, 2]), [3, -1]])
+    def test_a_sequence_is_not_a_seed(self, seed):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            simulate_path(reference_matrix(), 1, 4, seed)
+
+    # None is the default: one path, as a 1-D array.
+    @pytest.mark.parametrize("n_paths", [-1, 1.5, 3.0, True, "3", [3], np.array(-1)])
+    def test_n_paths_is_a_count(self, n_paths):
+        with pytest.raises(DomainError, match="n_paths must be a non-negative integer"):
+            simulate_path(reference_matrix(), 1, 4, 7, n_paths=n_paths)
+
+    def test_path_i_reads_the_stream_advanced_by_i_rows(self):
+        # Row i of the uniforms is the stream of the seed advanced by i * T
+        # steps: one path rebuilt alone from there equals row i.
+        m, T, seed = reference_matrix(), 7, 1729
+        stacked = simulate_path(m, 1, T, seed, n_paths=50)
+        for i in (0, 1, 17, 49):
+            stream = np.random.Generator(np.random.PCG64(seed).advance(i * T))
+            assert stacked[i].tolist() == bisect_walk(m, 1, stream.random(T)), i
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
     def test_a_0d_integer_array_is_one_seed(self, dtype):
@@ -269,56 +292,39 @@ EDGE_UNIFORMS = np.array(
 )
 
 
-class _RotatedEdgeUniforms:
-    """Stands in for the stream of ``seed``: ``EDGE_UNIFORMS`` rotated by the seed."""
-
-    def __init__(self, seed):
-        self.seed = seed
-
-    def random(self, n):
-        return np.roll(EDGE_UNIFORMS, -self.seed)[:n]
-
-
-class _RotatedEdgeStreams(list):
-    """Stands in for the batch of streams of ``seeds``: one row of
-    :class:`_RotatedEdgeUniforms` per seed."""
-
-    def random(self, n):
-        return np.array([_RotatedEdgeUniforms(s).random(n) for s in self]).reshape(len(self), n)
-
-
 class TestStackedWalk:
-    """All paths stepped together equal per-seed calls and the bisect walk."""
+    """All paths stepped together equal the bisect walk of each row of uniforms."""
 
     @staticmethod
-    def assert_walks_agree(matrix, horizon, seeds, stream=np.random.default_rng):
+    def assert_walks_agree(matrix, uniforms):
         for initial in range(1, matrix.n_states + 1):
-            stacked = simulate_path(matrix, initial, horizon, seeds)
-            singles = [simulate_path(matrix, initial, horizon, s).tolist() for s in seeds]
-            reference = [bisect_walk(matrix, initial, stream(s).random(horizon)) for s in seeds]
-            assert stacked.tolist() == singles == reference
+            walks = markov._walk(matrix, initial, uniforms)
+            assert walks.tolist() == [bisect_walk(matrix, initial, row) for row in uniforms]
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_seeded_streams(self, rows):
-        seeds = list(range(200)) + [2**64 - 1]
-        self.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, seeds)
+        uniforms = np.random.default_rng(0).random((201, 15))
+        self.assert_walks_agree(TransitionMatrix.from_rows(rows), uniforms)
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
-    def test_edge_uniforms(self, rows, monkeypatch):
-        # simulate_path resolves the name that markov imports from riskflow.streams.
-        monkeypatch.setattr(markov, "_pcg64_streams", _RotatedEdgeStreams)
+    def test_edge_uniforms(self, rows):
+        # Row i is EDGE_UNIFORMS rotated by i, so each value meets each step.
         matrix = TransitionMatrix.from_rows(rows)
-        seeds = list(range(len(EDGE_UNIFORMS)))
-        self.assert_walks_agree(matrix, len(EDGE_UNIFORMS), seeds, stream=_RotatedEdgeUniforms)
+        uniforms = np.array([np.roll(EDGE_UNIFORMS, -i) for i in range(len(EDGE_UNIFORMS))])
+        self.assert_walks_agree(matrix, uniforms)
         if matrix.n_states == 4:
             # 4 -> 4 has probability zero: only the clamp takes that step.
-            walks = simulate_path(matrix, 4, len(EDGE_UNIFORMS), seeds)[:, :-1]
+            walks = markov._walk(matrix, 4, uniforms)[:, :-1]
             assert np.any((walks[:, :-1] == 4) & (walks[:, 1:] == 4))
 
     @pytest.mark.parametrize("rows", WALK_CHAINS.values(), ids=WALK_CHAINS.keys())
     def test_large_seeds_through_simulate_path(self, rows):
         # Seeds of 2**64 and above hash entropy words past SeedSequence's pool.
-        self.assert_walks_agree(TransitionMatrix.from_rows(rows), 15, [2**64, 2**130, 3])
+        matrix = TransitionMatrix.from_rows(rows)
+        for seed in (2**64, 2**130, 3):
+            uniforms = np.random.default_rng(seed).random((3, 15))
+            walks = simulate_path(matrix, 1, 15, seed, n_paths=3)
+            assert walks.tolist() == [bisect_walk(matrix, 1, row) for row in uniforms]
 
     @pytest.mark.parametrize("n_states", range(1, 7))
     def test_random_chains_with_zero_entries(self, n_states):
@@ -329,4 +335,4 @@ class TestStackedWalk:
             rows = rng.random((n_states, n_states)) * (rng.random((n_states, n_states)) > 0.35)
             rows[np.arange(n_states), rng.integers(0, n_states, n_states)] += 0.05
             matrix = TransitionMatrix.from_rows(rows / rows.sum(axis=1, keepdims=True))
-            self.assert_walks_agree(matrix, 12, list(range(40)))
+            self.assert_walks_agree(matrix, rng.random((40, 12)))

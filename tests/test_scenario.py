@@ -12,8 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from riskflow import scenario
-from riskflow.distributions import GaussianParams, WeibullParams, sample
+from riskflow import markov, scenario
+from riskflow.distributions import STANDARD_MODELS, GaussianParams, WeibullParams, sample
 from riskflow.dynamic_risk import GAUSSIAN_MODULATED_CVAR_NOTE, CvarMode
 from riskflow.errors import ConfigError, DataError, DomainError, NumericError
 from riskflow.scenario import (
@@ -424,17 +424,27 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="outside \\[0, 1\\]"):
             scenario.SummaryStats(1, 1, {"recursive_var": frac}, {}, None)
 
-    def test_weibull_returns_are_numpys_draws(self):
-        # Each path's standard returns are default_rng(returns_seed).random(T + 1)
-        # through -log1p(-u), priced with the model of the state reached at t + 1.
-        cfg = dataclasses.replace(build_reference_experiment("weibull_bbgex"), n_paths=1000)
+    @pytest.mark.parametrize("study", ["gaussian_msci", "weibull_bbgex"])
+    def test_path_i_reads_each_stream_advanced_by_i_rows(self, study):
+        # The run's two seeds are the first two words of its SeedSequence.
+        # Path i's chain uniforms are the T draws of PCG64(chain_seed)
+        # advanced by i * T, and its standard returns the T + 1 draws of
+        # PCG64(returns_seed) advanced by i * (T + 1), each priced with the
+        # model of the state reached at t + 1: path i rebuilt alone is row i.
+        cfg = dataclasses.replace(build_reference_experiment(study), n_paths=1000)
         result, _ = run_experiment(cfg)
-        T = cfg.horizon
-        for i, seed in enumerate(result.returns_seeds.tolist()):
-            standard = -np.log1p(-np.random.default_rng(seed).random(T + 1))
+        seeds = np.random.SeedSequence(cfg.seed).generate_state(2, np.uint64).tolist()
+        assert [result.chain_seed, result.returns_seed] == seeds
+        T, matrix, standard = cfg.horizon, cfg.chain(), STANDARD_MODELS[cfg.family]
+        for i in (0, 1, 500, 999):
+            chain = np.random.Generator(np.random.PCG64(result.chain_seed).advance(i * T))
+            states = markov._walk(matrix, cfg.initial_state, chain.random((1, T)))[0]
+            assert result.states[i].tolist() == states.tolist(), i
+            returns = np.random.PCG64(result.returns_seed).advance(i * (T + 1))
+            draws = standard.draw(np.random.Generator(returns), T + 1)
             expected = [
-                cfg.state_model(state).scale(standard)[t]
-                for t, state in enumerate(result.states[i, 1:].tolist())
+                cfg.state_model(state).scale(draws)[t]
+                for t, state in enumerate(states[1:].tolist())
             ]
             assert result.returns[i].tolist() == expected, i
 
@@ -465,8 +475,6 @@ class TestRunExperiment:
     def arrays(result):
         """Every array of a run result, by field name."""
         return {
-            "chain_seeds": result.chain_seeds,
-            "returns_seeds": result.returns_seeds,
             "states": result.states,
             "returns": result.returns,
             **result.columns(),
@@ -489,9 +497,10 @@ class TestRunExperiment:
         # Path i depends only on the root seed and i: the first 10 paths of a
         # 1000-path run are a 10-path run, bit for bit.
         cfg = dataclasses.replace(build_reference_experiment(study), cvar_mode=mode)
-        full = self.arrays(run_experiment(dataclasses.replace(cfg, n_paths=1000))[0])
-        prefix = self.arrays(run_experiment(dataclasses.replace(cfg, n_paths=10))[0])
-        assert full.keys() == prefix.keys() and len(full) == 10  # 2 seeds, states, returns, 6 columns
+        full, prefix = (run_experiment(dataclasses.replace(cfg, n_paths=n))[0] for n in (1000, 10))
+        assert (full.chain_seed, full.returns_seed) == (prefix.chain_seed, prefix.returns_seed)
+        full, prefix = self.arrays(full), self.arrays(prefix)
+        assert full.keys() == prefix.keys() and len(full) == 8  # states, returns, 6 columns
         for name in full:
             assert full[name][:10].tobytes() == prefix[name].tobytes(), name
 
@@ -626,7 +635,6 @@ class TestRunExperiment:
         with pytest.raises(IndexError):
             result[3]
         for i, view in enumerate(views):
-            assert view.chain_seed == int(result.chain_seeds[i])
             assert np.array_equal(view.states, result.states[i])
             assert np.array_equal(view.returns, result.returns[i])
             for kind in ("var", "cvar"):
@@ -682,7 +690,7 @@ class TestRunExperiment:
 
     def test_result_arrays_are_read_only(self):
         result, _ = run_experiment(small_config(n_paths=3))
-        arrays = [result.chain_seeds, result.returns_seeds, result.states, result.returns]
+        arrays = [result.states, result.returns]
         arrays += [*result.columns().values(), result[1].states, result[1].var.static]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -695,11 +703,10 @@ class TestRunExperiment:
         assert set(stats.fraction_dynamic_le_static) == {"recursive_var", "modulated_var"}
         assert "static_cvar" not in stats.columns
 
-    def test_path_ids_and_seeds_are_distinct(self):
+    def test_path_ids_and_returns_are_distinct(self):
         paths, _ = run_experiment(small_config(n_paths=5))
         assert [p.path_id for p in paths] == [0, 1, 2, 3, 4]
-        seeds = {(p.chain_seed, p.returns_seed) for p in paths}
-        assert len(seeds) == 5
+        assert len({p.returns.tobytes() for p in paths}) == 5
 
     def test_summary_shape(self):
         _, stats = run_experiment(small_config(n_paths=2))
@@ -775,8 +782,8 @@ class TestEmitTrajectories:
 
         n_paths, width = len(var_rows or cvar_rows), len((var_rows or cvar_rows)[0][0])
         return ExperimentResult(
-            chain_seeds=np.zeros(n_paths, dtype=np.uint64),
-            returns_seeds=np.zeros(n_paths, dtype=np.uint64),
+            chain_seed=0,
+            returns_seed=0,
             states=np.ones((n_paths, width + 1), dtype=int),
             returns=np.zeros((n_paths, width)),
             var=measure(var_rows),
@@ -870,8 +877,6 @@ class TestEmitTrajectories:
             cls.hand_built(None, [cvar_b, cvar_a, cvar_b]),
             dataclasses.replace(  # no paths: json writes "[]"
                 cls.hand_built([var_a], None),
-                chain_seeds=np.zeros(0, dtype=np.uint64),
-                returns_seeds=np.zeros(0, dtype=np.uint64),
                 states=np.ones((0, 4), dtype=int),
                 returns=np.zeros((0, 3)),
                 var=RiskColumns(*[np.zeros((0, 3))] * 3),
@@ -904,14 +909,17 @@ class TestEmitTrajectories:
     #: relative), and no other cell moved.  They were re-recorded again when
     #: the package's incomplete gamma function replaced scipy's ``gammaincc``:
     #: static CVaR cells moved by at most 2 ulp, recursive by 3 and modulated
-    #: by 4, and no other cell moved.
+    #: by 4, and no other cell moved.  The four multi-path tables were
+    #: re-recorded when every path became one row of the run's two streams.
+    #: Path 0 keeps its chain walk and its Weibull returns, and the one-path
+    #: tables did not move.
     JSON_DIGESTS = {
         ("gaussian_msci", 1, ("var", "cvar")): "34da598fdd6f695a5c68140835da984db471da348418f02aaa513c32d2fe3375",
-        ("gaussian_msci", 3, ("var", "cvar")): "bd111032357190120229ff4748ae7f4e529bb91e535ced083a5837bb260cf281",
+        ("gaussian_msci", 3, ("var", "cvar")): "1078a07a9d07c6a0a5414ad8f68835c3e2282ad702bdee32a486bc843c6589f7",
         ("weibull_bbgex", 1, ("var", "cvar")): "16e790190d26465f7ef468cd6ef05cade8379c7fc27b6009c1af24f6d9fb8f51",
-        ("weibull_bbgex", 3, ("var", "cvar")): "2a4bb155206da403d6636f4b2baba623f09caf852c209e06afe324aaf6d9237f",
-        ("weibull_bbgex", 3, ("var",)): "8ea0cbcab900ef796127717ca5b9b15df94a1e9b6a60bfab7b85bd5157740290",
-        ("gaussian_msci", 2, ("cvar",)): "8964d8dc9fd5f4a0f0446b697ce81f6095e9e5d5b5c95f52276db1a6ba5d1cfd",
+        ("weibull_bbgex", 3, ("var", "cvar")): "575dd330f6bbaa13d54639f27efa827a96f205cd99582c3cc5d4d1f3034d6597",
+        ("weibull_bbgex", 3, ("var",)): "6e763c93fe77cc123d1f8140831ebb7ea6c1d9e415faae2927bf55080e7dbae2",
+        ("gaussian_msci", 2, ("cvar",)): "541d3852e5c1569d52e535a329f773065288b1f46059fb3c45b8c59fa77f6f7a",
     }
 
     @pytest.mark.parametrize("study,n_paths,measures", JSON_DIGESTS)
