@@ -147,13 +147,18 @@ _AS241_FAR_TAIL = (
 )
 
 
-def _rational(coefficients: tuple[tuple[float, ...], tuple[float, ...]], r: float) -> float:
-    """Horner's rule for the numerator and denominator of ``coefficients`` at ``r``."""
-    numerator = denominator = 0.0
+def _rational(
+    coefficients: tuple[tuple[float, ...], tuple[float, ...]], r: float | np.ndarray
+) -> float | np.ndarray:
+    """Horner's rule for both polynomials of ``coefficients`` at ``r``, in place on an array."""
+    numerator, denominator = 0.0 * r, 0.0 * r
     for n, d in zip(reversed(coefficients[0]), reversed(coefficients[1])):
-        numerator = numerator * r + n
-        denominator = denominator * r + d
-    return numerator / denominator
+        numerator *= r
+        numerator += n
+        denominator *= r
+        denominator += d
+    numerator /= denominator
+    return numerator
 
 
 def _normal_quantile(p: float) -> float:
@@ -175,20 +180,19 @@ def _normal_quantile(p: float) -> float:
 
 def _normal_quantiles(p: np.ndarray) -> np.ndarray:
     """:func:`_normal_quantile` of every element of an array of ``p`` in
-    ``(0, 1)``: the same three rational functions with the same operations,
-    so each element equals the scalar value up to the rounding of ``np.log``
-    against ``math.log`` in the tails.  The central function is evaluated
-    everywhere, the tail ones on the elements beyond ``|p - 1/2| = 0.425``."""
+    ``(0, 1)``, with the same operations: equal to it up to ``np.log`` against
+    ``math.log`` in the tails.  The central function runs on every element
+    (masking out the tails costs more than it saves), each tail one on its own."""
     q = p - 0.5
     z = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
     tail = np.abs(q) > 0.425
-    if tail.any():
-        p, lower = p[tail], q[tail] < 0.0
-        r = np.sqrt(-np.log(np.where(lower, p, 1.0 - p)))
-        near = _rational(_AS241_NEAR_TAIL, r - 1.6)
-        far = _rational(_AS241_FAR_TAIL, r - 5.0)
-        z_tail = np.where(r <= 5.0, near, far)
-        z[tail] = np.where(lower, -z_tail, z_tail)
+    p, lower = p[tail], q[tail] < 0.0
+    r = np.sqrt(-np.log(np.where(lower, p, 1.0 - p)))
+    z_tail = _rational(_AS241_NEAR_TAIL, r - 1.6)
+    far = r > 5.0
+    z_tail[far] = _rational(_AS241_FAR_TAIL, r[far] - 5.0)
+    np.negative(z_tail, out=z_tail, where=lower)
+    z[tail] = z_tail
     return z
 
 

@@ -10,11 +10,10 @@ evaluates the static, recursive, and modulated trajectories for all paths
 at once on ``(n_paths, T + 1)`` arrays, and returns them as one
 :class:`ExperimentResult` (per-path views are built only on request) with
 its summary statistics; :func:`emit_trajectories` writes the fixed-schema
-CSV/JSON tables straight from those arrays.  It formats one text per
-distinct bit pattern of the stacked columns, looks the cells up through
-the inverse index and writes each chunk of rows as one joined string; the
-CSV's bytes equal the ``csv`` module's, the JSON's ``json.dump(..., indent=2)``'s.
-Reruns of the same config are byte-identical.
+CSV/JSON tables straight from those arrays, from one table of distinct texts
+per column, separators attached, and one gather and join per chunk of rows.
+The CSV's bytes equal the ``csv`` module's, the JSON's ``json.dump(...,
+indent=2)``'s, and reruns of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
 cover a Gaussian index-level study and a Weibull daily-increment study: base
@@ -302,24 +301,16 @@ def fit_weibull(returns: Sequence[float]) -> WeibullParams:
         )
     alpha = math.pi / (math.sqrt(6.0) * std_lx)
 
-    # Bracket the root of the increasing profile function.
-    lo, hi = alpha, alpha
-    g_lo, _ = _weibull_profile(lo, lx)
-    for _ in range(80):
-        if g_lo < 0.0:
-            break
-        lo /= 2.0
-        g_lo, _ = _weibull_profile(lo, lx)
-    else:
-        raise NumericError("weibull fit: could not bracket the shape from below")
-    g_hi, _ = _weibull_profile(hi, lx)
-    for _ in range(80):
-        if g_hi > 0.0:
-            break
-        hi *= 2.0
-        g_hi, _ = _weibull_profile(hi, lx)
-    else:
-        raise NumericError("weibull fit: could not bracket the shape from above")
+    def bracket(side: str, factor: float) -> float:
+        """First ``alpha * factor**k``, k < 80, where the profile is < 0 (below) or > 0 (above)."""
+        x, sign = alpha, -1.0 if side == "below" else 1.0
+        for _ in range(80):
+            if sign * _weibull_profile(x, lx)[0] > 0.0:
+                return x
+            x *= factor
+        raise NumericError(f"weibull fit: could not bracket the shape from {side}")
+
+    lo, hi = bracket("below", 0.5), bracket("above", 2.0)
 
     for _ in range(200):
         g, dg = _weibull_profile(alpha, lx)
@@ -680,30 +671,37 @@ def _chunks(
 ) -> Iterator[str]:
     """The table's rows, ``template % row`` each, as one string per chunk.
 
-    A row holds the texts of ``[path,] t`` and of the columns present.
-    Floats are keyed on their bits, so ``-0.0`` keeps its sign, and each
-    distinct one is formatted once by ``number``; each integer id is
-    formatted once too.  Each chunk of ``_CHUNK_ROWS`` rows is one ``str.join``
-    of a grid: the template's literals around the rows' cell texts.
+    Each column of a row (``[path,] t`` and the columns present) has its own
+    table of distinct texts, each ending in the template literal after its
+    slot; the first column's also start with the row's leading literal.  Ids
+    are formatted once each.  Floats are keyed on their bits, so ``-0.0``
+    keeps its sign: a sort finds each column's distinct keys, ``number``
+    formats each once, and a binary search finds each cell's.  One ``(rows,
+    columns)`` index points into all the texts, so a chunk of ``_CHUNK_ROWS``
+    rows is one gather and one ``str.join``.
     """
     n_paths, width = result.returns.shape
     columns = list(result.columns().values())
-    floats = np.array(columns, dtype=np.float64).reshape(len(columns), n_paths * width)
-    keys, inverse = np.unique(floats.view(np.uint64), return_inverse=True)
-    n_ids = max(n_paths, width)
-    texts = np.array(
-        [*map(str, range(n_ids)), *map(number, keys.view(np.float64).tolist())], dtype=object
-    )
-    path, t = np.divmod(np.arange(n_paths * width), width)
-    ids = [path, t] if n_paths > 1 else [t]
-    index = np.vstack([*ids, n_ids + inverse.reshape(floats.shape)])
-    literals = template.split("%s")
-    grid = np.empty((min(_CHUNK_ROWS, n_paths * width), 2 * len(literals) - 1), dtype=object)
-    grid[:, ::2] = literals
-    for start in range(0, n_paths * width, _CHUNK_ROWS):
-        rows = grid[: n_paths * width - start]
-        rows[:, 1::2] = texts[index[:, start : start + _CHUNK_ROWS]].T
-        yield "".join(rows.ravel().tolist())
+    bits = np.array(columns, dtype=np.float64).reshape(len(columns), -1).view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=first[:, 1:])
+    keys, ends = ordered[first], np.cumsum(first.sum(axis=1)).tolist()
+    distinct = [keys[start:end] for start, end in zip([0, *ends], ends)]
+    ids = slice(n_paths <= 1, None)  # (path, t), or (t,) for one path
+    cells = list(np.divmod(np.arange(bits.shape[1]), width)[ids])
+    cells += [column_keys.searchsorted(column) for column_keys, column in zip(distinct, bits)]
+    tables = [map(str, range(n)) for n in (n_paths, width)][ids]
+    tables += [map(number, column_keys.view(np.float64).tolist()) for column_keys in distinct]
+    lead, *tails = template.split("%s")
+    texts: list[str] = []
+    index = np.empty((bits.shape[1], len(cells)), dtype=np.intp)
+    for j, (table, head, tail) in enumerate(zip(tables, [lead, *[""] * len(tails)], tails)):
+        np.add(cells[j], len(texts), out=index[:, j])
+        texts.extend([head + text + tail for text in table])
+    pool = np.array(texts, dtype=object)
+    for start in range(0, len(index), _CHUNK_ROWS):
+        yield "".join(pool[index[start : start + _CHUNK_ROWS]].ravel().tolist())
 
 
 def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> None:
@@ -713,7 +711,8 @@ def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> N
     ``t,static_var,recursive_var,modulated_var,static_cvar,recursive_cvar,modulated_cvar``
     (a ``path`` column is prepended when several paths are present); absent
     measures leave their fields empty.  JSON mirrors the same records with
-    ``null`` for absent values.  Rows are written one joined chunk at a time.
+    ``null`` for absent values.  Rows are written one chunk of
+    :func:`_chunks` at a time.
     """
     if fmt not in ("csv", "json"):
         raise DomainError(f'format must be "csv" or "json", got {fmt!r}')
@@ -733,12 +732,9 @@ def emit_trajectories(result: ExperimentResult, fmt: str, path: str | Path) -> N
             fields = ",".join(f"\n    {json.dumps(k)}: {s}" for k, s in zip(header, slots))
             chunks = _chunks(result, json.dumps, ",\n  {" + fields + "\n  }")
             with open(path, "w", encoding="utf-8") as handle:
-                first = next(chunks, None)
-                if first is None:
-                    handle.write("[]\n")
-                else:
-                    handle.write("[" + first[1:])
-                    handle.writelines(chunks)
-                    handle.write("\n]\n")
+                first = next(chunks, ",")  # a lone separator: no records, "[]"
+                handle.write("[" + first[1:])
+                handle.writelines(chunks)
+                handle.write("]\n" if first == "," else "\n]\n")
     except OSError as exc:
         raise DataError(f"cannot write trajectories to {path}: {exc}") from exc

@@ -319,6 +319,24 @@ class TestFitWeibull:
         assert abs(s1 / s0 - 1.0 / fit.alpha - float(np.mean(lx))) <= 1e-8
         assert fit.lam == pytest.approx((s0 / xs.size) ** (1.0 / fit.alpha), rel=1e-12)
 
+    @pytest.mark.parametrize("g,side", [(1.0, "below"), (-1.0, "above")])
+    def test_unbracketed_shape_raises(self, monkeypatch, g, side):
+        # A profile of one sign has no root: 80 halvings (or doublings) of
+        # the starting shape are tried, then the search gives up.
+        shapes = []
+
+        def profile(alpha, lx):
+            shapes.append(alpha)
+            return g, 1.0
+
+        monkeypatch.setattr(scenario, "_weibull_profile", profile)
+        with pytest.raises(NumericError, match=f"could not bracket the shape from {side}"):
+            fit_weibull([1.0, 2.0, 4.0])
+        factor = 0.5 if side == "below" else 2.0
+        tried = shapes[-80:]
+        assert tried[-1] == tried[0] * factor**79
+        assert all(b == a * factor for a, b in zip(tried, tried[1:]))
+
     def test_validation(self):
         with pytest.raises(DataError):
             fit_weibull([1.0])
@@ -901,6 +919,43 @@ class TestEmitTrajectories:
         monkeypatch.setattr(scenario, "_CHUNK_ROWS", chunk)
         self.assert_csv_bytes([*self.csv_cases(), self.json_cases()[-1]], tmp_path)
         self.assert_json_bytes(self.json_cases(), tmp_path)
+
+    @classmethod
+    def edge_cases(cls):
+        """Hand-built tables with non-finite cells (NaN under two payloads and
+        both signs, whose bits differ but whose texts do not, and ``±inf``),
+        columns that hold one value, and tables of one row per path."""
+        nan_b = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0].item()
+        nan_c = -math.nan
+        inf = math.inf
+        bits = {np.float64(x).view(np.uint64).item() for x in (math.nan, nan_b, nan_c)}
+        assert len(bits) == 3
+        odd_a = ((math.nan, inf, -inf), (nan_b, nan_c, 1.0), (inf, math.nan, nan_b))
+        odd_b = ((nan_c, nan_c, -inf), (-0.0, math.nan, inf), (nan_b, 0.0, -inf))
+        flat = ((2.5, 2.5, 2.5), (2.5, 2.5, 2.5), (2.5, 2.5, 2.5))
+        return [
+            cls.hand_built([odd_a], [flat]),
+            cls.hand_built([odd_a, odd_b, odd_a], [flat, flat, flat]),
+            cls.hand_built([flat, flat], None),
+            cls.hand_built([((nan_b,), (-0.0,), (1e-300,))], None),
+            cls.hand_built([((inf,), (nan_c,), (0.0,))], [((2.5,), (2.5,), (-inf,))]),
+            cls.hand_built(None, [((math.nan,), (0.0,), (-0.0,)), ((nan_b,), (-0.0,), (0.0,))]),
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, scenario._CHUNK_ROWS])
+    def test_bytes_of_edge_cells(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(scenario, "_CHUNK_ROWS", chunk)
+        self.assert_csv_bytes(self.edge_cases(), tmp_path)
+        self.assert_json_bytes(self.edge_cases(), tmp_path)
+
+    @pytest.mark.parametrize("study", ["gaussian_msci", "weibull_bbgex"])
+    def test_bytes_of_multi_path_reference_runs(self, tmp_path, study):
+        # Real columns: hundreds of distinct values, repeated across paths,
+        # over 2200 rows and so three chunks.
+        cfg = dataclasses.replace(build_reference_experiment(study), n_paths=200)
+        result = run_experiment(cfg)[0]
+        self.assert_csv_bytes([result], tmp_path)
+        self.assert_json_bytes([result], tmp_path)
 
     #: sha256 of the JSON tables, recorded while the runner still built one
     #: object per path; the engine digests cover the CSV only.  The two Weibull
