@@ -16,11 +16,19 @@ positive part ``E[(X - a)+]``), ``tail_mean(p)`` (the upper-tail mean
 ``shift(c)`` (the law of ``X + c``).  The two parametric families also map
 draws of their standard model (:data:`STANDARD_MODELS`) to their own with
 ``scale``, and the two families closed under negation give the law of
-``-X`` with ``negated()`` (a sample also reads its lower tail in place).
-Each class names its ``family`` and maps its fields to their JSON keys in
-``keys``; :data:`FAMILIES` maps family names to classes, so
-:func:`model_from_params` and :func:`model_params_dict` hold no per-family
-code.  The constructors check every parameter's domain.
+``-X`` with ``negated()``.  Each class also owns its lower tail, the same
+functionals of ``-X``: ``negated_quantile(p)`` everywhere, and
+``negated_tail_mean(p)`` for the Weibull family (read from its upper tail by
+the reflection ``q_p(-X) = -q_{1-p}(X)``, as it has no ``negated()``) and
+for samples (read in place from the low end of the sorted values); the
+Gaussian lower-tail mean is ``negated().tail_mean(p)``.  Each class names
+its ``family`` and maps its fields to their JSON keys in ``keys``;
+:data:`FAMILIES` maps family names to classes, so :func:`model_from_params`
+and :func:`model_params_dict` hold no per-family code.  The constructors
+check every parameter's domain.  A quantile, mean or tail mean of either
+tail, or a Weibull exceedance, whose value leaves the floats raises
+:class:`~riskflow.errors.NumericError` naming the model and the argument,
+and so does a sample's sum whose partial sums leave them.
 
 Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
@@ -90,11 +98,11 @@ F = TypeVar("F", bound=Callable[..., float])
 
 
 def _overflow_is_numeric_error(method: F) -> F:
-    """Make a Weibull formula whose value overflows a float raise
-    :class:`NumericError` naming the model and the argument."""
+    """Make a parametric formula whose value overflows a float raise
+    :class:`NumericError` naming the model's family, its fields and the argument."""
 
     @functools.wraps(method)
-    def checked(self: WeibullParams, *args: float) -> float:
+    def checked(self: GaussianParams | WeibullParams, *args: float) -> float:
         try:
             value = method(self, *args)
         except OverflowError:
@@ -102,8 +110,8 @@ def _overflow_is_numeric_error(method: F) -> F:
         if math.isfinite(value):
             return value
         at = ", ".join(map(repr, args))
-        model = (self.lam, self.alpha, self.theta)
-        raise NumericError(f"weibull {method.__name__}({at}) overflows a float for {model!r}")
+        model = tuple(getattr(self, name) for name in self.keys)
+        raise NumericError(f"{self.family} {method.__name__}({at}) overflows a float for {model!r}")
 
     return checked  # type: ignore[return-value]
 
@@ -225,8 +233,13 @@ class GaussianParams:
     def cdf(self, x: float) -> float:
         return _normal_cdf((float(x) - self.mu) / self.sigma)
 
+    @_overflow_is_numeric_error
     def quantile(self, p: float) -> float:
         return self.mu + self.sigma * _normal_quantile(_require_probability(p))
+
+    def negated_quantile(self, p: float) -> float:
+        """The quantile of ``-X``: ``negated().quantile(p)``."""
+        return self.negated().quantile(p)
 
     def mean(self) -> float:
         return self.mu
@@ -236,6 +249,7 @@ class GaussianParams:
         d = (self.mu - a) / self.sigma
         return self.sigma * _normal_pdf(d) + (self.mu - a) * _normal_cdf(d)
 
+    @_overflow_is_numeric_error
     def tail_mean(self, p: float) -> float:
         """Closed form ``mu + sigma * phi(z_p) / (1 - p)``."""
         p = _require_probability(p)
@@ -400,11 +414,27 @@ class WeibullParams:
         s = 1.0 / self.alpha
         return self.lam * math.gamma(1.0 + s) * _upper_gamma_q(s, z)
 
+    @_overflow_is_numeric_error
     def tail_mean(self, p: float) -> float:
         """``v + E[(X - v)+] / (1 - p)`` at the quantile ``v``."""
         p = _require_probability(p)
         v = self.quantile(p)
         return v + expected_positive_part(self, v) / (1.0 - p)
+
+    def negated_quantile(self, p: float) -> float:
+        """The quantile of ``-X`` by the reflection ``-quantile(1 - p)``, exact
+        on the continuous support; ``quantile`` raises where it overflows."""
+        return -self.quantile(1.0 - _require_probability(p))
+
+    @_overflow_is_numeric_error
+    def negated_tail_mean(self, p: float) -> float:
+        """The upper-tail mean of ``-X``, ``E[-X | -X >= negated_quantile(p)]``,
+        spelled through upper-tail primitives: with ``q = quantile(1 - p)``,
+        the mean of ``X`` below ``q`` is ``(mean - E[(X - q)+] - q*p) / (1 - p)``."""
+        p = _require_probability(p)
+        q = self.quantile(1.0 - p)
+        lower_mean = (self.mean() - expected_positive_part(self, q) - q * p) / (1.0 - p)
+        return -lower_mean
 
     def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
         return self.scale(-np.log1p(-rng.random(size)))
@@ -473,17 +503,37 @@ class EmpiricalSample:
         """The smallest ``x_(k)`` with ``k/n >= p``."""
         return float(self.values[self._rank(_require_probability(p)) - 1])
 
+    def _overflow(self, method: str, *args: float) -> NumericError:
+        """The error raised in place of the ``OverflowError`` of an ``fsum``
+        whose partial sums leave the floats, naming the sample by its size
+        and range."""
+        at = ", ".join(map(repr, args))
+        low, high = float(self.values[0]), float(self.values[-1])
+        return NumericError(
+            f"empirical {method}({at}) overflows a float summing "
+            f"{self.values.size} values in [{low!r}, {high!r}]"
+        )
+
     def mean(self) -> float:
-        return math.fsum(self.values.tolist()) / self.values.size
+        try:
+            return math.fsum(self.values.tolist()) / self.values.size
+        except OverflowError:
+            raise self._overflow("mean") from None
 
     def exceedance(self, a: float) -> float:
-        return math.fsum(np.maximum(self.values - a, 0.0).tolist()) / self.values.size
+        try:
+            return math.fsum(np.maximum(self.values - a, 0.0).tolist()) / self.values.size
+        except OverflowError:
+            raise self._overflow("exceedance", a) from None
 
     def tail_mean(self, p: float) -> float:
         """The average of the values ``>= quantile(p)``: ties at the quantile
         enter the tail."""
         tail = self.values[np.searchsorted(self.values, self.quantile(p)):]
-        return math.fsum(tail.tolist()) / tail.size
+        try:
+            return math.fsum(tail.tolist()) / tail.size
+        except OverflowError:
+            raise self._overflow("tail_mean", p) from None
 
     # The lower tail is read from the low end of the sorted values, which
     # ``negated()`` reverses.  ``fsum`` is exact, so a sum negates with its
@@ -501,7 +551,10 @@ class EmpiricalSample:
         p = _require_probability(p)
         values = self.values
         head = values[: values.searchsorted(values[values.size - self._rank(p)], "right")]
-        mean = -math.fsum(head.tolist()) / head.size
+        try:
+            mean = -math.fsum(head.tolist()) / head.size
+        except OverflowError:
+            raise self._overflow("negated_tail_mean", p) from None
         return mean if mean != 0.0 else self.negated().tail_mean(p)
 
     def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:

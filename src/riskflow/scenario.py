@@ -2,7 +2,7 @@
 
 An :class:`ExperimentConfig` fully describes a regime-switching risk study:
 a return family with one parameter set per chain state, a transition matrix
-(accepted row- or column-stochastic and stored column-stochastic), an
+(row- or column-stochastic, kept in the orientation it was given), an
 initial state, confidence level, horizon, number of seeded paths, and which
 measures to evaluate.  :func:`run_experiment` walks every path's chain in
 one stacked step per period, draws every path's returns in one batch,

@@ -11,13 +11,13 @@ Two orientations are supported throughout:
   ``-X``.  Under this orientation the measures are monetary: cash added to
   the position reduces the measure one-for-one.
 
-The per-family formulas live on the model classes: the upper-tail ``var``
-is ``model.quantile(p)`` and the upper-tail ``cvar`` is
-``model.tail_mean(p)``.  This module dispatches on measure kind and
-orientation; the only family branches left are the Weibull reflection in
-the lower tail (the Weibull family has no ``negated()``), the sample's lower
-tail read from the low end of its sorted values, and the sample shortcut of
-:func:`cvar_ru`.
+The per-family formulas live on the model classes: ``var`` is
+``model.quantile(p)`` in the upper tail and ``model.negated_quantile(p)`` in
+the lower, ``cvar`` is ``model.tail_mean(p)`` and
+``model.negated_tail_mean(p)``.  This module dispatches on measure kind and
+orientation; the only family branches left are the Gaussian lower-tail
+``cvar``, taken as the upper-tail measure of ``negated()``, and the sample
+shortcut of :func:`cvar_ru`.
 
 ``cvar`` comes in two independently computed flavours used to cross-check
 each other: :func:`cvar_tail` evaluates the tail-mean formula directly, and
@@ -39,8 +39,8 @@ from typing import Callable
 
 from .distributions import (
     EmpiricalSample,
+    GaussianParams,
     ReturnModel,
-    WeibullParams,
     _require_probability,
     expected_positive_part,
 )
@@ -92,18 +92,14 @@ def var(
 ) -> float:
     """Value-at-risk at level ``p``.
 
-    Upper tail: ``inf {eta : P(X <= eta) >= p}``.  Lower tail: the same
-    quantile of ``-X`` (for the Weibull family via the reflection identity
-    ``q_p(-X) = -q_{1-p}(X)``, exact on its continuous support).
+    Upper tail: ``inf {eta : P(X <= eta) >= p}``, the model's
+    ``quantile(p)``.  Lower tail: the same quantile of ``-X``, the model's
+    ``negated_quantile(p)``.
     """
     p = _require_probability(p)
     if _require_member(Orientation, orientation) is Orientation.UPPER_TAIL:
         return model.quantile(p)
-    if isinstance(model, WeibullParams):
-        return -model.quantile(1.0 - p)
-    if isinstance(model, EmpiricalSample):
-        return model.negated_quantile(p)
-    return model.negated().quantile(p)
+    return model.negated_quantile(p)
 
 
 def cvar_tail(
@@ -115,24 +111,16 @@ def cvar_tail(
 
     Upper tail: the model's ``tail_mean(p)``, ``E[X | X >= var]``; on
     equal-weight samples the ties at ``var`` enter the tail.  Lower tail: the
-    upper-tail measure of ``-X``, for the Weibull family spelled through its
-    upper-tail primitives.
+    upper-tail measure of ``-X``: the model's ``negated_tail_mean(p)``, and
+    for the Gaussian family this function on ``negated()``.
     """
     p = _require_probability(p)
-    if _require_member(Orientation, orientation) is Orientation.LOWER_TAIL:
-        if isinstance(model, WeibullParams):
-            # E[-X | -X >= q_p(-X)] spelled through upper-tail primitives:
-            # with q = q_{1-p}(X), the lower tail mean of X below q is
-            # (mean - E[(X-q)+] - q*p) / (1-p).
-            q = model.quantile(1.0 - p)
-            lower_mean = (
-                model.mean() - expected_positive_part(model, q) - q * p
-            ) / (1.0 - p)
-            return -lower_mean
-        if isinstance(model, EmpiricalSample):
-            return model.negated_tail_mean(p)
+    if _require_member(Orientation, orientation) is Orientation.UPPER_TAIL:
+        return model.tail_mean(p)
+    if isinstance(model, GaussianParams):
+        # perfbench's tracer test counts this recursion; ROADMAP item 6(a) replaces that test.
         return cvar_tail(model.negated(), p, Orientation.UPPER_TAIL)
-    return model.tail_mean(p)
+    return model.negated_tail_mean(p)
 
 
 def ru_objective(
@@ -217,12 +205,17 @@ def cvar_ru(
     Continuous families take the minimum of the shared quantile-bracket
     search.  Equal-weight samples return the discrete tail average (the
     convention shared with :func:`cvar_tail`), keeping the two routes
-    comparable across all families.
+    comparable across all families.  A minimum that leaves the floats raises
+    :class:`NumericError` naming the model; :func:`ru_objective` does not
+    check, because a bracket end can overflow where the minimum is finite.
     """
     p = _require_probability(p)
     if isinstance(model, EmpiricalSample):
         return cvar_tail(model, p, orientation)
-    return _ru_minimum(model, p, orientation)
+    minimum = _ru_minimum(model, p, orientation)
+    if not math.isfinite(minimum):
+        raise NumericError(f"cvar_ru({p!r}) overflows a float for {model!r}")
+    return minimum
 
 
 def argmin_contains_var(

@@ -24,7 +24,7 @@ from riskflow.axioms import (
 )
 from riskflow.distributions import EmpiricalSample
 from riskflow.dynamic_risk import VectorialMeasure
-from riskflow.errors import DataError, DomainError
+from riskflow.errors import DataError, DomainError, NumericError
 from riskflow.markov import TransitionMatrix
 from riskflow.static_risk import (
     MeasureKind,
@@ -137,6 +137,11 @@ class TestSubadditivityWitness:
             low_sum = (1 - qx) * (1 - y.high_prob)
             assert low_sum < p_exact  # the joint pushes past it
             assert margin == pytest.approx(x.high)  # sum var lands one step up
+
+    def test_a_level_past_the_finest_grid_is_a_numeric_error(self):
+        # (1 - p) * 100000 < 1 leaves no tail probability k/denom to try.
+        with pytest.raises(NumericError, match=r"^no subadditivity witness found for p=0\.999999$"):
+            var_subadditivity_witness(0.999999)
 
     def test_margin_non_positive_when_tails_are_fat(self):
         # With the high outcome inside the confidence level the marginal

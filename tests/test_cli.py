@@ -170,11 +170,11 @@ class TestRisk:
         assert proc.stderr.startswith("ERROR gaussian param 'mu' must be a finite real number")
 
     @staticmethod
-    def run_weibull_cvar(alpha):
+    def run_weibull_cvar(alpha, lam="1"):
         return subprocess.run(
             [
                 sys.executable, "-m", "riskflow.cli", "risk", "--family", "weibull",
-                "--params", f'{{"lambda": 1, "alpha": {alpha}}}', "--measure", "cvar",
+                "--params", f'{{"lambda": {lam}, "alpha": {alpha}}}', "--measure", "cvar",
                 "--p", "0.99",
             ],
             capture_output=True,
@@ -202,6 +202,16 @@ class TestRisk:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("ERROR numerical failure: weibull exceedance(")
         assert proc.stderr.rstrip().endswith("for (1.0, 0.005, 0.0)")
+
+    def test_tail_mean_overflow_exits_3(self):
+        # The quantile, 4.2e306, is a float; its exceedance over 1 - p is not.
+        proc = self.run_weibull_cvar("0.1", lam="1e300")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "ERROR numerical failure: weibull tail_mean(0.99) overflows a float "
+            "for (1e+300, 0.1, 0.0)\n"
+        )
 
     def test_bad_level_exit_2(self):
         code = run(

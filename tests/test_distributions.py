@@ -420,6 +420,21 @@ class TestEmpirical:
             assert s.tail_mean(p) == math.fsum(tail) / len(tail)
             assert s.cdf(a) == sum(v <= a for v in values) / len(values)
 
+    @pytest.mark.parametrize(
+        "method, args",
+        [("mean", ()), ("exceedance", (0.0,)), ("tail_mean", (0.75,)), ("negated_tail_mean", (0.75,))],
+    )
+    def test_a_sum_that_overflows_is_a_numeric_error(self, method, args):
+        # fsum raises OverflowError where a partial sum leaves the floats.
+        s = EmpiricalSample((-1.5e308, -1e308, 1e308, 1.5e308))
+        at = ", ".join(map(repr, args)).replace(".", r"\.")
+        with pytest.raises(
+            NumericError,
+            match=rf"^empirical {method}\({at}\) overflows a float summing 4 values "
+            r"in \[-1\.5e\+308, 1\.5e\+308\]$",
+        ):
+            getattr(s, method)(*args)
+
     def test_cdf_step_function(self):
         s = EmpiricalSample((1.0, 2.0, 2.0, 4.0))
         assert s.cdf(0.5) == 0.0

@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from riskflow import static_risk
 from riskflow.axioms import StaticAxiom, Verdict, check_static_axiom
@@ -16,7 +19,7 @@ from riskflow.distributions import (
     sample,
 )
 from riskflow.dynamic_risk import recursive_risk_generic
-from riskflow.errors import DomainError
+from riskflow.errors import DomainError, NumericError
 from riskflow.static_risk import (
     MeasureKind,
     Orientation,
@@ -151,6 +154,94 @@ class TestCvarTail:
                 v = var(model, p, orientation)
                 c = cvar_tail(model, p, orientation)
                 assert c >= v - 1e-10 * max(1.0, abs(v))
+
+
+class TestGaussianLowerTail:
+    """The lower-tail CVaR, taken as the upper tail of ``negated()``, against
+    scipy's ``-mu + sigma * phi(Phi^-1(p)) / (1 - p)``."""
+
+    @pytest.mark.parametrize("p", [0.5, 0.9, 0.99, 0.999999])
+    @pytest.mark.parametrize("mu, sigma", [(1113.3425, 186.29), (-2.5, 0.3), (0.75, 20.0)])
+    def test_against_scipy(self, mu, sigma, p):
+        z = float(ndtri(p))
+        tail = sigma * float(norm.pdf(z)) / (1.0 - p)
+        # phi turns a relative error e of z into one of z*z*e, on both routes:
+        # the bound is 8 + 4*z*z ulp of the larger addend, 98 ulp at 1 - 1e-6.
+        bound = (8.0 + 4.0 * z * z) * math.ulp(max(abs(mu), tail))
+        got = cvar_tail(GaussianParams(mu, sigma), p, Orientation.LOWER_TAIL)
+        assert abs(got - (tail - mu)) <= bound
+
+
+def mpmath_weibull_lower_cvar(lam, alpha, p):
+    """``-(theta + lam * gamma(1 + 1/alpha, -log p) / (1 - p))`` at 60 digits,
+    with ``theta = 0`` and ``gamma`` the lower incomplete gamma function."""
+    with mpmath.workdps(60):
+        level = mpmath.mpf(p)
+        g = mpmath.gammainc(1 + 1 / mpmath.mpf(alpha), 0, -mpmath.log(level))
+        return float(-(lam * g / (1 - level)))
+
+
+class TestWeibullLowerTailAgainstMpmath:
+    """Witnesses of the cancellation in the Weibull lower-tail CVaR, which
+    subtracts the upper part from the whole mean.  In each row X >= 0, so
+    the truth is <= 0."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+    @pytest.mark.parametrize(
+        "lam, alpha, p",
+        [(1.0, 0.8016, 0.999999), (1.0, 0.3, 0.9999), (1.0, 0.1, 0.9), (1e300, 0.1, 0.99)],
+    )
+    def test_cvar_tail(self, lam, alpha, p):
+        got = cvar_tail(WeibullParams(lam, alpha), p, Orientation.LOWER_TAIL)
+        assert math.isclose(got, mpmath_weibull_lower_cvar(lam, alpha, p), rel_tol=1e-12)
+
+
+class TestOverflow:
+    """A measure whose value leaves the floats raises ``NumericError``
+    naming its inputs: it returns no ``inf`` and leaks no ``OverflowError``."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: cvar_tail(WeibullParams(1e300, 0.1), 0.99),
+                r"weibull tail_mean\(0\.99\) overflows a float for \(1e\+300, 0\.1, 0\.0\)",
+            ),
+            (
+                lambda: cvar_ru(WeibullParams(1e300, 0.1), 0.99),
+                r"cvar_ru\(0\.99\) overflows a float for "
+                r"WeibullParams\(lam=1e\+300, alpha=0\.1, theta=0\.0\)",
+            ),
+            (
+                lambda: var(GaussianParams(1e308, 1e308), 0.99),
+                r"gaussian quantile\(0\.99\) overflows a float for \(1e\+308, 1e\+308\)",
+            ),
+            (
+                lambda: GaussianParams(1e308, 1e308).tail_mean(0.5),
+                r"gaussian tail_mean\(0\.5\) overflows a float for \(1e\+308, 1e\+308\)",
+            ),
+            (
+                lambda: cvar_tail(EmpiricalSample([1e308, 1.5e308, -1e308]), 0.5),
+                r"empirical tail_mean\(0\.5\) overflows a float summing 3 values "
+                r"in \[-1e\+308, 1\.5e\+308\]",
+            ),
+        ],
+        ids=["weibull-cvar_tail", "weibull-cvar_ru", "gaussian-var", "gaussian-tail_mean",
+             "sample-cvar_tail"],
+    )
+    def test_is_a_numeric_error_naming_the_inputs(self, call, message):
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            call()
+
+    def test_lower_tail_weibull_cvar(self):
+        # The truth is about 1e308, but the cancellation of ROADMAP item 18,
+        # divided by 1 - p = 2**-53, leaves the floats; item 18 makes it a value.
+        with pytest.raises(
+            NumericError,
+            match=r"^weibull negated_tail_mean\(0\.9999999999999999\) overflows a float "
+            r"for \(1e\+300, 1\.0, -1e\+308\)$",
+        ):
+            cvar_tail(WeibullParams(1e300, 1.0, -1e308), 1.0 - 2.0**-53, Orientation.LOWER_TAIL)
 
 
 @st.composite
