@@ -46,7 +46,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .distributions import EmpiricalSample
-from .errors import DataError, DomainError, NumericError
+from .errors import DataError, DomainError
 from .errors import _require_count, _require_member, _require_reals
 from .markov import TransitionMatrix
 from .static_risk import (
@@ -181,22 +181,22 @@ def var_subadditivity_witness(
 ) -> tuple[TwoPointDistribution, TwoPointDistribution, float]:
     """Two i.i.d. two-point losses whose sum breaks value-at-risk subadditivity.
 
-    Searches tail probabilities ``q = k/denom`` just below ``1 - p`` on
-    successively finer grids, keeping the first candidate whose exactly
-    enumerated margin is positive: each marginal then has its quantile at the
-    low outcome while the independent sum pushes past it.
+    A tail probability ``q`` is a witness exactly when ``1 - sqrt(p) < q <=
+    1 - p``: each marginal then has its quantile at the low outcome while the
+    independent sum pushes past it.  The largest ``q = k/denom`` not above
+    ``1 - p`` is tried on successively finer decimal grids (where it fails, so
+    does every smaller ``k``), and where none works ``q = 1 - p`` itself, a
+    witness for every ``p``: ``(1 - q)**2 = p**2 < p``.  The margin is
+    enumerated exactly.
     """
     p = float(p)
     if not 0.5 < p < 1.0:
         raise DomainError(f"witness search needs p in (0.5, 1), got {p!r}")
-    for denom in (100, 1000, 10_000, 100_000):
-        start = min(int((Fraction(1) - Fraction(p)) * denom), denom - 1)
-        for k in range(start, 0, -1):
-            dist = TwoPointDistribution(low=0.0, high=10.0, high_prob=Fraction(k, denom))
-            margin = subadditivity_margin(dist, dist, p)
-            if margin > 0:
-                return dist, dist, float(margin)
-    raise NumericError(f"no subadditivity witness found for p={p!r}")
+    p_exact = Fraction(p)
+    grid = (Fraction(int((1 - p_exact) * d), d) for d in (100, 1000, 10_000, 100_000))
+    q = next((q for q in grid if (1 - q) ** 2 < p_exact), 1 - p_exact)
+    dist = TwoPointDistribution(low=0.0, high=10.0, high_prob=q)
+    return dist, dist, float(subadditivity_margin(dist, dist, p))
 
 
 # --------------------------------------------------------------------------

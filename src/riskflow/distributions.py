@@ -25,10 +25,11 @@ Gaussian lower-tail mean is ``negated().tail_mean(p)``.  Each class names
 its ``family`` and maps its fields to their JSON keys in ``keys``;
 :data:`FAMILIES` maps family names to classes, so :func:`model_from_params`
 and :func:`model_params_dict` hold no per-family code.  The constructors
-check every parameter's domain.  A quantile, mean or tail mean of either
-tail, or a Weibull exceedance, whose value leaves the floats raises
-:class:`~riskflow.errors.NumericError` naming the model and the argument,
-and so does a sample's sum whose partial sums leave them.
+check every parameter's domain, and every formula whose value leaves the
+floats raises :class:`~riskflow.errors.NumericError` naming the model and
+the argument.  Only :func:`~riskflow.static_risk.ru_objective` is left
+unchecked, as ``cvar_ru``'s bracket ends can overflow where the minimum is
+finite.
 
 Everything downstream (static risk measures, recursions, calibration) is
 written against this surface.  :func:`expected_positive_part` and
@@ -98,11 +99,11 @@ F = TypeVar("F", bound=Callable[..., float])
 
 
 def _overflow_is_numeric_error(method: F) -> F:
-    """Make a parametric formula whose value overflows a float raise
-    :class:`NumericError` naming the model's family, its fields and the argument."""
+    """Make a model formula whose value leaves the floats raise :class:`NumericError`
+    naming the family, the argument and the model by its ``_overflow_context()``."""
 
     @functools.wraps(method)
-    def checked(self: GaussianParams | WeibullParams, *args: float) -> float:
+    def checked(self: ReturnModel, *args: float) -> float:
         try:
             value = method(self, *args)
         except OverflowError:
@@ -110,8 +111,9 @@ def _overflow_is_numeric_error(method: F) -> F:
         if math.isfinite(value):
             return value
         at = ", ".join(map(repr, args))
-        model = tuple(getattr(self, name) for name in self.keys)
-        raise NumericError(f"{self.family} {method.__name__}({at}) overflows a float for {model!r}")
+        raise NumericError(
+            f"{self.family} {method.__name__}({at}) overflows a float {self._overflow_context()}"
+        )
 
     return checked  # type: ignore[return-value]
 
@@ -230,6 +232,9 @@ class GaussianParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
+    def _overflow_context(self) -> str:
+        return f"for {(self.mu, self.sigma)!r}"
+
     def cdf(self, x: float) -> float:
         return _normal_cdf((float(x) - self.mu) / self.sigma)
 
@@ -244,6 +249,7 @@ class GaussianParams:
     def mean(self) -> float:
         return self.mu
 
+    @_overflow_is_numeric_error
     def exceedance(self, a: float) -> float:
         """Closed form ``sigma * phi(d) + (mu - a) * Phi(d)`` with ``d = (mu - a) / sigma``."""
         d = (self.mu - a) / self.sigma
@@ -383,6 +389,9 @@ class WeibullParams:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "theta", _require_real(self.theta, "weibull location"))
 
+    def _overflow_context(self) -> str:
+        return f"for {(self.lam, self.alpha, self.theta)!r}"
+
     def cdf(self, x: float) -> float:
         x = float(x)
         if x <= self.theta:
@@ -421,18 +430,20 @@ class WeibullParams:
         v = self.quantile(p)
         return v + expected_positive_part(self, v) / (1.0 - p)
 
+    @_overflow_is_numeric_error
     def negated_quantile(self, p: float) -> float:
-        """The quantile of ``-X`` by the reflection ``-quantile(1 - p)``, exact
-        on the continuous support; ``quantile`` raises where it overflows."""
-        return -self.quantile(1.0 - _require_probability(p))
+        """The quantile of ``-X``, ``-quantile(1 - p)`` with ``1 - p`` never
+        formed: ``-(theta + lam * (-ln p)**(1/alpha))``."""
+        p = _require_probability(p)
+        return -(self.theta + self.lam * (-math.log(p)) ** (1.0 / self.alpha))
 
     @_overflow_is_numeric_error
     def negated_tail_mean(self, p: float) -> float:
         """The upper-tail mean of ``-X``, ``E[-X | -X >= negated_quantile(p)]``,
-        spelled through upper-tail primitives: with ``q = quantile(1 - p)``,
+        spelled through upper-tail primitives: with ``q = -negated_quantile(p)``,
         the mean of ``X`` below ``q`` is ``(mean - E[(X - q)+] - q*p) / (1 - p)``."""
         p = _require_probability(p)
-        q = self.quantile(1.0 - p)
+        q = -self.negated_quantile(p)
         lower_mean = (self.mean() - expected_positive_part(self, q) - q * p) / (1.0 - p)
         return -lower_mean
 
@@ -503,37 +514,27 @@ class EmpiricalSample:
         """The smallest ``x_(k)`` with ``k/n >= p``."""
         return float(self.values[self._rank(_require_probability(p)) - 1])
 
-    def _overflow(self, method: str, *args: float) -> NumericError:
-        """The error raised in place of the ``OverflowError`` of an ``fsum``
-        whose partial sums leave the floats, naming the sample by its size
-        and range."""
-        at = ", ".join(map(repr, args))
+    def _overflow_context(self) -> str:
+        # fsum raises OverflowError where a partial sum leaves the floats.
         low, high = float(self.values[0]), float(self.values[-1])
-        return NumericError(
-            f"empirical {method}({at}) overflows a float summing "
-            f"{self.values.size} values in [{low!r}, {high!r}]"
-        )
+        return f"summing {self.values.size} values in [{low!r}, {high!r}]"
 
+    @_overflow_is_numeric_error
     def mean(self) -> float:
-        try:
-            return math.fsum(self.values.tolist()) / self.values.size
-        except OverflowError:
-            raise self._overflow("mean") from None
+        return math.fsum(self.values.tolist()) / self.values.size
 
+    @_overflow_is_numeric_error
     def exceedance(self, a: float) -> float:
-        try:
-            return math.fsum(np.maximum(self.values - a, 0.0).tolist()) / self.values.size
-        except OverflowError:
-            raise self._overflow("exceedance", a) from None
+        with np.errstate(over="ignore"):  # an infinite difference reaches the guard
+            excess = np.maximum(self.values - a, 0.0)
+        return math.fsum(excess.tolist()) / self.values.size
 
+    @_overflow_is_numeric_error
     def tail_mean(self, p: float) -> float:
         """The average of the values ``>= quantile(p)``: ties at the quantile
         enter the tail."""
         tail = self.values[np.searchsorted(self.values, self.quantile(p)):]
-        try:
-            return math.fsum(tail.tolist()) / tail.size
-        except OverflowError:
-            raise self._overflow("tail_mean", p) from None
+        return math.fsum(tail.tolist()) / tail.size
 
     # The lower tail is read from the low end of the sorted values, which
     # ``negated()`` reverses.  ``fsum`` is exact, so a sum negates with its
@@ -545,16 +546,14 @@ class EmpiricalSample:
         v = -float(self.values[self.values.size - self._rank(p)])
         return v if v != 0.0 else self.negated().quantile(p)
 
+    @_overflow_is_numeric_error
     def negated_tail_mean(self, p: float) -> float:
         """``negated().tail_mean(p)``: minus the average of the values
         ``<= -negated_quantile(p)``, without the copy."""
         p = _require_probability(p)
         values = self.values
         head = values[: values.searchsorted(values[values.size - self._rank(p)], "right")]
-        try:
-            mean = -math.fsum(head.tolist()) / head.size
-        except OverflowError:
-            raise self._overflow("negated_tail_mean", p) from None
+        mean = -math.fsum(head.tolist()) / head.size
         return mean if mean != 0.0 else self.negated().tail_mean(p)
 
     def draw(self, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:

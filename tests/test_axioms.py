@@ -24,7 +24,7 @@ from riskflow.axioms import (
 )
 from riskflow.distributions import EmpiricalSample
 from riskflow.dynamic_risk import VectorialMeasure
-from riskflow.errors import DataError, DomainError, NumericError
+from riskflow.errors import DataError, DomainError
 from riskflow.markov import TransitionMatrix
 from riskflow.static_risk import (
     MeasureKind,
@@ -138,10 +138,12 @@ class TestSubadditivityWitness:
             assert low_sum < p_exact  # the joint pushes past it
             assert margin == pytest.approx(x.high)  # sum var lands one step up
 
-    def test_a_level_past_the_finest_grid_is_a_numeric_error(self):
-        # (1 - p) * 100000 < 1 leaves no tail probability k/denom to try.
-        with pytest.raises(NumericError, match=r"^no subadditivity witness found for p=0\.999999$"):
-            var_subadditivity_witness(0.999999)
+    @pytest.mark.parametrize("p", [0.99999, 0.999999, 1.0 - 2.0**-53])
+    def test_a_level_past_the_finest_grid_has_a_witness(self, p):
+        # No grid point k/100000 lies in (1 - sqrt(p), 1 - p]: q = 1 - p does.
+        x, y, margin = var_subadditivity_witness(p)
+        assert x.high_prob == 1 - Fraction(p)
+        assert subadditivity_margin(x, y, p) == margin > 0
 
     def test_margin_non_positive_when_tails_are_fat(self):
         # With the high outcome inside the confidence level the marginal

@@ -195,6 +195,20 @@ class TestWeibullLowerTailAgainstMpmath:
         got = cvar_tail(WeibullParams(lam, alpha), p, Orientation.LOWER_TAIL)
         assert math.isclose(got, mpmath_weibull_lower_cvar(lam, alpha, p), rel_tol=1e-12)
 
+    @pytest.mark.parametrize(
+        "lam, alpha, p",
+        [(1.0, 1.0, 1e-10), (1.0, 1.0, 1e-17), (1.0, 1.0, 5e-324), (2.0, 0.5, 1e-17)],
+    )
+    def test_small_levels(self, lam, alpha, p):
+        # The lower tail reflects in the formula and never forms 1 - p, which
+        # rounds away 6 digits of p = 1e-10 and rounds to 1 below 2**-54.
+        model = WeibullParams(lam, alpha)
+        with mpmath.workdps(60):
+            quantile = float(-lam * (-mpmath.log(mpmath.mpf(p))) ** (1 / mpmath.mpf(alpha)))
+        assert math.isclose(var(model, p, Orientation.LOWER_TAIL), quantile, rel_tol=1e-15)
+        got = cvar_tail(model, p, Orientation.LOWER_TAIL)
+        assert math.isclose(got, mpmath_weibull_lower_cvar(lam, alpha, p), rel_tol=1e-15)
+
 
 class TestOverflow:
     """A measure whose value leaves the floats raises ``NumericError``
@@ -225,9 +239,23 @@ class TestOverflow:
                 r"empirical tail_mean\(0\.5\) overflows a float summing 3 values "
                 r"in \[-1e\+308, 1\.5e\+308\]",
             ),
+            (
+                lambda: GaussianParams(1e308, 1.0).exceedance(-1e308),
+                r"gaussian exceedance\(-1e\+308\) overflows a float for \(1e\+308, 1\.0\)",
+            ),
+            (
+                lambda: var(WeibullParams(1e300, 0.01), 1e-300, Orientation.LOWER_TAIL),
+                r"weibull negated_quantile\(1e-300\) overflows a float "
+                r"for \(1e\+300, 0\.01, 0\.0\)",
+            ),
+            (
+                lambda: EmpiricalSample([1e308]).exceedance(-1e308),
+                r"empirical exceedance\(-1e\+308\) overflows a float summing 1 values "
+                r"in \[1e\+308, 1e\+308\]",
+            ),
         ],
         ids=["weibull-cvar_tail", "weibull-cvar_ru", "gaussian-var", "gaussian-tail_mean",
-             "sample-cvar_tail"],
+             "sample-cvar_tail", "gaussian-exceedance", "weibull-lower-var", "sample-exceedance"],
     )
     def test_is_a_numeric_error_naming_the_inputs(self, call, message):
         with pytest.raises(NumericError, match=f"^{message}$"):
