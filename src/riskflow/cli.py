@@ -13,6 +13,10 @@ stdout carries only machine-parseable output (JSON objects, JSON lines, or a
 bare number); progress and diagnostics go to stderr.  Exit codes: 0 success,
 1 axiom verdicts differ from the expected profile, 2 invalid input or
 configuration, 3 numerical failure.
+
+Each subcommand imports the modules it runs when it runs, so a process loads
+only those: ``risk`` needs ``distributions`` and ``static_risk``, which
+evaluate the parametric measures with ``math`` alone and never import numpy.
 """
 
 from __future__ import annotations
@@ -24,52 +28,25 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .axioms import (
-    DynamicAxiom,
-    RecursiveFiniteMeasure,
-    StaticAxiom,
-    Verdict,
-    bundled_pair_processes,
-    check_dynamic_axiom,
-    check_static_axiom,
-)
-from .distributions import model_from_params, model_params_dict
 from .errors import ConfigError, DataError, NumericError, RiskEngineError
-from .scenario import (
-    ReferenceStudy,
-    build_reference_experiment,
-    config_from_json,
-    emit_trajectories,
-    fit_gaussian,
-    fit_weibull,
-    load_returns,
-    run_experiment,
-)
-from .static_risk import (
-    MeasureKind,
-    Orientation,
-    RiskMeasureSpec,
-    evaluate,
-)
 
 log = logging.getLogger("riskflow")
 
 _AXIOM_P = 0.95
-_DYNAMIC_AXIOMS = (
-    DynamicAxiom.D1,
-    DynamicAxiom.D2,
-    DynamicAxiom.D4,
-    DynamicAxiom.D5,
-)
-_EXPECTED_VERDICTS: dict[str, dict[str, Verdict]] = {
+#: The verdict each checked axiom should get, by measure, as ``Verdict``
+#: values.  The dynamic axioms checked are the keys of ``recursive-var``.
+_EXPECTED_VERDICTS: dict[str, dict[str, str]] = {
     # VaR is not subadditive (P3).
-    "var": {a.value: Verdict.HOLDS for a in StaticAxiom} | {"P3": Verdict.VIOLATED},
-    "cvar": {a.value: Verdict.HOLDS for a in StaticAxiom},
-    "recursive-var": {a.value: Verdict.HOLDS for a in _DYNAMIC_AXIOMS},
+    "var": {"P1": "holds", "P2": "holds", "P3": "violated", "P4": "holds"},
+    "cvar": dict.fromkeys(("P1", "P2", "P3", "P4"), "holds"),
+    "recursive-var": dict.fromkeys(("D1", "D2", "D4", "D5"), "holds"),
 }
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .distributions import model_params_dict
+    from .scenario import fit_gaussian, fit_weibull, load_returns
+
     returns = load_returns(args.input, args.returns)
     log.info("loaded %d returns from %s (%s)", len(returns), args.input, args.returns)
     if args.family == "gaussian":
@@ -81,6 +58,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_risk(args: argparse.Namespace) -> int:
+    from .distributions import model_from_params
+    from .static_risk import MeasureKind, RiskMeasureSpec, evaluate
+
     try:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
@@ -98,6 +78,8 @@ def _emit_format(path: str) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenario import config_from_json, emit_trajectories, run_experiment
+
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
@@ -112,6 +94,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .scenario import (
+        ReferenceStudy,
+        build_reference_experiment,
+        emit_trajectories,
+        run_experiment,
+    )
+
     study = (
         ReferenceStudy.GAUSSIAN_MSCI
         if args.study == "gaussian"
@@ -127,6 +116,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _axiom_reports(measure: str, trials: int, seed: int):
+    from .axioms import (
+        DynamicAxiom,
+        RecursiveFiniteMeasure,
+        StaticAxiom,
+        bundled_pair_processes,
+        check_dynamic_axiom,
+        check_static_axiom,
+    )
+    from .static_risk import MeasureKind, Orientation, RiskMeasureSpec
+
     kind = MeasureKind.VAR if measure == "recursive-var" else MeasureKind(measure)
     spec = RiskMeasureSpec(kind, _AXIOM_P, Orientation.LOWER_TAIL)
     if measure in ("var", "cvar"):
@@ -138,23 +137,23 @@ def _axiom_reports(measure: str, trials: int, seed: int):
             bundled_pair_processes(axiom, orientation=Orientation.LOWER_TAIL, seed=seed),
             seed=seed,
         )
-        for axiom in _DYNAMIC_AXIOMS
+        for axiom in map(DynamicAxiom, _EXPECTED_VERDICTS["recursive-var"])
     ]
 
 
 def _cmd_axioms(args: argparse.Namespace) -> int:
+    from .axioms import Verdict
+
     reports = _axiom_reports(args.measure, args.trials, args.seed)
     expected = _EXPECTED_VERDICTS[args.measure]
     ok = True
     for report in reports:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
-        if report.verdict is not expected[report.axiom]:
+        want = Verdict(expected[report.axiom])
+        if report.verdict is not want:
             ok = False
             log.warning(
-                "axiom %s: verdict %s, expected %s",
-                report.axiom,
-                report.verdict.value,
-                expected[report.axiom].value,
+                "axiom %s: verdict %s, expected %s", report.axiom, report.verdict.value, want.value
             )
     return 0 if ok else 1
 

@@ -43,6 +43,12 @@ The package uses no SciPy.  The two special functions its formulas need
 are written here, each next to the formula that uses it: the normal quantile
 (Wichura's AS241) for the Gaussian ``quantile`` and ``draw``, and the
 regularised upper incomplete gamma function for the Weibull ``exceedance``.
+
+numpy is bound on first use, as in :mod:`riskflow.errors`: the parametric
+formulas are ``math`` alone, so ``riskflow risk`` never imports numpy, and
+only drawing, samples and ``model_params_dict`` bind it.  Once bound it sits
+in the ``np`` global as if imported at the top, so a call pays nothing for
+the deferral.
 """
 
 from __future__ import annotations
@@ -55,10 +61,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, ClassVar, Mapping, TypeVar, Union
 
-import numpy as np
-
 from .errors import DataError, DomainError, NumericError
-from .errors import _require_count, _require_real, _require_reals
+from .errors import _LazyNumpy, _require_count, _require_real, _require_reals
+
+np = _LazyNumpy(globals())
 
 __all__ = [
     "ModelFamily",
@@ -251,8 +257,12 @@ class GaussianParams:
 
     @_overflow_is_numeric_error
     def exceedance(self, a: float) -> float:
-        """Closed form ``sigma * phi(d) + (mu - a) * Phi(d)`` with ``d = (mu - a) / sigma``."""
+        """Closed form ``sigma * phi(d) + (mu - a) * Phi(d)`` with ``d = (mu - a) / sigma``,
+        and 0 where ``d`` is ``-inf``: there ``mu - a`` may have overflowed, and
+        ``-inf * Phi(d)`` would be ``-inf * 0``."""
         d = (self.mu - a) / self.sigma
+        if d == -math.inf:
+            return 0.0
         return self.sigma * _normal_pdf(d) + (self.mu - a) * _normal_cdf(d)
 
     @_overflow_is_numeric_error

@@ -10,16 +10,23 @@ The input rules live here too, one per kind, at the bottom of the import
 graph: :func:`_require_real`, :func:`_require_count`, :func:`_require_reals`
 and :func:`_require_member`.  None takes a bool, a string or ``None``; each
 raises the error class its caller names, :class:`DomainError` by default.
+
+numpy is bound on first use: the module's ``np`` global starts as a
+:class:`_LazyNumpy`, which imports numpy on the first attribute read and puts
+it in its place.  ``riskflow risk`` evaluates closed forms in ``math`` alone,
+and importing numpy would be most of what it costs; once numpy is bound, a
+call costs what it would with numpy imported at the top.  No value is an
+array unless numpy is loaded, so :func:`_scalar` asks ``sys.modules`` rather
+than ``np``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from enum import Enum
 from typing import TypeVar
-
-import numpy as np
 
 __all__ = [
     "RiskEngineError",
@@ -59,9 +66,31 @@ class NumericError(RiskEngineError):
     values.  The message records which routine failed and with what inputs."""
 
 
+class _LazyNumpy:
+    """Stands in for numpy in a module's ``np`` global until the first
+    attribute read, which imports numpy and binds it in that global."""
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace: dict[str, object]) -> None:
+        self._namespace = namespace
+
+    def __getattr__(self, name: str) -> object:
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
+
+
 def _scalar(value: object) -> object:
     """The item of a 0-d array, else ``value`` itself."""
-    return value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(value, numpy.ndarray) and value.ndim == 0:
+        return value.item()
+    return value
 
 
 def _require_real(value: object, what: str, error: type[RiskEngineError] = DomainError) -> float:

@@ -261,6 +261,13 @@ class TestOverflow:
         with pytest.raises(NumericError, match=f"^{message}$"):
             call()
 
+    def test_gaussian_exceedance_far_below_the_threshold_is_zero(self):
+        # mu - a overflows to -inf, so d = -inf: the closed form would read
+        # -inf * Phi(d) = -inf * 0, where the truth is 0.
+        model = GaussianParams(-1e308, 1.0)
+        assert model.exceedance(1e308) == 0.0
+        assert ru_objective(model, 0.9, 1e308) == 1e308
+
     def test_lower_tail_weibull_cvar(self):
         # The truth is about 1e308, but the cancellation of ROADMAP item 18,
         # divided by 1 - p = 2**-53, leaves the floats; item 18 makes it a value.
