@@ -21,7 +21,10 @@ payoff is still unresolved when the time-``t`` measure is taken).  For a
 pair of processes the checkers condition both sides on the common refinement
 of their histories, which is what makes the local property an exact
 identity: restricted to an event that is visible at time ``t``, the pasted
-process and the original have identical conditional laws.
+process and the original have identical conditional laws.  Each process is
+evaluated once per time on that common filtration.  D6's mixture ``w X +
+(1 - w) Y`` is evaluated on the pair's filtration too: its payoff on an atom
+is a function of the pair's payoffs there, so its history splits no cell.
 
 A note on D2 and D5: the alternating structure of the recursion means
 monotone inheritance is *not* implied by pathwise dominance alone (a
@@ -41,7 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -99,6 +102,30 @@ class Verdict(str, Enum):
     VIOLATED = "violated"
 
 
+#: Each axiom's form as (upper-tail form, lower-tail form), so indexed by
+#: whether the orientation is the lower tail: the text that a report's
+#: ``detail`` names as checked.
+_FORMS: dict[Enum, tuple[str, str]] = {
+    StaticAxiom.P1: ("X <= Y implies R(X) <= R(Y)", "X <= Y implies R(X) >= R(Y)"),
+    StaticAxiom.P2: ("R(X + m) == R(X) + m", "R(X + m) == R(X) - m"),
+    StaticAxiom.P3: ("R(X + Y) <= R(X) + R(Y)",) * 2,
+    StaticAxiom.P4: ("R(k X) == k R(X) for k > 0",) * 2,
+    DynamicAxiom.D1: ("R_t(0) == 0 at every time and atom",) * 2,
+    DynamicAxiom.D2: (
+        "X <= Y pathwise with R(X_0) <= R(Y_0) implies R_t(X) <= R_t(Y)",
+        "X <= Y pathwise with R(X_0) <= R(Y_0) implies R_t(X) >= R_t(Y)",
+    ),
+    DynamicAxiom.D3: (
+        "R_t(X + m at t) == R_t(X) + m for cell-constant m",
+        "R_t(X + m at t) == R_t(X) - m for cell-constant m",
+    ),
+    DynamicAxiom.D4: ("R_t(1_A X + 1_Ac Y) == 1_A R_t(X) + 1_Ac R_t(Y), A in F_t",) * 2,
+    DynamicAxiom.D5: ("R_t(X) <= R_t(Y) everywhere implies R_s(X) <= R_s(Y), s <= t",) * 2,
+    DynamicAxiom.D6: ("R_t(w X + (1-w) Y) <= w R_t(X) + (1-w) R_t(Y)",) * 2,
+    DynamicAxiom.D7: ("R_t(k X) == k R_t(X) for k > 0",) * 2,
+}
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of one axiom check; violations always carry a witness."""
@@ -109,6 +136,7 @@ class AxiomReport:
     detail: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "verdict", _require_member(Verdict, self.verdict))
         if self.verdict is Verdict.VIOLATED and self.witness is None:
             raise DomainError("violated verdicts must carry a witness")
 
@@ -275,20 +303,32 @@ class FiniteProcess:
         return FiniteProcess(self.probs, payoffs)
 
 
+def _require_time(t: object, horizon: int) -> int:
+    """``t`` as a count no later than ``horizon``, else a DomainError."""
+    t = _require_count(t, "time")
+    if t > horizon:
+        raise DomainError(f"time {t!r} outside the process horizon {horizon}")
+    return t
+
+
 def filtration_partition(
     processes: Sequence[FiniteProcess], t: int
 ) -> list[tuple[int, ...]]:
     """Time-``t`` information cells: atoms grouped by payoff history < ``t``.
 
     With several processes the partition refines all of them (the common
-    filtration used when comparing a pair).  ``t = 0`` gives the trivial
-    partition.
+    filtration used when comparing a pair); they share one atom space and
+    one horizon, and ``t`` runs from 0, the trivial partition, to that
+    horizon.
     """
     if not processes:
         raise DataError("need at least one process to build a partition")
-    n = processes[0].n_atoms
+    n, horizon = processes[0].n_atoms, processes[0].horizon
     if any(proc.n_atoms != n for proc in processes):
         raise DataError("processes must share one atom space")
+    if any(proc.horizon != horizon for proc in processes):
+        raise DataError("processes must share one horizon")
+    t = _require_time(t, horizon)
     cells: dict[tuple[float, ...], list[int]] = {}
     for a in range(n):
         key = tuple(
@@ -332,8 +372,7 @@ class RecursiveFiniteMeasure:
     def atom_values(
         self, process: FiniteProcess, t: int, partition: Sequence[tuple[int, ...]]
     ) -> np.ndarray:
-        if not 0 <= t <= process.horizon:
-            raise DomainError(f"time {t!r} outside the process horizon {process.horizon}")
+        t = _require_time(t, process.horizon)
         sign = 1.0 if self.spec.orientation is Orientation.LOWER_TAIL else -1.0
         probs = np.array(process.probs)
         out = np.empty(process.n_atoms)
@@ -388,20 +427,6 @@ class ModulatedFiniteMeasure(RecursiveFiniteMeasure):
 # --------------------------------------------------------------------------
 
 
-def _static_detail(axiom: StaticAxiom, spec: RiskMeasureSpec) -> str:
-    lower = spec.orientation is Orientation.LOWER_TAIL
-    kind = spec.kind.value
-    if axiom is StaticAxiom.P1:
-        form = "X <= Y implies R(X) >= R(Y)" if lower else "X <= Y implies R(X) <= R(Y)"
-    elif axiom is StaticAxiom.P2:
-        form = "R(X + m) == R(X) - m" if lower else "R(X + m) == R(X) + m"
-    elif axiom is StaticAxiom.P3:
-        form = "R(X + Y) <= R(X) + R(Y)"
-    else:
-        form = "R(k X) == k R(X) for k > 0"
-    return f"{axiom.value} for {kind} at p={spec.p} ({spec.orientation.value}): {form}"
-
-
 def check_static_axiom(
     axiom: StaticAxiom,
     spec: RiskMeasureSpec,
@@ -420,7 +445,8 @@ def check_static_axiom(
         raise DomainError(f"trials must be positive, got {trials!r}")
     rng = np.random.default_rng(_require_count(seed, "seed"))
     lower = spec.orientation is Orientation.LOWER_TAIL
-    detail = _static_detail(axiom, spec)
+    form = _FORMS[axiom][lower]
+    detail = f"{axiom.value} for {spec.kind.value} at p={spec.p} ({spec.orientation.value}): {form}"
 
     if axiom is StaticAxiom.P3 and spec.kind is MeasureKind.VAR and 0.5 < spec.p < 1.0:
         x_dist, y_dist, margin = var_subadditivity_witness(spec.p)
@@ -540,52 +566,41 @@ def check_dynamic_axiom(
     Unary axioms (D1, D3, D7) use the first process of each pair.  Pairwise
     implications (D2, D5) are tested as implications: pairs whose hypotheses
     fail are skipped, and the verdict covers the pairs where they hold.  All
-    comparisons run atom by atom on the common filtration of the pair.
+    comparisons run atom by atom on the common filtration of the pair, on
+    which each process is evaluated once per time.
     """
     axiom = _require_member(DynamicAxiom, axiom)
     pairs = _require_pairs(pairs)
     rng = np.random.default_rng(_require_count(seed, "seed"))
     lower = measure.orientation is Orientation.LOWER_TAIL
     T = pairs[0][0].horizon
-
-    detail_map = {
-        DynamicAxiom.D1: "R_t(0) == 0 at every time and atom",
-        DynamicAxiom.D2: (
-            "X <= Y pathwise with R(X_0) <= R(Y_0) implies "
-            + ("R_t(X) >= R_t(Y)" if lower else "R_t(X) <= R_t(Y)")
-        ),
-        DynamicAxiom.D3: (
-            "R_t(X + m at t) == R_t(X) " + ("- m" if lower else "+ m")
-            + " for cell-constant m"
-        ),
-        DynamicAxiom.D4: "R_t(1_A X + 1_Ac Y) == 1_A R_t(X) + 1_Ac R_t(Y), A in F_t",
-        DynamicAxiom.D5: "R_t(X) <= R_t(Y) everywhere implies R_s(X) <= R_s(Y), s <= t",
-        DynamicAxiom.D6: "R_t(w X + (1-w) Y) <= w R_t(X) + (1-w) R_t(Y)",
-        DynamicAxiom.D7: "R_t(k X) == k R_t(X) for k > 0",
-    }
-    detail = f"{axiom.value} ({measure.orientation.value}): {detail_map[axiom]}"
+    detail = f"{axiom.value} ({measure.orientation.value}): {_FORMS[axiom][lower]}"
 
     def report(witness: Mapping[str, object] | None) -> AxiomReport:
         verdict = Verdict.HOLDS if witness is None else Verdict.VIOLATED
         return AxiomReport(axiom.value, verdict, witness, detail)
 
+    def steps(
+        *processes: FiniteProcess,
+    ) -> Iterator[tuple[int, list[tuple[int, ...]], list[np.ndarray]]]:
+        """For each time t: t, the common cells of ``processes`` and each
+        one's values on them."""
+        for t in range(T + 1):
+            cells = filtration_partition(processes, t)
+            yield t, cells, [measure.atom_values(proc, t, cells) for proc in processes]
+
     for pair_index, (x_proc, y_proc) in enumerate(pairs):
         if axiom is DynamicAxiom.D1:
             zero = x_proc.with_payoffs(np.zeros((x_proc.n_atoms, T + 1)))
-            for t in range(T + 1):
-                vals = measure.atom_values(zero, t, filtration_partition([zero], t))
+            for t, _, (vals,) in steps(zero):
                 if np.max(np.abs(vals)) > _TOL:
                     return report(
                         {"pair": pair_index, "t": t, "max_abs": float(np.max(np.abs(vals)))}
                     )
         elif axiom is DynamicAxiom.D2:
-            xm, ym = x_proc.payoff_matrix(), y_proc.payoff_matrix()
-            if np.any(xm > ym + _TOL):
+            if np.any(x_proc.payoff_matrix() > y_proc.payoff_matrix() + _TOL):
                 continue  # hypothesis X <= Y fails; vacuous pair
-            for t in range(T + 1):
-                partition = filtration_partition([x_proc, y_proc], t)
-                vx = measure.atom_values(x_proc, t, partition)
-                vy = measure.atom_values(y_proc, t, partition)
+            for t, _, (vx, vy) in steps(x_proc, y_proc):
                 if t == 0 and np.any(vx > vy + _TOL):
                     break  # hypothesis R(X_0) <= R(Y_0) fails; vacuous pair
                 gap = vy - vx if lower else vx - vy
@@ -596,82 +611,59 @@ def check_dynamic_axiom(
                     )
         elif axiom is DynamicAxiom.D3:
             sign = -1.0 if lower else 1.0
-            for t in range(T + 1):
-                partition = filtration_partition([x_proc], t)
+            for t, cells, (vx,) in steps(x_proc):
                 shift = np.empty(x_proc.n_atoms)
-                for cell in partition:
+                for cell in cells:
                     shift[list(cell)] = float(rng.normal(0.0, 1.0))
                 shifted = x_proc.payoff_matrix()
                 shifted[:, t] += shift
-                lhs = measure.atom_values(x_proc.with_payoffs(shifted), t, partition)
-                rhs = measure.atom_values(x_proc, t, partition) + sign * shift
+                lhs = measure.atom_values(x_proc.with_payoffs(shifted), t, cells)
+                rhs = vx + sign * shift
                 if np.max(np.abs(lhs - rhs)) > _TOL * (1.0 + float(np.max(np.abs(rhs)))):
                     return report(
                         {"pair": pair_index, "t": t, "max_abs": float(np.max(np.abs(lhs - rhs)))}
                     )
         elif axiom is DynamicAxiom.D4:
-            for t in range(T + 1):
-                partition = filtration_partition([x_proc, y_proc], t)
-                vx = measure.atom_values(x_proc, t, partition)
-                vy = measure.atom_values(y_proc, t, partition)
-                for event in _events(partition, rng):
+            for t, cells, (vx, vy) in steps(x_proc, y_proc):
+                for event in _events(cells, rng):
                     mask = np.zeros(x_proc.n_atoms, dtype=bool)
                     mask[event] = True
-                    vz = measure.atom_values(_paste(x_proc, y_proc, mask), t, partition)
-                    expected = np.where(mask, vx, vy)
-                    if np.max(np.abs(vz - expected)) > _TOL:
+                    vz = measure.atom_values(_paste(x_proc, y_proc, mask), t, cells)
+                    max_abs = float(np.max(np.abs(vz - np.where(mask, vx, vy))))
+                    if max_abs > _TOL:
                         return report(
-                            {
-                                "pair": pair_index,
-                                "t": t,
-                                "event": sorted(event),
-                                "max_abs": float(np.max(np.abs(vz - expected))),
-                            }
+                            {"pair": pair_index, "t": t, "event": sorted(event), "max_abs": max_abs}
                         )
         elif axiom is DynamicAxiom.D5:
-            partitions = [filtration_partition([x_proc, y_proc], t) for t in range(T + 1)]
-            all_x = [measure.atom_values(x_proc, t, cells) for t, cells in enumerate(partitions)]
-            all_y = [measure.atom_values(y_proc, t, cells) for t, cells in enumerate(partitions)]
-            for t in range(T + 1):
-                if np.any(all_x[t] > all_y[t] + _TOL):
+            values = [vxy for _, _, vxy in steps(x_proc, y_proc)]
+            for t, (vx, vy) in enumerate(values):
+                if np.any(vx > vy + _TOL):
                     continue  # antecedent fails at this horizon
-                for s in range(t + 1):
-                    excess = float(np.max(all_x[s] - all_y[s]))
+                for s, (vx_s, vy_s) in enumerate(values[: t + 1]):
+                    excess = float(np.max(vx_s - vy_s))
                     if excess > _TOL:
-                        return report(
-                            {"pair": pair_index, "t": t, "s": s, "excess": excess}
-                        )
+                        return report({"pair": pair_index, "t": t, "s": s, "excess": excess})
         elif axiom is DynamicAxiom.D6:
+            # The mixture's payoffs are a function of the pair's, so its
+            # history splits no cell of the pair's filtration.
+            pair_steps = list(steps(x_proc, y_proc))
             for w in (0.25, 0.5, 0.75):
                 mixed = x_proc.with_payoffs(
                     w * x_proc.payoff_matrix() + (1.0 - w) * y_proc.payoff_matrix()
                 )
-                for t in range(T + 1):
-                    partition = filtration_partition([x_proc, y_proc, mixed], t)
-                    vz = measure.atom_values(mixed, t, partition)
-                    vx = measure.atom_values(x_proc, t, partition)
-                    vy = measure.atom_values(y_proc, t, partition)
+                for t, cells, (vx, vy) in pair_steps:
+                    vz = measure.atom_values(mixed, t, cells)
                     excess = float(np.max(vz - (w * vx + (1.0 - w) * vy)))
                     if excess > _TOL:
-                        return report(
-                            {"pair": pair_index, "t": t, "weight": w, "excess": excess}
-                        )
+                        return report({"pair": pair_index, "t": t, "weight": w, "excess": excess})
         else:  # D7
+            x_steps = list(steps(x_proc))
             for k in (0.5, 2.0, float(rng.uniform(0.1, 3.0))):
                 scaled = x_proc.with_payoffs(k * x_proc.payoff_matrix())
-                for t in range(T + 1):
-                    partition = filtration_partition([x_proc], t)
-                    lhs = measure.atom_values(scaled, t, partition)
-                    rhs = k * measure.atom_values(x_proc, t, partition)
-                    if np.max(np.abs(lhs - rhs)) > _TOL * (1.0 + abs(k)):
-                        return report(
-                            {
-                                "pair": pair_index,
-                                "t": t,
-                                "k": k,
-                                "max_abs": float(np.max(np.abs(lhs - rhs))),
-                            }
-                        )
+                for t, cells, (vx,) in x_steps:
+                    max_abs = float(np.max(np.abs(measure.atom_values(scaled, t, cells) - k * vx)))
+                    if max_abs > _TOL * (1.0 + abs(k)):
+                        return report({"pair": pair_index, "t": t, "k": k, "max_abs": max_abs})
     return report(None)
 
 

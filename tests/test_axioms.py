@@ -169,6 +169,14 @@ class TestAxiomReport:
         with pytest.raises(DomainError):
             AxiomReport("P1", Verdict.VIOLATED, None, "broken")
 
+    def test_verdict_is_a_member_or_its_value(self):
+        # A string verdict is read as the member, so it too needs a witness.
+        with pytest.raises(DomainError, match="must carry a witness"):
+            AxiomReport("P1", "violated", None, "broken")
+        assert AxiomReport("P1", "holds", None, "fine").verdict is Verdict.HOLDS
+        with pytest.raises(DomainError, match="unknown Verdict 'maybe'"):
+            AxiomReport("P1", "maybe", None, "fine")
+
     def test_json_shape(self):
         report = AxiomReport("D1", Verdict.HOLDS, None, "fine")
         assert report.to_json_dict() == {
@@ -206,6 +214,17 @@ class TestFiniteProcess:
         two, three = uniform_process([[1.0], [2.0]]), uniform_process([[1.0], [2.0], [3.0]])
         with pytest.raises(DataError, match="share one atom space"):
             filtration_partition([two, three], 0)
+
+    def test_partition_time_runs_to_the_horizon(self):
+        proc = uniform_process([[1.0, 0.0], [2.0, 0.0]])
+        assert filtration_partition([proc], 1) == [(0,), (1,)]
+        with pytest.raises(DomainError, match="time 2 outside the process horizon 1"):
+            filtration_partition([proc], 2)
+
+    def test_partition_needs_processes_of_one_horizon(self):
+        short, longer = uniform_process([[1.0], [2.0]]), uniform_process([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(DataError, match="share one horizon"):
+            filtration_partition([short, longer], 0)
 
     def test_filtration_refines_over_time(self):
         # Two branches at t=1 (by X_0), four at t=2 (by X_0, X_1).
@@ -615,6 +634,67 @@ class TestDynamicChecker:
         for pairs in ([(x, longer)], [(x, x), (longer, longer)]):
             with pytest.raises(DataError, match="share one horizon"):
                 check_dynamic_axiom(DynamicAxiom.D1, RecursiveFiniteMeasure(VAR_LOWER), pairs)
+
+
+class _CountingMeasure:
+    """A measure that counts its ``atom_values`` calls."""
+
+    def __init__(self, measure):
+        self.measure, self.calls = measure, 0
+
+    @property
+    def orientation(self):
+        return self.measure.orientation
+
+    def atom_values(self, process, t, partition):
+        self.calls += 1
+        return self.measure.atom_values(process, t, partition)
+
+
+class TestOneEvaluationPerTime:
+    """The checker evaluates each process once per time on the common cells."""
+
+    @staticmethod
+    def pairs():
+        """Each axiom's bundled pairs in both orientations, and tied pairs."""
+        pairs = [
+            pair
+            for axiom in DynamicAxiom
+            for orientation in Orientation
+            for pair in bundled_pair_processes(axiom, orientation=orientation)
+        ]
+        rng = np.random.default_rng(2117)
+        for _ in range(40):
+            x = tied_process(rng, 8, 3)
+            pairs.append((x, x.with_payoffs(tied_process(rng, 8, 3).payoff_matrix())))
+        return pairs
+
+    def test_a_mixture_splits_no_cell_of_the_pair(self):
+        # D6 evaluates w X + (1 - w) Y on the cells of (X, Y) alone.
+        shared = 0
+        for x, y in self.pairs():
+            for t in range(x.horizon + 1):
+                cells = filtration_partition([x, y], t)
+                shared += t > 0 and len(cells) < x.n_atoms
+                for w in (0.25, 0.5, 0.75):
+                    mixed = x.with_payoffs(w * x.payoff_matrix() + (1.0 - w) * y.payoff_matrix())
+                    assert filtration_partition([x, y, mixed], t) == cells
+        assert shared > 0  # some cell after t = 0 holds several atoms
+
+    @pytest.mark.parametrize(
+        "axiom, calls",
+        zip(DynamicAxiom, (16, 32, 32, 200, 32, 80, 64)),
+        ids=[axiom.value for axiom in DynamicAxiom],
+    )
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
+    def test_atom_values_calls_on_the_default_fixtures(self, axiom, calls, spec):
+        # Four pairs, T = 3: D6 evaluates X and Y once per time and the mixture
+        # once per weight and time; D7 X once per time and kX once per factor
+        # and time.
+        measure = _CountingMeasure(RecursiveFiniteMeasure(spec))
+        pairs = bundled_pair_processes(axiom, orientation=spec.orientation)
+        assert check_dynamic_axiom(axiom, measure, pairs).verdict is Verdict.HOLDS
+        assert measure.calls == calls
 
 
 class TestBundledPairs:

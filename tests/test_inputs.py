@@ -22,6 +22,7 @@ from riskflow.axioms import (
     bundled_pair_processes,
     check_dynamic_axiom,
     check_static_axiom,
+    filtration_partition,
 )
 from riskflow.distributions import (
     EmpiricalSample,
@@ -106,6 +107,11 @@ SITES = [
     ("check_dynamic_axiom-seed", "count", 7,
      lambda s: check_dynamic_axiom(DynamicAxiom.D3, RecursiveFiniteMeasure(VAR_LOWER), PAIRS, s),
      DomainError, "seed"),
+    ("filtration_partition-t", "count", 1, lambda t: filtration_partition([PAIRS[0][0]], t),
+     DomainError, "time"),
+    ("atom_values-t", "count", 1,
+     lambda t: RecursiveFiniteMeasure(VAR_LOWER).atom_values(PAIRS[0][0], t, [(0, 1)]),
+     DomainError, "time"),
     ("bundled_pair_processes-n_pairs", "count", 2,
      lambda n: bundled_pair_processes(DynamicAxiom.D2, n_pairs=n), DomainError, "n_pairs"),
     ("bundled_pair_processes-n_atoms", "count", 4,

@@ -5,8 +5,8 @@ from the repository root, with ``src`` on the path) in this process under a
 ``sys.settrace``/``threading.settrace`` line trace, then compares the lines
 executed with the lines that compile to bytecode.  A line that never ran must
 be named in ``tools/line_trace_allow.txt``, with a reason.  Exits 1 when a
-line that never ran has no entry, or when the tests themselves fail; entries
-that match no such line are printed as stale and do not fail the run.
+line that never ran has no entry, when an entry matches no such line (it is
+stale: its lines ran, or are gone), or when the tests themselves fail.
 
 Usage, from the repository root, with the packages of ``.[test]`` installed::
 
@@ -125,15 +125,16 @@ def main() -> int:
                 used.add(key)
             else:
                 unlisted.append(f"src/riskflow/{path.name}:{line}: {key}")
-    for key in allowed.keys() - used:
+    stale = [key for key in allowed if key not in used]
+    for key in stale:
         print(f"stale allow-list entry (its lines ran or are gone): {key}")
     for text in unlisted:
         print(f"never run by tier-1, and not in {ALLOW.name}: {text}")
     print(
-        f"line trace: {len(used)} allow-list entries in use, {len(unlisted)} unlisted "
-        f"lines, pytest exit code {status}"
+        f"line trace: {len(used)} allow-list entries in use, {len(stale)} stale, "
+        f"{len(unlisted)} unlisted lines, pytest exit code {status}"
     )
-    return 1 if unlisted or status != 0 else 0
+    return 1 if unlisted or stale or status != 0 else 0
 
 
 if __name__ == "__main__":
