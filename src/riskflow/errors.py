@@ -113,6 +113,8 @@ def _require_real(value: object, what: str, error: type[RiskEngineError] = Domai
 def _require_count(value: object, what: str, error: type[RiskEngineError] = DomainError) -> int:
     """``value`` as an ``int``: a non-negative Python or numpy integer that is
     not a bool, or a 0-d integer array of one; else ``error`` naming ``what``."""
+    if value.__class__ is int and value >= 0:
+        return value
     number = _scalar(value)
     if isinstance(number, bool) or not isinstance(number, numbers.Integral) or number < 0:
         raise error(f"{what} must be a non-negative integer, got {number!r}")
