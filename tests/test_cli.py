@@ -332,6 +332,24 @@ class TestReproduce:
         capsys.readouterr()
         assert (tmp_path / "riskflow_weibull_trajectories.csv").is_file()
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize(
+        "study,reference", [("gaussian", "gaussian_msci"), ("weibull", "weibull_bbgex")]
+    )
+    def test_reproducing_is_simulating_the_bundled_config(
+        self, tmp_path, capsys, study, reference, suffix
+    ):
+        reproduced = tmp_path / f"reproduced{suffix}"
+        assert run(["reproduce", "--study", study, "--output", str(reproduced)]) == 0
+        reproduce_stdout = capsys.readouterr().out
+        simulated = tmp_path / f"simulated{suffix}"
+        config = dataclasses.replace(build_reference_experiment(reference), output=str(simulated))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config_to_json(config), encoding="utf-8")
+        assert run(["simulate", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out == reproduce_stdout
+        assert simulated.read_bytes() == reproduced.read_bytes()
+
     #: sha256 of ``reproduce``'s CSV and of its stdout, for the studies whose
     #: output no longer equals ``perfbench/reference``.  The Weibull CVaR
     #: columns moved by at most 6 ulp when the exceedance quadrature became a
