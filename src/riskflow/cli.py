@@ -9,6 +9,10 @@ Subcommands::
     riskflow reproduce --study gaussian|weibull [--output FILE]
     riskflow axioms    --measure var|cvar|recursive-var [--trials N] [--seed S]
 
+``reproduce`` is ``simulate`` of the study's bundled config with ``output``
+set to ``--output``: both run the config, write its trajectories to its
+``output`` when set, and print the summary.
+
 stdout carries only machine-parseable output (JSON objects, JSON lines, or a
 bare number); progress and diagnostics go to stderr.  Exit codes: 0 success,
 1 axiom verdicts differ from the expected profile, 2 invalid input or
@@ -22,6 +26,7 @@ evaluate the parametric measures with ``math`` alone and never import numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -73,46 +78,39 @@ def _cmd_risk(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_format(path: str) -> str:
-    return "json" if Path(path).suffix.lower() == ".json" else "csv"
+def _simulate(config) -> int:
+    """Run ``config``, write ``config.output`` if set, print the summary."""
+    from .scenario import emit_trajectories, run_experiment
 
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .scenario import config_from_json, emit_trajectories, run_experiment
-
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    config = config_from_json(text)
     result, stats = run_experiment(config)
     if config.output is not None:
-        emit_trajectories(result, _emit_format(config.output), config.output)
+        fmt = "json" if Path(config.output).suffix.lower() == ".json" else "csv"
+        emit_trajectories(result, fmt, config.output)
         log.info("wrote trajectories to %s", config.output)
     print(json.dumps(stats.to_json_dict(), sort_keys=True))
     return 0
 
 
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenario import config_from_json
+
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    return _simulate(config_from_json(text))
+
+
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from .scenario import (
-        ReferenceStudy,
-        build_reference_experiment,
-        emit_trajectories,
-        run_experiment,
-    )
+    from .scenario import ReferenceStudy, build_reference_experiment
 
     study = (
         ReferenceStudy.GAUSSIAN_MSCI
         if args.study == "gaussian"
         else ReferenceStudy.WEIBULL_BBGEX
     )
-    config = build_reference_experiment(study)
     output = args.output or f"riskflow_{args.study}_trajectories.csv"
-    result, stats = run_experiment(config)
-    emit_trajectories(result, _emit_format(output), output)
-    log.info("wrote %s trajectories to %s", args.study, output)
-    print(json.dumps(stats.to_json_dict(), sort_keys=True))
-    return 0
+    return _simulate(dataclasses.replace(build_reference_experiment(study), output=output))
 
 
 def _axiom_reports(measure: str, trials: int, seed: int):

@@ -16,12 +16,12 @@ The CSV's bytes equal the ``csv`` module's, the JSON's ``json.dump(...,
 indent=2)``'s, and reruns of the same config are byte-identical.
 
 The two bundled reference configurations (:func:`build_reference_experiment`)
-cover a Gaussian index-level study and a Weibull daily-increment study: base
-parameters are split into a calm and a stressed state at +/-5%, with a
-two-state chain, p = 0.99 and a 10-day horizon.  Gaussian base values are an
-annual index mean/standard deviation; Weibull base values are the scale and
-shape fitted to daily increments.  Scale/location parameters vary by state;
-the Weibull shape is held constant across states.
+are one table of each :class:`ReferenceStudy`'s family and per-state
+parameters, and the settings they share: a two-state chain, p = 0.99, a
+10-day horizon and one path.  A Gaussian index-level study (annual index
+mean/standard deviation) and a Weibull daily-increment study (scale and
+shape fitted to daily increments) split their base values into a calm and a
+stressed state at +/-5%; the Weibull shape is held constant across states.
 """
 
 from __future__ import annotations
@@ -402,48 +402,34 @@ def bundled_returns_path() -> Path:
 # Reference experiments
 # --------------------------------------------------------------------------
 
-_GAUSSIAN_BASE_MEAN = 1113.3425
-_GAUSSIAN_BASE_STD = 186.29
-_WEIBULL_BASE_SCALE = 6.7679
-_WEIBULL_BASE_SHAPE = 0.8016
-_REFERENCE_ROWS = ((0.25, 0.75), (0.35, 0.65))
-_REFERENCE_SEED = 1729
+#: Family and per-state parameters by study: the base values times 1.05 and
+#: 0.95, at full float precision, except the shared Weibull shape.
+_REFERENCE_STUDIES = {
+    ReferenceStudy.GAUSSIAN_MSCI: (
+        ModelFamily.GAUSSIAN,
+        {"mu": (1113.3425 * 1.05, 1113.3425 * 0.95), "sigma": (186.29 * 1.05, 186.29 * 0.95)},
+    ),
+    ReferenceStudy.WEIBULL_BBGEX: (
+        ModelFamily.WEIBULL,
+        {"lambda": (6.7679 * 1.05, 6.7679 * 0.95), "alpha": (0.8016, 0.8016), "theta": (0.0, 0.0)},
+    ),
+}
 
 
 def build_reference_experiment(study: ReferenceStudy | str) -> ExperimentConfig:
-    """The bundled two-state reference configs (see module docstring).
-
-    State parameters are the base values scaled by 1.05 (state 1) and 0.95
-    (state 2), except the Weibull shape which is constant; the products are
-    carried at full float precision.
-    """
-    study = _require_member(ReferenceStudy, study)
-    if study is ReferenceStudy.GAUSSIAN_MSCI:
-        family = ModelFamily.GAUSSIAN
-        params = {
-            "mu": (_GAUSSIAN_BASE_MEAN * 1.05, _GAUSSIAN_BASE_MEAN * 0.95),
-            "sigma": (_GAUSSIAN_BASE_STD * 1.05, _GAUSSIAN_BASE_STD * 0.95),
-        }
-    else:
-        family = ModelFamily.WEIBULL
-        params = {
-            "lambda": (_WEIBULL_BASE_SCALE * 1.05, _WEIBULL_BASE_SCALE * 0.95),
-            "alpha": (_WEIBULL_BASE_SHAPE, _WEIBULL_BASE_SHAPE),
-            "theta": (0.0, 0.0),
-        }
+    """The bundled two-state config of ``study`` (see module docstring)."""
+    family, params = _REFERENCE_STUDIES[_require_member(ReferenceStudy, study)]
     return ExperimentConfig(
         family=family,
         params=params,
-        transition_matrix=_REFERENCE_ROWS,
+        transition_matrix=((0.25, 0.75), (0.35, 0.65)),
         orientation="row",
         initial_state=1,
         p=0.99,
         horizon=10,
         n_paths=1,
-        seed=_REFERENCE_SEED,
+        seed=1729,
         measures=("var", "cvar"),
-        cvar_mode=CvarMode.PIECEWISE,
-        output=None,
     )
 
 
