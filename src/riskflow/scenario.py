@@ -300,20 +300,25 @@ def fit_weibull(returns: Sequence[float]) -> WeibullParams:
             "weibull fit: degenerate likelihood (observations nearly identical)"
         )
     alpha = math.pi / (math.sqrt(6.0) * std_lx)
+    g, dg = _weibull_profile(alpha, lx)
 
     def bracket(side: str, factor: float) -> float:
-        """First ``alpha * factor**k``, k < 80, where the profile is < 0 (below) or > 0 (above)."""
-        x, sign = alpha, -1.0 if side == "below" else 1.0
-        for _ in range(80):
-            if sign * _weibull_profile(x, lx)[0] > 0.0:
+        """First ``alpha * factor**k``, k < 80, where the profile is < 0 (below)
+        or > 0 (above); the profile at ``alpha`` itself is ``g``."""
+        x, gx, sign = alpha, g, -1.0 if side == "below" else 1.0
+        for k in range(80):
+            if k:
+                x *= factor
+                gx = _weibull_profile(x, lx)[0]
+            if sign * gx > 0.0:
                 return x
-            x *= factor
         raise NumericError(f"weibull fit: could not bracket the shape from {side}")
 
     lo, hi = bracket("below", 0.5), bracket("above", 2.0)
 
+    # Each pass ends by evaluating the shape it moved to, so ``g`` is always
+    # the profile at ``alpha``: no shape is evaluated twice.
     for _ in range(200):
-        g, dg = _weibull_profile(alpha, lx)
         if abs(g) <= 1e-10:
             break
         if g > 0.0:
@@ -326,9 +331,9 @@ def fit_weibull(returns: Sequence[float]) -> WeibullParams:
         if hi - lo < 1e-15 * (1.0 + alpha):
             break
         alpha = step
+        g, dg = _weibull_profile(alpha, lx)
     else:
         raise NumericError("weibull fit: shape iteration did not converge")
-    g, _ = _weibull_profile(alpha, lx)
     if abs(g) > 1e-8:
         raise NumericError(f"weibull fit: profile equation residual {g!r} too large")
 

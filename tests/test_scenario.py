@@ -319,6 +319,31 @@ class TestFitWeibull:
         assert abs(s1 / s0 - 1.0 / fit.alpha - float(np.mean(lx))) <= 1e-8
         assert fit.lam == pytest.approx((s0 / xs.size) ** (1.0 / fit.alpha), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "draws",
+        [
+            sample(WeibullParams(6.7679, 0.8016), 1_000, seed=6),
+            sample(WeibullParams(2.0, 3.0), 50, seed=2),
+            [1.0] * 20 + [1000.0],
+            [1.0, 2.0, 2.0, 3.0, 5.0],
+        ],
+        ids=["weibull-1000", "weibull-50", "outlier", "lattice"],
+    )
+    def test_no_shape_is_evaluated_twice(self, monkeypatch, draws):
+        # The starting shape serves both bracket scans and the first Newton
+        # step, and the residual check reads the last step's profile.
+        shapes = []
+        profile = scenario._weibull_profile
+
+        def counted(alpha, lx):
+            shapes.append(alpha)
+            return profile(alpha, lx)
+
+        monkeypatch.setattr(scenario, "_weibull_profile", counted)
+        fit = fit_weibull(draws)
+        assert shapes[-1] == fit.alpha
+        assert len(set(shapes)) == len(shapes), shapes
+
     @pytest.mark.parametrize("g,side", [(1.0, "below"), (-1.0, "above")])
     def test_unbracketed_shape_raises(self, monkeypatch, g, side):
         # A profile of one sign has no root: 80 halvings (or doublings) of
