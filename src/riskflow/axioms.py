@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,7 +51,7 @@ import numpy as np
 
 from .distributions import EmpiricalSample
 from .errors import DataError, DomainError
-from .errors import _require_count, _require_member, _require_reals
+from .errors import _require_count, _require_member, _require_real, _require_reals
 from .markov import TransitionMatrix
 from .static_risk import (
     MeasureKind,
@@ -156,18 +157,30 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class TwoPointDistribution:
-    """A loss taking ``low`` with probability ``1 - high_prob``, else ``high``."""
+    """A loss taking ``low`` with probability ``1 - high_prob``, else ``high``.
+
+    ``low < high`` are finite reals.  ``high_prob`` is held as an exact
+    :class:`~fractions.Fraction`: a rational as it is, a float at its binary
+    value; a bool, a string, ``None`` or a non-finite value raises
+    :class:`DomainError`.
+    """
 
     low: float
     high: float
     high_prob: Fraction
 
     def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise DomainError(f"need low < high, got {(self.low, self.high)!r}")
-        q = Fraction(self.high_prob)
+        low, high = _require_real(self.low, "low"), _require_real(self.high, "high")
+        if not low < high:
+            raise DomainError(f"need low < high, got {(low, high)!r}")
+        q = self.high_prob
+        if isinstance(q, bool) or not isinstance(q, numbers.Rational):
+            q = _require_real(q, "high_prob")
+        q = Fraction(q)
         if not 0 < q < 1:
             raise DomainError(f"high_prob must lie in (0, 1), got {q!r}")
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
         object.__setattr__(self, "high_prob", q)
 
 
@@ -185,7 +198,7 @@ def subadditivity_margin(
     level ``p`` is taken at its exact binary-float value), so boundary cases
     are decided without tolerance.  Positive means subadditivity fails.
     """
-    p_exact = Fraction(p)
+    p_exact = Fraction(_require_real(p, "confidence level"))
     if not 0 < p_exact < 1:
         raise DomainError(f"confidence level must lie in (0, 1), got {p!r}")
     outcomes: dict[float, Fraction] = {}
@@ -217,7 +230,7 @@ def var_subadditivity_witness(
     witness for every ``p``: ``(1 - q)**2 = p**2 < p``.  The margin is
     enumerated exactly.
     """
-    p = float(p)
+    p = _require_real(p, "confidence level")
     if not 0.5 < p < 1.0:
         raise DomainError(f"witness search needs p in (0.5, 1), got {p!r}")
     p_exact = Fraction(p)
@@ -311,6 +324,27 @@ def _require_time(t: object, horizon: int) -> int:
     return t
 
 
+_PLAIN_INT = frozenset((int,))
+
+
+def _require_partition(partition: object, n_atoms: int) -> None:
+    """Raise :class:`DataError` naming ``partition`` unless its cells are
+    non-empty and hold each atom ``0 .. n_atoms - 1`` exactly once, each a
+    Python or numpy integer that is not a bool."""
+    try:
+        atoms = sorted(itertools.chain(*partition))
+        if not _PLAIN_INT.issuperset(map(type, atoms)):
+            atoms = [_require_count(a, "atom", DataError) for a in atoms]
+        whole = atoms == list(range(n_atoms)) and all(map(len, partition))
+    except (TypeError, ValueError, DataError):
+        whole = False
+    if not whole:
+        raise DataError(
+            f"partition {partition!r} must hold each of the process's {n_atoms} atoms "
+            "in exactly one non-empty cell"
+        )
+
+
 def filtration_partition(
     processes: Sequence[FiniteProcess], t: int
 ) -> list[tuple[int, ...]]:
@@ -373,6 +407,7 @@ class RecursiveFiniteMeasure:
         self, process: FiniteProcess, t: int, partition: Sequence[tuple[int, ...]]
     ) -> np.ndarray:
         t = _require_time(t, process.horizon)
+        _require_partition(partition, process.n_atoms)
         sign = 1.0 if self.spec.orientation is Orientation.LOWER_TAIL else -1.0
         probs = np.array(process.probs)
         out = np.empty(process.n_atoms)

@@ -266,6 +266,19 @@ class TestRecursiveFiniteMeasure:
         )
         np.testing.assert_allclose(got, [1.0 - 5.0, 2.0 - 7.0])
 
+    @pytest.mark.parametrize(
+        "partition",
+        [[(0,)], [(0,), (0, 1)], [(0,), (-1,)], [(0,), (2,)], [(0, 1), (2,)], [(), (0, 1)]],
+        ids=["atom-left-out", "overlap", "negative", "past-the-last", "extra-atom", "empty-cell"],
+    )
+    def test_partition_must_hold_each_atom_once(self, partition):
+        # Each of these once gave values (uninitialised for a left-out atom,
+        # the last cell's for an overlap, the last atom's for index -1) or a
+        # bare IndexError.
+        proc = uniform_process([[1.0, 5.0], [2.0, 7.0]])
+        with pytest.raises(DataError, match=r"^partition .* 2 atoms in exactly one non-empty cell"):
+            RecursiveFiniteMeasure(VAR_LOWER).atom_values(proc, 1, partition)
+
     def test_time_bounds_checked(self):
         proc = uniform_process([[1.0], [2.0]])
         with pytest.raises(DomainError):

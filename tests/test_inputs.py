@@ -6,10 +6,12 @@ fed a bool, a numeric string, a non-numeric string, ``None``, a ragged
 nesting and NaN, which must raise that class with a message naming the
 argument; and numpy scalars or 0-d arrays, which must give what the plain
 Python value gives.  Counts are also fed fractions, integral floats and
-negatives; arrays get the bad values mixed into a list of good ones.
+negatives; arrays get the bad values mixed into a list of good ones; a
+partition of atoms into cells gets them as an atom.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from riskflow.axioms import (
     FiniteProcess,
     RecursiveFiniteMeasure,
     StaticAxiom,
+    TwoPointDistribution,
     bundled_pair_processes,
     check_dynamic_axiom,
     check_static_axiom,
     filtration_partition,
+    subadditivity_margin,
+    var_subadditivity_witness,
 )
 from riskflow.distributions import (
     EmpiricalSample,
@@ -59,6 +64,7 @@ SAMPLE = EmpiricalSample((1.0, 5.0, 9.0))
 VAR_LOWER = RiskMeasureSpec(MeasureKind.VAR, 0.95, Orientation.LOWER_TAIL)
 PAIRS = bundled_pair_processes(DynamicAxiom.D3, n_pairs=1, n_atoms=2, T=1)
 PAIR_MODELS = [GaussianParams(1.0, 0.5), GaussianParams(-2.0, 2.0)]
+TWO_POINT = TwoPointDistribution(0.0, 10.0, Fraction(1, 20))
 
 
 def config(**overrides):
@@ -152,6 +158,16 @@ SITES = [
     ("model_from_params-mu", "real", 0.5,
      lambda v: model_from_params("gaussian", {"mu": v, "sigma": 1.0}), DataError, "param 'mu'"),
     ("ExperimentConfig-p", "real", 0.95, lambda p: config(p=p), ConfigError, "p must"),
+    ("var_subadditivity_witness-p", "real", 0.95, var_subadditivity_witness, DomainError,
+     "confidence level"),
+    ("subadditivity_margin-p", "real", 0.95,
+     lambda p: subadditivity_margin(TWO_POINT, TWO_POINT, p), DomainError, "confidence level"),
+    ("TwoPointDistribution-low", "real", 0.0, lambda v: TwoPointDistribution(v, 10.0, 0.5),
+     DomainError, "low"),
+    ("TwoPointDistribution-high", "real", 10.0, lambda v: TwoPointDistribution(0.0, v, 0.5),
+     DomainError, "high"),
+    ("TwoPointDistribution-high_prob", "real", 0.5, lambda q: TwoPointDistribution(0.0, 10.0, q),
+     DomainError, "high_prob"),
     # Arrays of real numbers.
     ("TransitionMatrix", "reals", [[0.25, 0.35], [0.75, 0.65]], TransitionMatrix, ConfigError,
      "transition matrix"),
@@ -200,6 +216,10 @@ SITES = [
                                         "theta": (0.0, 0.0)}), ConfigError, "ModelFamily"),
     ("ExperimentConfig-cvar_mode", "member", "piecewise", lambda m: config(cvar_mode=m),
      ConfigError, "CvarMode"),
+    # Partitions: cells of atom indices, each atom in exactly one cell.
+    ("atom_values-partition", "partition", [(0,), (1,)],
+     lambda cells: RecursiveFiniteMeasure(VAR_LOWER).atom_values(PAIRS[0][0], 1, cells),
+     DataError, "partition"),
 ]
 
 _EVERY_KIND = {"bool": True, "numeric-string": "1", "string": "x", "none": None, "nan": math.nan}
@@ -212,6 +232,11 @@ BAD = {
     "real": dict(_EVERY_KIND, ragged=[[1.0], [2.0, 3.0]], inf=math.inf, numpy_bool=np.bool_(True),
                  array_1d=np.array([0.5])),
     "member": dict(_EVERY_KIND, ragged=[["var"], ["cvar", "var"]]),
+    "partition": dict(
+        _EVERY_KIND, bool_atoms=[(False,), (True,)], numpy_bool_atom=[(0,), (np.True_,)],
+        numeric_string_atom=[(0,), ("1",)], none_atom=[(0,), (None,)],
+        integral_float_atom=[(0,), (1.0,)], nan_atom=[(0,), (math.nan,)],
+    ),
 }
 
 
@@ -238,6 +263,9 @@ def _numpy_forms(kind, good):
         return forms + ([np.int64(good)] if float(good).is_integer() else [])
     if kind == "reals":
         return [np.array(good), _spoil(good, np.float64(_first(good)))]
+    if kind == "partition":
+        return [np.array(good), [tuple(map(np.int64, cell)) for cell in good],
+                [tuple(map(np.array, cell)) for cell in good]]
     return [np.str_(good.value if hasattr(good, "value") else good)]
 
 
