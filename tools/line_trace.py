@@ -4,9 +4,13 @@ Runs the tier-1 command (``python -m pytest -q --continue-on-collection-errors``
 from the repository root, with ``src`` on the path) in this process under a
 ``sys.settrace``/``threading.settrace`` line trace, then compares the lines
 executed with the lines that compile to bytecode.  A line that never ran must
-be named in ``tools/line_trace_allow.txt``, with a reason.  Exits 1 when a
-line that never ran has no entry, when an entry matches no such line (it is
-stale: its lines ran, or are gone), or when the tests themselves fail.
+be named in ``tools/line_trace_allow.txt``, with a reason.  The package's
+sources and their executable lines are read before the run, since the trace
+numbers the lines of the modules as they were imported.  Exits 1 when a line
+that never ran has no entry, when an entry matches no such line (it is
+stale: its lines ran, or are gone), when the tests themselves fail, or when
+a module of the package changed, appeared or went during the run (each such
+file is named: its lines may not be the ones the trace saw).
 
 Usage, from the repository root, with the packages of ``.[test]`` installed::
 
@@ -40,11 +44,11 @@ ALLOW = Path(__file__).resolve().with_name("line_trace_allow.txt")
 TIER_1 = ["-q", "--continue-on-collection-errors"]
 
 
-def executable_lines(path: Path) -> dict[int, str]:
-    """Each line of ``path`` that compiles to bytecode, mapped to the
-    qualified name of the innermost code object whose instructions use it."""
+def executable_lines(path: Path, text: str) -> dict[int, str]:
+    """Each line of ``text``, the source of ``path``, that compiles to bytecode,
+    mapped to the qualified name of the innermost code object that uses it."""
     owner: dict[int, tuple[int, str]] = {}
-    stack = [(compile(path.read_text(encoding="utf-8"), str(path), "exec"), 0)]
+    stack = [(compile(text, str(path), "exec"), 0)]
     while stack:
         code, depth = stack.pop()
         name = "<module>" if depth == 0 else code.co_qualname
@@ -110,14 +114,26 @@ def read_allow_list(path: Path) -> dict[str, str]:
     return entries
 
 
+def read_sources() -> dict[Path, str]:
+    """The text of each module of the package, by path."""
+    return {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def main() -> int:
+    # The trace numbers the lines of each module as it was imported, so the
+    # texts the verdict reads are those from before the run.
+    sources = read_sources()
+    lines = {path: executable_lines(path, text) for path, text in sources.items()}
     status, executed = trace_tier_1()
+    after = read_sources()
+    changed = sorted(path.name for path in sources.keys() | after.keys()
+                     if sources.get(path) != after.get(path))
     allowed = read_allow_list(ALLOW)
     unlisted, used = [], set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8").splitlines()
+    for path, text in sources.items():
+        source = text.splitlines()
         ran = executed.get(path, set())
-        for line, name in sorted(executable_lines(path).items()):
+        for line, name in sorted(lines[path].items()):
             if line in ran:
                 continue
             key = f"{path.name}:{name}:{source[line - 1].strip()}"
@@ -130,11 +146,14 @@ def main() -> int:
         print(f"stale allow-list entry (its lines ran or are gone): {key}")
     for text in unlisted:
         print(f"never run by tier-1, and not in {ALLOW.name}: {text}")
+    for name in changed:
+        print(f"changed during the run, so the trace may not match its lines: src/riskflow/{name}")
     print(
         f"line trace: {len(used)} allow-list entries in use, {len(stale)} stale, "
-        f"{len(unlisted)} unlisted lines, pytest exit code {status}"
+        f"{len(unlisted)} unlisted lines, {len(changed)} changed modules, "
+        f"pytest exit code {status}"
     )
-    return 1 if unlisted or stale or status != 0 else 0
+    return 1 if unlisted or stale or changed or status != 0 else 0
 
 
 if __name__ == "__main__":
