@@ -5,12 +5,12 @@ from the repository root, with ``src`` on the path) in this process under a
 ``sys.settrace``/``threading.settrace`` line trace, then compares the lines
 executed with the lines that compile to bytecode.  A line that never ran must
 be named in ``tools/line_trace_allow.txt``, with a reason.  The package's
-sources and their executable lines are read before the run, since the trace
-numbers the lines of the modules as they were imported.  Exits 1 when a line
-that never ran has no entry, when an entry matches no such line (it is
-stale: its lines ran, or are gone), when the tests themselves fail, or when
-a module of the package changed, appeared or went during the run (each such
-file is named: its lines may not be the ones the trace saw).
+sources are read before the run, since the trace numbers the lines of the
+modules as they were imported.  Exits 1 when a line that never ran has no
+entry, when an entry matches no such line (it is stale: its lines ran, or
+are gone), when the tests themselves fail, or when a module of the package
+changed, appeared or went during the run (each such file is named: its
+lines may not be the ones the trace saw).
 
 Usage, from the repository root, with the packages of ``.[test]`` installed::
 
@@ -123,7 +123,6 @@ def main() -> int:
     # The trace numbers the lines of each module as it was imported, so the
     # texts the verdict reads are those from before the run.
     sources = read_sources()
-    lines = {path: executable_lines(path, text) for path, text in sources.items()}
     status, executed = trace_tier_1()
     after = read_sources()
     changed = sorted(path.name for path in sources.keys() | after.keys()
@@ -133,7 +132,7 @@ def main() -> int:
     for path, text in sources.items():
         source = text.splitlines()
         ran = executed.get(path, set())
-        for line, name in sorted(lines[path].items()):
+        for line, name in sorted(executable_lines(path, text).items()):
             if line in ran:
                 continue
             key = f"{path.name}:{name}:{source[line - 1].strip()}"
