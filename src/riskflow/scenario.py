@@ -316,9 +316,11 @@ def fit_weibull(returns: Sequence[float]) -> WeibullParams:
 
     lo, hi = bracket("below", 0.5), bracket("above", 2.0)
 
-    # Each pass ends by evaluating the shape it moved to, so ``g`` is always
-    # the profile at ``alpha``: no shape is evaluated twice.
-    for _ in range(200):
+    # ``g, dg`` is the profile at ``alpha`` throughout, the starting shape's
+    # on the first pass, so no shape is evaluated twice.
+    for i in range(200):
+        if i:
+            g, dg = _weibull_profile(alpha, lx)
         if abs(g) <= 1e-10:
             break
         if g > 0.0:
@@ -331,7 +333,6 @@ def fit_weibull(returns: Sequence[float]) -> WeibullParams:
         if hi - lo < 1e-15 * (1.0 + alpha):
             break
         alpha = step
-        g, dg = _weibull_profile(alpha, lx)
     else:
         raise NumericError("weibull fit: shape iteration did not converge")
     if abs(g) > 1e-8:
